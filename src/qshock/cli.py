@@ -18,7 +18,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .kernels import (KernelSet, QuadratureError, QuadratureSettings,
-                      commutator_kernel_regulated, commutator_kernel_zero_split)
+                      closed_form_commutator, closed_form_radiation,
+                      closed_form_variance)
 from .mapper import (DEFAULT_RESOLUTION, DEFAULT_WINDOW, capacity_map, coupling_sweep,
                      diff_map, energy_map, optimize_phases, read_grid_csv,
                      write_grid_csv, write_sweep_csv)
@@ -146,7 +147,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--tolerance", type=float, default=None)
     p.add_argument("--cross-check", action="store_true",
-                   help="add regulator/zero-split columns (commutator only)")
+                   help="add a closed_form column: the exact position-space "
+                        "kernel, an independent check of the quadrature")
 
     p = sub.add_parser("oracle", help="pipeline vs exact Fock comparison table")
     p.add_argument("--tolerance", type=float, default=1e-6)
@@ -253,10 +255,17 @@ def _cmd_kernels(args) -> int:
     rs = np.linspace(lo, hi, int(count))
     dt = float(args.dt)
     header = "r,dt,value,err_estimate"
-    if args.cross_check and args.kind == "commutator":
-        header += ",regulated,zero_split"
+    if args.cross_check:
+        header += ",closed_form"
+        if args.kind == "commutator":
+            exact = closed_form_commutator(rs, dt, args.radius, args.radius)
+        elif args.kind == "variance":
+            exact = np.full(rs.shape, closed_form_variance(args.radius))
+        else:
+            exact = closed_form_radiation(rs, dt, args.radius)[
+                0 if args.kind == "radiation-time" else 1]
     lines = [header]
-    for r in rs:
+    for i, r in enumerate(rs):
         if args.kind == "commutator":
             kv = ks.commutator_value(r, dt)
         elif args.kind == "radiation-time":
@@ -266,10 +275,8 @@ def _cmd_kernels(args) -> int:
         else:
             kv = ks.vacuum_variance_value()
         line = f"{r:.8e},{dt:.8e},{kv.value:.8e},{kv.error:.8e}"
-        if args.cross_check and args.kind == "commutator":
-            reg = commutator_kernel_regulated(r, dt, args.radius, settings)
-            zs = commutator_kernel_zero_split(r, dt, args.radius, settings)
-            line += f",{reg.value:.8e},{zs.value:.8e}"
+        if args.cross_check:
+            line += f",{exact[i]:.8e}"
         lines.append(line)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -21,15 +21,13 @@ rules on the cancellation-free combined integrand, while on the tail
 the integrand is *identically* a finite sum of Fourier atoms
 trig(a k)/k^m whose tails have closed forms in the sine/cosine
 integrals, evaluated through the complex exponential integral.  The
-only numerical error is therefore the head-panel estimate.
+only truncation error is therefore the head-panel estimate.
 
-Two fully independent strategies are kept alongside for cross-checks
-(and are exercised by the test suite and the `kernels` CLI subcommand):
-
-  * an exponential regulator exp(-eps k) at a decreasing eps ladder with
-    polynomial extrapolation to eps = 0, and
-  * between-zeros summation of each oscillatory tail atom with iterated
-    averaging as the series acceleration.
+Each kernel also has an exact closed form in position space (the ball's
+retarded field, the two-ball overlap volume, nu = R^4); those are kept
+alongside as array functions and serve as the independent cross-check
+of the quadrature (the test suite and the `kernels --cross-check` CLI
+subcommand compare the two).
 
 Evaluation is pure; a memo cache keyed by rounded arguments makes grid
 scans cheap.  Values are deterministic for fixed settings regardless of
@@ -54,11 +52,9 @@ __all__ = [
     "vacuum_variance",
     "commutator_kernel",
     "radiation_kernel",
-    "commutator_kernel_regulated",
-    "commutator_kernel_zero_split",
-    "radiation_kernel_regulated",
-    "radiation_kernel_zero_split",
-    "vacuum_variance_regulated",
+    "closed_form_variance",
+    "closed_form_commutator",
+    "closed_form_radiation",
 ]
 
 _FOUR_PI = 4.0 * math.pi
@@ -89,8 +85,6 @@ class QuadratureSettings:
                      (None: max(6, 3/R) chosen per radius)
     head_order       Gauss-Legendre order per panel
     max_doublings    panel-doubling budget before QuadratureError
-    regulator_base   largest eps of the regulator ladder (cross-check strategy)
-    regulator_rungs  number of eps halvings in the ladder
     cache_decimals   rounding of (r, dt) cache keys
     """
 
@@ -99,8 +93,6 @@ class QuadratureSettings:
     head_cut: float | None = None
     head_order: int = 12
     max_doublings: int = 12
-    regulator_base: float = 0.02
-    regulator_rungs: int = 8
     cache_decimals: int = 9
 
     def cut_for(self, radius: float) -> float:
@@ -168,10 +160,10 @@ def sphere_form_factor(k, radius: float):
 # e^{i a_j k}] / k^m after product-to-sum expansion of its trig factors,
 # so the tail integral is a finite sum of
 #
-#   T_m(a, K; eps) = int_K^inf e^{(ia - eps) k} k^-m dk
+#   T_m(a, K) = int_K^inf e^{iak} k^-m dk
 #
-# with T_1 = E1((eps - ia) K) and the upward recursion
-# T_{m} = e^{(ia-eps)K} / ((m-1) K^{m-1}) + (ia - eps) T_{m-1} / (m-1).
+# with T_1 = E1(-iaK) and the upward recursion
+# T_{m} = e^{iaK} / ((m-1) K^{m-1}) + ia T_{m-1} / (m-1).
 
 def _expand_trig_product(coeff: float, factors) -> list[tuple[complex, float]]:
     """Expand coeff * prod trig(a_j k) into [(c, a)] with the piece = Re sum c e^{iak}."""
@@ -191,8 +183,8 @@ def _expand_trig_product(coeff: float, factors) -> list[tuple[complex, float]]:
     return [(c, f) for f, c in merged.items() if abs(c) > 0.0]
 
 
-def _tail_T(m: int, a: float, cut: float, eps: float = 0.0) -> complex:
-    z = 1j * a - eps
+def _tail_T(m: int, a: float, cut: float) -> complex:
+    z = 1j * a
     if abs(z) * cut < 1e-14:
         if m == 1:
             raise ValueError("divergent zero-frequency tail of power 1")
@@ -203,7 +195,7 @@ def _tail_T(m: int, a: float, cut: float, eps: float = 0.0) -> complex:
     return complex(t)
 
 
-def _tail_sum(pieces, cut: float, eps: float = 0.0) -> float:
+def _tail_sum(pieces, cut: float) -> float:
     total = 0.0j
     for coeff, factors, power in pieces:
         for c, a in _expand_trig_product(coeff, factors):
@@ -213,7 +205,7 @@ def _tail_sum(pieces, cut: float, eps: float = 0.0) -> float:
                 if abs(c) > 1e-10 * abs(coeff):
                     raise ValueError("non-vanishing zero-frequency 1/k atom")
                 continue
-            total += c * _tail_T(power, a, cut, eps)
+            total += c * _tail_T(power, a, cut)
     return float(total.real)
 
 
@@ -230,8 +222,8 @@ def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     return _GL_CACHE[order]
 
 
-def _head_quad(f, cut: float, freq: float, settings: QuadratureSettings,
-               eps: float = 0.0) -> tuple[float, float]:
+def _head_quad(f, cut: float, freq: float,
+               settings: QuadratureSettings) -> tuple[float, float]:
     """Panel-doubled composite Gauss-Legendre on [0, cut]; returns (value, error)."""
     x0, w0 = _gl_nodes(settings.head_order)
     panels = max(4, int(math.ceil(cut * (freq + 1.0) / 3.0)))
@@ -244,10 +236,7 @@ def _head_quad(f, cut: float, freq: float, settings: QuadratureSettings,
         half = 0.5 * (edges[1:] - edges[:-1])
         nodes = (mid[:, None] + half[:, None] * x0[None, :]).ravel()
         weights = (half[:, None] * w0[None, :]).ravel()
-        vals = f(nodes)
-        if eps:
-            vals = vals * np.exp(-eps * nodes)
-        cur = float(vals @ weights)
+        cur = float(f(nodes) @ weights)
         if prev is not None:
             err = abs(cur - prev)
             if err <= settings.rel_tol * max(abs(cur), 1.0) + settings.abs_floor:
@@ -329,117 +318,6 @@ def _evaluate(parts, prefactor: float, settings: QuadratureSettings,
     value = prefactor * (head + tail)
     error = max(abs(prefactor) * head_err, 1e-15 * abs(value), 1e-16)
     return KernelValue(value, error)
-
-
-# ----------------------------------------------------------------------
-# cross-check strategies
-# ----------------------------------------------------------------------
-
-def _neville_to_zero(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
-    """Polynomial extrapolation of (xs, ys) to x = 0; returns (value, error)."""
-    n = len(xs)
-    tab = ys.astype(float).copy()
-    last = tab[-1]
-    for m in range(1, n):
-        for i in range(n - m):
-            tab[i] = tab[i + 1] + (tab[i + 1] - tab[i]) * xs[i + m] / (xs[i] - xs[i + m])
-        last_prev, last = last, tab[0]
-    return float(last), abs(last - last_prev)
-
-
-def _evaluate_regulated(parts, prefactor: float, settings: QuadratureSettings,
-                        cut: float) -> KernelValue:
-    """Regulator ladder exp(-eps k) + extrapolation to eps = 0."""
-    head_f, pieces, freq = parts
-    rungs = settings.regulator_rungs
-    eps = settings.regulator_base * 0.5 ** np.arange(rungs)
-    vals = np.empty(rungs)
-    for i, e in enumerate(eps):
-        head, _ = _head_quad(head_f, cut, freq, settings, eps=e)
-        vals[i] = head + _tail_sum(pieces, cut, eps=e)
-    value, err = _neville_to_zero(eps, vals)
-    return KernelValue(prefactor * value, abs(prefactor) * max(err, 1e-16))
-
-
-def _real_atoms(pieces) -> list[tuple[str, float, float, int]]:
-    """Collect pieces into real atoms (kind, coeff, freq >= 0, power)."""
-    merged: dict[tuple[float, int], complex] = {}
-    for coeff, factors, power in pieces:
-        for c, a in _expand_trig_product(coeff, factors):
-            key = (round(abs(a), 12), power)
-            merged[key] = merged.get(key, 0.0j) + (c if a >= 0 else c.conjugate())
-    atoms = []
-    for (a, power), c in merged.items():
-        # Re[c e^{iak} + conj-partner] accumulated above: cos and sin parts
-        if abs(c.real) > 0.0:
-            atoms.append(("cos", c.real, a, power))
-        if abs(c.imag) > 0.0:
-            atoms.append(("sin", -c.imag, a, power))
-    return atoms
-
-
-def _euler_average(partial: np.ndarray) -> tuple[float, float]:
-    """Iterated averaging of an (eventually alternating) partial-sum sequence."""
-    seq = partial.astype(float).copy()
-    prev_tail = seq[-1]
-    err = math.inf
-    while len(seq) > 2:
-        seq = 0.5 * (seq[1:] + seq[:-1])
-        step = abs(seq[-1] - prev_tail)
-        prev_tail = seq[-1]
-        if step < err:
-            err = step
-        if err == 0.0:
-            break
-    return float(prev_tail), float(err if math.isfinite(err) else abs(prev_tail))
-
-
-def _atom_tail_between_zeros(kind: str, a: float, power: int, cut: float,
-                             chunks: int = 48) -> tuple[float, float]:
-    """int_cut^inf trig(a k) / k^power dk by summation between consecutive
-    zeros of the trig factor, accelerated by iterated averaging."""
-    if a < 1e-9:
-        if kind == "sin":
-            return 0.0, 0.0
-        if power == 1:
-            raise ValueError("divergent zero-frequency tail")
-        return 1.0 / ((power - 1) * cut ** (power - 1)), 0.0
-    x0, w0 = _gl_nodes(10)
-    trig = np.cos if kind == "cos" else np.sin
-    # first zero of trig(a k) at k >= cut
-    if kind == "cos":
-        j0 = math.ceil((a * cut - 0.5 * math.pi) / math.pi)
-        z0 = (0.5 * math.pi + j0 * math.pi) / a
-    else:
-        z0 = math.ceil(a * cut / math.pi) * math.pi / a
-    zeros = z0 + (math.pi / a) * np.arange(chunks + 1)
-    edges = np.concatenate(([cut], zeros))
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = mid[:, None] + half[:, None] * x0[None, :]
-    seg = (trig(a * nodes) / nodes**power) @ w0 * half
-    partial = np.cumsum(seg)
-    return _euler_average(partial)
-
-
-def _evaluate_zero_split(parts, prefactor: float, settings: QuadratureSettings,
-                         cut: float) -> KernelValue:
-    """Head quadrature + per-atom between-zeros tail summation.
-
-    Every oscillatory atom is single-frequency, so its between-zeros
-    chunk integrals alternate with smoothly decaying magnitude and the
-    averaging transform converges fast; no closed-form tail is used.
-    """
-    head_f, pieces, freq = parts
-    head, _ = _head_quad(head_f, cut, freq, settings)
-    tail = 0.0
-    err = 0.0
-    for kind, coeff, a, power in _real_atoms(pieces):
-        val, step = _atom_tail_between_zeros(kind, a, power, cut)
-        tail += coeff * val
-        err += abs(coeff) * step
-    value = prefactor * (head + tail)
-    return KernelValue(value, abs(prefactor) * max(err, 1e-16))
 
 
 # ----------------------------------------------------------------------
@@ -574,45 +452,75 @@ def radiation_kernel(r: float, dt: float, radius: float, j: int,
     return ks.radiation_time(r, dt) if j == 0 else ks.radiation_radial(r, dt)
 
 
-# cross-check entry points ------------------------------------------------
+# ----------------------------------------------------------------------
+# position-space closed forms (the independent cross-check of the quadrature)
+# ----------------------------------------------------------------------
 
-def vacuum_variance_regulated(radius: float,
-                              settings: QuadratureSettings | None = None) -> KernelValue:
-    s = settings or QuadratureSettings()
-    return _evaluate_regulated(_variance_parts(radius), _INV_4PI2, s, s.cut_for(radius))
-
-
-def commutator_kernel_regulated(d: float, dt: float, radius: float,
-                                settings: QuadratureSettings | None = None) -> KernelValue:
-    s = settings or QuadratureSettings()
-    if dt == 0.0:
-        return KernelValue(0.0, 0.0)
-    return _evaluate_regulated(
-        _commutator_parts(max(d, _R_FLOOR), dt, radius, radius),
-        -_INV_2PI2, s, s.cut_for(radius))
+# 3-point Gauss-Legendre rule on [-1, 1]; exact for polynomials of degree <= 5
+_GL3_NODES = np.array([-math.sqrt(0.6), 0.0, math.sqrt(0.6)])
+_GL3_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 9.0
 
 
-def commutator_kernel_zero_split(d: float, dt: float, radius: float,
-                                 settings: QuadratureSettings | None = None) -> KernelValue:
-    s = settings or QuadratureSettings()
-    if dt == 0.0:
-        return KernelValue(0.0, 0.0)
-    return _evaluate_zero_split(
-        _commutator_parts(max(d, _R_FLOOR), dt, radius, radius),
-        -_INV_2PI2, s, s.cut_for(radius))
+def closed_form_variance(radius):
+    """Vacuum variance nu = R^4 (docs/derivations.md section 2)."""
+    return np.asarray(radius, dtype=float) ** 4
 
 
-def radiation_kernel_regulated(r: float, dt: float, radius: float, j: int,
-                               settings: QuadratureSettings | None = None) -> KernelValue:
-    s = settings or QuadratureSettings()
-    parts = (_radiation_time_parts if j == 0 else _radiation_radial_parts)(
-        max(r, _R_FLOOR), dt, radius)
-    return _evaluate_regulated(parts, _INV_4PI2, s, s.cut_for(radius))
+def closed_form_commutator(d, dt, radius_a, radius_b):
+    """Commutator kernel Delta(d, dt) as a 1-D integral of the two-ball lens volume.
+
+    Delta = -sign(dt)/(2d) int rho V(rho) drho over
+    |d - |dt|| <= rho <= min(d + |dt|, S), where V is the overlap volume
+    of the two balls at centre distance rho: the lens
+    pi (S - rho)^2 (rho^2 + 2 S rho - 3 D^2) / (12 rho) for D <= rho <= S
+    (S = Ra + Rb, D = |Ra - Rb|), and the smaller ball's volume below D
+    (docs/derivations.md section 3).  rho V is a polynomial of degree <= 4
+    on each piece, so one 3-point Gauss-Legendre panel per piece is exact
+    and, unlike differencing an antiderivative, keeps its relative
+    accuracy as the interval shrinks with d -> 0.  Exactly odd in dt and
+    exactly zero outside the support.  d is floored like the quadrature's.
+    """
+    d = np.maximum(np.asarray(d, dtype=float), _R_FLOOR)
+    dt = np.asarray(dt, dtype=float)
+    big, small = max(radius_a, radius_b), min(radius_a, radius_b)
+    s, dd = big + small, big - small
+    ball = _FOUR_PI / 3.0 * small**3
+    lo = np.abs(d - np.abs(dt))
+    hi = np.minimum(d + np.abs(dt), s)
+
+    def gl3(f, a, b):
+        half = 0.5 * np.maximum(b - a, 0.0)
+        nodes = (0.5 * (a + b))[..., None] + half[..., None] * _GL3_NODES
+        return half * (f(nodes) @ _GL3_WEIGHTS)
+
+    inside = gl3(lambda rho: ball * rho, lo, np.minimum(hi, dd))
+    lens = gl3(lambda rho: math.pi / 12.0 * (s - rho) ** 2
+               * (rho**2 + 2.0 * s * rho - 3.0 * dd**2), np.maximum(lo, dd), hi)
+    return -np.sign(dt) * (inside + lens) / (2.0 * d)
 
 
-def radiation_kernel_zero_split(r: float, dt: float, radius: float, j: int,
-                                settings: QuadratureSettings | None = None) -> KernelValue:
-    s = settings or QuadratureSettings()
-    parts = (_radiation_time_parts if j == 0 else _radiation_radial_parts)(
-        max(r, _R_FLOOR), dt, radius)
-    return _evaluate_zero_split(parts, _INV_4PI2, s, s.cut_for(radius))
+def closed_form_radiation(r, dt, radius):
+    """(time, radial) emission kernels from the retarded field of the ball.
+
+    They are half the t- and r-derivatives of psi, the field of the ball
+    flashed at dt = 0 (docs/derivations.md section 4): 1/2 and 0 inside
+    the ball's light cone (r + dt < R); on the shell |r - dt| < R < r + dt
+    (r - dt)/(4r) and -(r - dt)/(4r) - psi/(2r) with
+    psi = (R^2 - (r - dt)^2)/(4r); zero elsewhere.  Exactly on
+    r - dt = +-R and r + dt = R the values are the jump midpoints, as the
+    Fourier integrals give.  Requires r >= 0 and dt > 0; r is floored like
+    the quadrature's.
+    """
+    r = np.asarray(r, dtype=float)
+    dt = np.asarray(dt, dtype=float)
+    if np.any(r < 0) or np.any(dt <= 0):
+        raise ValueError("radiation kernels require r >= 0 and dt > 0")
+    r = np.maximum(r, _R_FLOOR)
+    u = r - dt
+    # heaviside(x, 0.5) gives each region weight 1/2 on its own boundary
+    interior = np.heaviside(radius - r - dt, 0.5)
+    shell = np.heaviside(radius - np.abs(u), 0.5) * np.heaviside(r + dt - radius, 0.5)
+    psi = (radius**2 - u**2) / (4.0 * r)
+    time = 0.5 * interior + shell * u / (4.0 * r)
+    radial = shell * (-u / (4.0 * r) - psi / (2.0 * r))
+    return time, radial

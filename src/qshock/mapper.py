@@ -21,6 +21,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.optimize import minimize
@@ -64,7 +65,6 @@ class GridMap:
     quantity: str       # energy | capacity | delta
     fingerprint: str
     meta: dict = field(default_factory=dict)
-    errors: np.ndarray | None = None  # optional per-cell error estimates
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
@@ -80,12 +80,6 @@ class GridMap:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "values", v)
-        if self.errors is not None:
-            err = np.asarray(self.errors, dtype=float)
-            if err.shape != v.shape:
-                raise ValueError("error matrix shape does not match values")
-            err.setflags(write=False)
-            object.__setattr__(self, "errors", err)
 
 
 @dataclass(frozen=True)
@@ -137,75 +131,54 @@ def _axes(window: Window, resolution) -> tuple[np.ndarray, np.ndarray]:
     return np.linspace(xmin, xmax, nx), np.linspace(ymin, ymax, ny)
 
 
-def _run_rows(worker, ys, threads: int):
-    """Map worker over y-row indices, serially or in processes."""
+def _run_rows(row, ys, threads: int):
+    """Map row(y) over the y samples, serially or in processes."""
     if threads <= 1:
-        return [worker(iy) for iy in range(len(ys))]
+        return [row(yv) for yv in ys]
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, range(len(ys)), chunksize=1))
+        return list(pool.map(row, ys, chunksize=1))
 
 
-# module-level workers so ProcessPoolExecutor can pickle them ------------
+# Cells and rows are module-level functions bound with functools.partial, so
+# a process pool pickles them together with all the state they use and the
+# workers need nothing from the parent process (any start method works).
 
-_WORK: dict = {}
+def _energy_cell(scn: Scenario, t: float, xv, yv, bank: KernelBank) -> float:
+    return energy_density(scn, (xv, yv, 0.0), t, bank)
 
 
-def _energy_row(iy: int):
-    scn, xs, ys, t, settings = (_WORK["scenario"], _WORK["xs"], _WORK["ys"],
-                                _WORK["t"], _WORK["settings"])
+def _capacity_cell(scn: Scenario, q: float, xv, yv, bank: KernelBank) -> float:
+    moved = scn.with_receiver(scn.receiver.moved_to((xv, yv, 0.0)))
+    p = excitation_probability(moved, couple=True, bank=bank)
+    return channel_capacity(ChannelPoint(p, q))
+
+
+def _row(cell, xs: np.ndarray, settings: QuadratureSettings, yv):
+    """One y row of cells with a fresh kernel cache; failed cells become NaN."""
     bank = KernelBank(settings)
     row = np.empty(xs.size)
     failures = []
     for ix, xv in enumerate(xs):
         try:
-            row[ix] = energy_density(scn, (xv, ys[iy], 0.0), t, bank)
-        except QuadratureError as exc:
+            row[ix] = cell(xv, yv, bank)
+        except QuadratureError:
             row[ix] = np.nan
-            failures.append((ix, iy, str(exc)))
+            failures.append(ix)
     return row, failures
 
 
-def _capacity_row(iy: int):
-    scn, xs, ys, settings, q = (_WORK["scenario"], _WORK["xs"], _WORK["ys"],
-                                _WORK["settings"], _WORK["q"])
-    bank = KernelBank(settings)
-    row = np.empty(xs.size)
-    failures = []
-    for ix, xv in enumerate(xs):
-        moved = scn.with_receiver(scn.receiver.moved_to((xv, ys[iy], 0.0)))
-        try:
-            p = excitation_probability(moved, couple=True, bank=bank)
-            row[ix] = channel_capacity(ChannelPoint(p, q))
-        except QuadratureError as exc:
-            row[ix] = np.nan
-            failures.append((ix, iy, str(exc)))
-    return row, failures
-
-
-def _collect(results, xs, ys, quantity, fingerprint, meta):
-    rows, failures = [], []
-    for row, fails in results:
-        rows.append(row)
-        failures.extend(fails)
+def _collect(cell, results, xs, ys, quantity, fingerprint, meta):
+    failures = [(ix, iy) for iy, (_, fails) in enumerate(results) for ix in fails]
     if len(failures) > _MAX_FAILURE_FRACTION * xs.size * ys.size:
         raise QuadratureError(
             f"{len(failures)} of {xs.size * ys.size} cells failed", math.inf, 0.0)
-    values = np.vstack(rows)
+    values = np.vstack([row for row, _ in results])
     if failures:  # isolated failures are re-tried serially at a looser budget
         retry_bank = KernelBank(QuadratureSettings(rel_tol=1e-6))
-        for ix, iy, _ in failures:
-            values[iy, ix] = _retry_cell(quantity, ix, iy, xs, ys, retry_bank)
-        meta = {**meta, "retried_cells": [[int(ix), int(iy)] for ix, iy, _ in failures]}
+        for ix, iy in failures:
+            values[iy, ix] = cell(xs[ix], ys[iy], retry_bank)
+        meta = {**meta, "retried_cells": [[int(ix), int(iy)] for ix, iy in failures]}
     return GridMap(xs, ys, values, quantity, fingerprint, meta)
-
-
-def _retry_cell(quantity, ix, iy, xs, ys, bank):
-    scn = _WORK["scenario"]
-    if quantity == "energy":
-        return energy_density(scn, (xs[ix], ys[iy], 0.0), _WORK["t"], bank)
-    moved = scn.with_receiver(scn.receiver.moved_to((xs[ix], ys[iy], 0.0)))
-    p = excitation_probability(moved, couple=True, bank=bank)
-    return channel_capacity(ChannelPoint(p, _WORK["q"]))
 
 
 def energy_map(scenario: Scenario, window: Window = DEFAULT_WINDOW,
@@ -216,13 +189,12 @@ def energy_map(scenario: Scenario, window: Window = DEFAULT_WINDOW,
     settings = settings or QuadratureSettings()
     xs, ys = _axes(window, resolution)
     t0 = time.perf_counter()
-    _WORK.update(scenario=scenario, xs=xs, ys=ys, t=scenario.evaluation_time,
-                 settings=settings)
-    results = _run_rows(_energy_row, ys, threads)
+    cell = partial(_energy_cell, scenario, scenario.evaluation_time)
+    results = _run_rows(partial(_row, cell, xs, settings), ys, threads)
     meta = {"evaluation_time": scenario.evaluation_time,
             "rel_tol": settings.rel_tol,
             "wall_time_s": time.perf_counter() - t0}
-    return _collect(results, xs, ys, "energy",
+    return _collect(cell, results, xs, ys, "energy",
                     scenario_fingerprint(scenario, {"rel_tol": settings.rel_tol}), meta)
 
 
@@ -236,11 +208,11 @@ def capacity_map(scenario: Scenario, window: Window = DEFAULT_WINDOW,
     t0 = time.perf_counter()
     bank = KernelBank(settings)
     q = excitation_probability(scenario, couple=False, bank=bank)
-    _WORK.update(scenario=scenario, xs=xs, ys=ys, settings=settings, q=q)
-    results = _run_rows(_capacity_row, ys, threads)
+    cell = partial(_capacity_cell, scenario, q)
+    results = _run_rows(partial(_row, cell, xs, settings), ys, threads)
     meta = {"noise_probability": q, "rel_tol": settings.rel_tol,
             "wall_time_s": time.perf_counter() - t0}
-    return _collect(results, xs, ys, "capacity",
+    return _collect(cell, results, xs, ys, "capacity",
                     scenario_fingerprint(scenario, {"rel_tol": settings.rel_tol}), meta)
 
 

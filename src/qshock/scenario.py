@@ -284,21 +284,41 @@ def _state_from(cfg, n: int) -> EmitterState:
         if n == 0:
             raise SchemaError("state.type", "classical mixture needs at least one emitter")
         return classical_mixture(n)
-    if kind == "pure":
-        amps = _require(cfg, "amplitudes", "state")
-        if not isinstance(amps, list) or len(amps) != 2**n:
-            raise SchemaError("state.amplitudes", f"expected 2^{n} [re, im] pairs")
-        vec = []
-        for i, pair in enumerate(amps):
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise SchemaError(f"state.amplitudes[{i}]", "expected [re, im]")
-            vec.append(complex(_number(pair[0], f"state.amplitudes[{i}][0]"),
-                               _number(pair[1], f"state.amplitudes[{i}][1]")))
-        try:
-            return EmitterState.pure(vec)
-        except ValidationError as exc:
-            raise ValidationError("state.amplitudes", str(exc).split(": ", 1)[1]) from None
-    raise SchemaError("state.type", f"unknown state type {kind!r}")
+    if kind == "pure" and "amplitudes" in cfg:
+        where = "state.amplitudes"
+        pairs = [(1.0, _amplitudes_from(cfg["amplitudes"], where, n))]
+    elif kind in ("pure", "mixture"):
+        # the form Scenario.to_config_dict emits: weighted amplitude vectors
+        where = "state.components"
+        comps = _require(cfg, "components", "state")
+        if not isinstance(comps, list) or not comps or (kind == "pure" and len(comps) != 1):
+            raise SchemaError(where, "expected one component for a pure state, "
+                                     "at least one for a mixture")
+        pairs = []
+        for i, comp in enumerate(comps):
+            at = f"{where}[{i}]"
+            if not isinstance(comp, dict) or set(comp) != {"weight", "amplitudes"}:
+                raise SchemaError(at, "expected an object with weight and amplitudes")
+            pairs.append((_number(comp["weight"], f"{at}.weight"),
+                          _amplitudes_from(comp["amplitudes"], f"{at}.amplitudes", n)))
+    else:
+        raise SchemaError("state.type", f"unknown state type {kind!r}")
+    try:
+        return EmitterState.mixture(pairs)
+    except ValidationError as exc:
+        raise ValidationError(where, str(exc).split(": ", 1)[1]) from None
+
+
+def _amplitudes_from(amps, where: str, n: int) -> list[complex]:
+    if not isinstance(amps, list) or len(amps) != 2**n:
+        raise SchemaError(where, f"expected 2^{n} [re, im] pairs")
+    vec = []
+    for i, pair in enumerate(amps):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise SchemaError(f"{where}[{i}]", "expected [re, im]")
+        vec.append(complex(_number(pair[0], f"{where}[{i}][0]"),
+                           _number(pair[1], f"{where}[{i}][1]")))
+    return vec
 
 
 def load_scenario(config_text: str) -> Scenario:

@@ -114,6 +114,7 @@ def fig1_maps():
     return scn_w, grid_w, grid_c, time.perf_counter() - t0
 
 
+@pytest.mark.slow
 def test_criterion_3_energy_map_structure(fig1_maps):
     scn, grid_w, grid_c, map_time = fig1_maps
     t0 = time.perf_counter()
@@ -147,6 +148,7 @@ def test_criterion_3_energy_map_structure(fig1_maps):
 # criterion 4: four-emitter capacity maps and quantum enhancement
 # ----------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_4_capacity_peaks_and_enhancement():
     t0 = time.perf_counter()
     window, resolution = (0.0, 16.0, 0.0, 16.0), 160
@@ -198,6 +200,7 @@ def test_criterion_5_finite_optimal_coupling():
 # criterion 6: truncated-Fock oracle equivalence
 # ----------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_6_oracle_equivalence():
     t0 = time.perf_counter()
     rows = run_standard_comparisons(tolerance=1e-6)

@@ -139,16 +139,18 @@ class TestKernelsDump:
         assert len(lines) == 10
 
     def test_commutator_cross_check_columns(self, tmp_path):
-        out = tmp_path / "comm.csv"
-        code = main(["kernels", "--kind", "commutator", "--r", "2,4,5",
-                     "--dt", "3", "--out", str(out), "--cross-check"])
-        assert code == EXIT_OK
-        header = out.read_text().splitlines()[0]
-        assert header.endswith("regulated,zero_split")
-        row = out.read_text().splitlines()[2].split(",")
-        primary, reg, zs = float(row[2]), float(row[4]), float(row[5])
-        assert reg == pytest.approx(primary, rel=1e-6, abs=1e-12)
-        assert zs == pytest.approx(primary, rel=1e-6, abs=1e-12)
+        # every kind gets the closed-form column, not only the commutator
+        for kind in ("commutator", "radiation-time", "radiation-radial", "variance"):
+            out = tmp_path / f"{kind}.csv"
+            code = main(["kernels", "--kind", kind, "--r", "2,4,5",
+                         "--dt", "3", "--out", str(out), "--cross-check"])
+            assert code == EXIT_OK
+            lines = out.read_text().splitlines()
+            assert lines[0] == "r,dt,value,err_estimate,closed_form"
+            for line in lines[1:]:
+                row = line.split(",")
+                # both columns carry 9 significant digits
+                assert float(row[4]) == pytest.approx(float(row[2]), rel=1e-8, abs=1e-12)
 
 
 class TestOracleCommand:

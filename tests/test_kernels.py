@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
-from qshock.kernels import (KernelSet, QuadratureSettings, commutator_kernel,
-                            commutator_kernel_regulated, commutator_kernel_zero_split,
-                            radiation_kernel, radiation_kernel_regulated,
-                            radiation_kernel_zero_split, sphere_form_factor,
-                            vacuum_variance, vacuum_variance_regulated)
+from qshock.kernels import (KernelSet, QuadratureSettings, closed_form_commutator,
+                            closed_form_radiation, closed_form_variance,
+                            commutator_kernel, radiation_kernel, sphere_form_factor,
+                            vacuum_variance)
 
 from conftest import retarded_dr, retarded_dt
 
@@ -114,9 +113,10 @@ class TestVacuumVariance:
         got = k * sphere_form_factor(k, R) ** 2 / (4 * math.pi**2)
         assert got == pytest.approx(expect, rel=1e-9)
 
-    def test_regulated_strategy_agrees(self):
-        reg = vacuum_variance_regulated(R)
-        assert reg.value == pytest.approx(vacuum_variance(R), rel=1e-7)
+    def test_closed_form_agrees(self):
+        for radius in (0.1, 0.5, 1.0, 3.0):
+            assert vacuum_variance(radius) == pytest.approx(
+                float(closed_form_variance(radius)), rel=1e-12)
 
 
 # ----------------------------------------------------------------------
@@ -132,16 +132,11 @@ class TestCommutatorKernel:
 
     def test_cross_strategies_agree_at_null_point(self):
         primary = commutator_kernel(3.0, 3.0, R)
-        reg = commutator_kernel_regulated(3.0, 3.0, R)
-        zs = commutator_kernel_zero_split(3.0, 3.0, R)
         assert primary != 0.0
-        assert reg.value == pytest.approx(primary, rel=1e-6)
-        assert zs.value == pytest.approx(primary, rel=1e-6)
-        # regulator vs zero-splitting, the two independent cross-checks
-        assert reg.value == pytest.approx(zs.value, rel=1e-6)
+        assert abs(closed_form_commutator(3.0, 3.0, R, R) - primary) <= 1e-12
 
     def test_value_regression(self):
-        # frozen from the dual-strategy agreement run
+        # = -pi/360, the lens-volume closed form at d = dt = 6R
         assert commutator_kernel(3.0, 3.0, R) == pytest.approx(-8.726646259972e-03,
                                                                rel=1e-9)
 
@@ -235,11 +230,8 @@ class TestRadiationKernels:
     def test_cross_strategies_on_shell(self):
         r, dt = 5.3, 5.0
         for j in (0, 1):
-            primary = radiation_kernel(r, dt, R, j)
-            reg = radiation_kernel_regulated(r, dt, R, j)
-            zs = radiation_kernel_zero_split(r, dt, R, j)
-            assert reg.value == pytest.approx(primary, rel=1e-5)
-            assert zs.value == pytest.approx(primary, rel=1e-5)
+            closed = closed_form_radiation(r, dt, R)[0 if j == 0 else 1]
+            assert abs(radiation_kernel(r, dt, R, j) - closed) <= 1e-10
 
 
 # ----------------------------------------------------------------------
@@ -276,3 +268,78 @@ class TestKernelSet:
     def test_radius_must_be_positive(self):
         with pytest.raises(ValueError):
             KernelSet(0.0)
+
+
+# ----------------------------------------------------------------------
+# position-space closed forms vs the quadrature
+# ----------------------------------------------------------------------
+
+RADIUS_PAIRS = [(0.5, 0.5), (0.5, 0.7), (0.3, 1.1)]
+
+
+class TestClosedForms:
+    def test_commutator_matches_quadrature_sampled(self):
+        rng = np.random.default_rng(2024)
+        worst = {"far": 0.0, "near": 0.0}
+        for ra, rb in RADIUS_PAIRS:
+            ks, s = KernelSet(ra), ra + rb
+            for i in range(110):
+                # every fifth point probes the d -> 0 cancellation regime
+                d = 10.0 ** rng.uniform(-6, -3) if i % 5 == 0 else rng.uniform(1e-3, 6.0)
+                dt = rng.choice((-1.0, 1.0)) * rng.uniform(max(d - s - 0.2, 0.0),
+                                                          d + s + 0.2)
+                diff = abs(ks.commutator(d, dt, other_radius=rb)
+                           - closed_form_commutator(d, dt, ra, rb))
+                key = "far" if d >= 1e-3 else "near"
+                worst[key] = max(worst[key], diff)
+        assert worst["far"] <= 1e-12
+        assert worst["near"] <= 1e-9
+
+    def test_radiation_matches_quadrature_sampled(self):
+        rng = np.random.default_rng(7)
+        worst = 0.0
+        for radius in (0.3, 0.5, 1.1):
+            ks = KernelSet(radius)
+            for _ in range(60):
+                r, dt = rng.uniform(0.0, 8.0), rng.uniform(0.01, 8.0)
+                if min(abs(abs(r - dt) - radius), abs(r + dt - radius)) <= 1e-6:
+                    continue
+                time, radial = closed_form_radiation(r, dt, radius)
+                worst = max(worst, abs(ks.radiation_time(r, dt) - time),
+                            abs(ks.radiation_radial(r, dt) - radial))
+        assert worst <= 1e-10
+
+    @pytest.mark.parametrize("r,dt,time,radial", [
+        # outer shell edge r - dt = R: half of the shell-side (R/4r, -R/4r)
+        (5.5, 5.0, 1.0 / 88.0, -1.0 / 88.0),
+        # inner shell edge r - dt = -R: half of (-R/4r, R/4r)
+        (4.5, 5.0, -1.0 / 72.0, 1.0 / 72.0),
+        # r + dt = R: mean of the interior (1/2, 0) and the shell side (0, -1/2)
+        (0.25, 0.25, 0.25, -0.25),
+    ])
+    def test_light_cone_edges_take_jump_midpoint(self, r, dt, time, radial):
+        closed = closed_form_radiation(r, dt, R)
+        assert closed[0] == pytest.approx(time, abs=1e-15)
+        assert closed[1] == pytest.approx(radial, abs=1e-15)
+        assert abs(radiation_kernel(r, dt, R, 0) - time) <= 1e-12
+        assert abs(radiation_kernel(r, dt, R, 1) - radial) <= 1e-12
+
+    @given(d=st.floats(1e-6, 10.0), dt=st.floats(0.0, 10.0),
+           radii=st.sampled_from(RADIUS_PAIRS))
+    @hsettings(max_examples=200, deadline=None)
+    def test_commutator_exactly_odd_and_causal(self, d, dt, radii):
+        ra, rb = radii
+        value = closed_form_commutator(d, dt, ra, rb)
+        assert closed_form_commutator(d, -dt, ra, rb) == -value
+        if abs(d - dt) >= ra + rb:  # |dt| outside (d - S, d + S)
+            assert value == 0.0
+
+    def test_arrays_broadcast(self):
+        d = np.array([0.5, 3.0, 10.0])
+        out = closed_form_commutator(d, 3.0, R, R)
+        assert out.shape == (3,)
+        assert out[2] == 0.0
+        time, radial = closed_form_radiation(np.array([[4.8], [5.3]]), 5.0, R)
+        assert time.shape == radial.shape == (2, 1)
+        with pytest.raises(ValueError):
+            closed_form_radiation(1.0, 0.0, R)

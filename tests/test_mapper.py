@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qshock
 from qshock.kernels import QuadratureSettings
 from qshock.mapper import (GridMap, SweepCurve, capacity_map, coupling_sweep,
                            diff_map, energy_map, optimize_phases, read_grid_csv,
@@ -65,6 +70,30 @@ class TestEnergyMap:
     def test_parallel_equals_serial(self, small_energy_map, fig_scenario):
         par = energy_map(fig_scenario, WINDOW, 24, threads=2)
         assert np.array_equal(small_energy_map.values, par.values)
+
+    def test_parallel_equals_serial_under_spawn(self):
+        # spawned workers import the package afresh and see only what the
+        # map function hands them, so no state may live in module globals
+        script = f"""
+import multiprocessing, numpy as np
+from qshock.mapper import capacity_map, energy_map
+from qshock.scenario import load_scenario
+multiprocessing.set_start_method("spawn")
+scn = load_scenario({three_emitter_config(evaluation_time=9.0)!r})
+for fn, window in ((energy_map, (3.0, 13.0, 0.0, 10.0)),
+                   (capacity_map, (8.0, 12.0, 2.0, 6.0))):
+    serial = fn(scn, window, 3)
+    assert np.array_equal(fn(scn, window, 3, threads=2).values, serial.values)
+    assert np.any(serial.values > 0.0)
+print("ok")
+"""
+        src = str(Path(qshock.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script], env=env, timeout=300,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "ok"
 
     def test_resolution_guard(self, fig_scenario):
         with pytest.raises(ValueError, match="resolution"):

@@ -9,7 +9,7 @@ from qshock.scenario import (Detector, EmitterState, SchemaError,
                              ValidationError, classical_mixture, load_scenario,
                              scenario_fingerprint, w_state)
 
-from conftest import three_emitter_config
+from conftest import four_emitter_config, three_emitter_config
 
 
 class TestDetector:
@@ -174,6 +174,31 @@ class TestLoadScenario:
         for cfg in sorted(root.glob("*.cfg")):
             scn = load_scenario(cfg.read_text())
             assert scn.receiver.coupling_strength == 2.0
+
+    def test_serialized_form_roundtrips(self):
+        from pathlib import Path
+        repo = Path(__file__).resolve().parents[1]
+        for cfg in sorted((repo / "scenarios").glob("*.cfg")):
+            scn = load_scenario(cfg.read_text())
+            again = load_scenario(json.dumps(scn.to_config_dict()))
+            assert scenario_fingerprint(again) == scenario_fingerprint(scn), cfg.name
+        jsonschema = pytest.importorskip("jsonschema")
+        schema = json.loads((repo / "schemas" / "scenario.schema.json").read_text())
+        for cfg in sorted((repo / "scenarios").glob("*.cfg")):
+            jsonschema.validate(load_scenario(cfg.read_text()).to_config_dict(), schema)
+
+    def test_serialized_form_rejects_malformed_components(self):
+        base = json.loads(four_emitter_config(state_type="classical"))
+        mixture = load_scenario(json.dumps(base)).to_config_dict()["state"]
+        for state, field in (({**mixture, "type": "pure"}, "components"),
+                             ({"type": "mixture", "components": []}, "components"),
+                             ({"type": "mixture"}, "components")):
+            with pytest.raises(SchemaError, match=field):
+                load_scenario(json.dumps({**base, "state": state}))
+        heavy = [{**c, "weight": 0.5} for c in mixture["components"]]
+        with pytest.raises(ValidationError, match="weights sum"):
+            load_scenario(json.dumps({**base, "state": {"type": "mixture",
+                                                        "components": heavy}}))
 
 
 class TestFingerprint:
