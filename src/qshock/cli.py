@@ -97,10 +97,11 @@ def build_parser() -> _Parser:
                                  "emitters: energy maps, receiver capacity, sweeps.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p, needs_out=True):
+    def add_common(p):
         p.add_argument("--config", required=True, help="scenario configuration file")
-        if needs_out:
-            p.add_argument("--out", required=True, help="output CSV path")
+        p.add_argument("--out", required=True, help="output CSV path")
+
+    def add_quadrature(p):
         p.add_argument("--tolerance", type=float, default=None,
                        help=f"kernel relative tolerance (default 1e-8 or "
                             f"${TOLERANCE_ENV})")
@@ -114,6 +115,8 @@ def build_parser() -> _Parser:
                             ("capacity-map", "channel capacity vs receiver location")):
         p = sub.add_parser(name, help=help_text)
         add_common(p)
+        if name == "capacity-map":
+            add_quadrature(p)
         p.add_argument("--window", default=None, help="xmin,xmax,ymin,ymax "
                                                       "(default 0,16,0,16)")
         p.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION)
@@ -125,12 +128,14 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="capacity vs receiver coupling strength")
     add_common(p)
+    add_quadrature(p)
     p.add_argument("--lambda-min", type=float, default=0.0)
     p.add_argument("--lambda-max", type=float, default=8.0)
     p.add_argument("--samples", type=int, default=100)
 
     p = sub.add_parser("optimize", help="search emitter phases for a target")
     add_common(p)
+    add_quadrature(p)
     p.add_argument("--objective", choices=("energy", "capacity"), required=True)
     p.add_argument("--point", required=True, help="x,y[,z] objective location")
     p.add_argument("--budget", type=int, default=800)
@@ -172,14 +177,16 @@ def _cmd_validate(args) -> int:
 def _cmd_map(args, quantity: str) -> int:
     t0 = time.perf_counter()
     scenario = load_scenario_file(args.config)
-    settings = _settings_from(args)
     window = _window_from(args)
-    fn = energy_map if quantity == "energy" else capacity_map
-    grid = fn(scenario, window, args.resolution, settings, threads=args.threads)
+    run_settings = {"window": list(window), "resolution": args.resolution}
+    if quantity == "energy":
+        grid = energy_map(scenario, window, args.resolution)
+    else:
+        settings = _settings_from(args)
+        grid = capacity_map(scenario, window, args.resolution, settings, threads=args.threads)
+        run_settings.update(rel_tol=settings.rel_tol, threads=args.threads)
     write_grid_csv(grid, args.out)
-    manifest = RunManifest(quantity + "-map", args.config, [args.out],
-                           {"window": list(window), "resolution": args.resolution,
-                            "rel_tol": settings.rel_tol, "threads": args.threads},
+    manifest = RunManifest(quantity + "-map", args.config, [args.out], run_settings,
                            {"scenario": scenario_fingerprint(scenario),
                             "grid": grid.fingerprint},
                            time.perf_counter() - t0)

@@ -8,8 +8,8 @@ instant is
 which squares to the identity on qubit i.  Both observables computed
 here are evaluated without any perturbative truncation:
 
-  * pair_correlation: <mu_i mu_l> for the two-operator cross terms of
-    the energy density;
+  * pair_correlation: the matrix <mu_i mu_l> of the two-operator cross
+    terms of the energy density;
   * product_expectation: Re <prod_i (cos g_i + i mu_i sin g_i)>, the
     emitter-side factor of the receiver excitation probability (g_i is
     2 lambda_B lambda_i times the gated commutator kernel; see
@@ -73,30 +73,25 @@ def apply_monopole(vec: np.ndarray, n: int, i: int, phase: float) -> np.ndarray:
     return out.reshape(-1)
 
 
-def pair_correlation(state: EmitterState, i: int, l: int,
-                     phases: MonopolePhase) -> float:
-    """<mu_i mu_l> over the emitter state, i != l.
+def pair_correlation(state: EmitterState, phases: MonopolePhase) -> np.ndarray:
+    """The n x n matrix C_il = <mu_i mu_l> over the emitter state.
 
-    Real by construction: the two factors are Hermitian and act on
-    different qubits.  Callers use mu^2 = 1 for the diagonal, so i = l
-    is rejected.
+    For each pure component C is the Gram matrix Re <mu_i psi | mu_l psi>
+    (mu is Hermitian), so it costs n monopole applications per component.
+    Real and symmetric by construction; the diagonal is mu^2 = 1 exactly.
     """
     n = state.n_emitters
     _check_register(n)
-    if i == l:
-        raise ValueError("pair correlation needs two distinct emitters; "
-                         "the diagonal is identically 1")
-    if not (1 <= i <= n and 1 <= l <= n):
-        raise IndexError(f"emitter indices ({i}, {l}) out of range 1..{n}")
     if len(phases) != n:
         raise ValueError(f"expected {n} monopole phases, got {len(phases)}")
-    total = 0.0
+    total = np.zeros((n, n))
     for w, vec in state.vectors():
-        work = apply_monopole(vec, n, l, phases.phases[l - 1])
-        work = apply_monopole(work, n, i, phases.phases[i - 1])
-        amp = np.vdot(vec, work)
-        total += w * amp.real
-    return float(total)
+        flipped = np.array([apply_monopole(vec, n, i, phases.phases[i - 1])
+                            for i in range(1, n + 1)]).reshape(n, vec.size)
+        total += w * (flipped.conj() @ flipped.T).real
+    total = 0.5 * (total + total.T)
+    np.fill_diagonal(total, 1.0)
+    return total
 
 
 def product_expectation(state: EmitterState, g, phases: MonopolePhase) -> float:

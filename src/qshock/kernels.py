@@ -15,7 +15,7 @@ namely
 (the derivations note in docs/derivations.md records how the 3-D mode
 integrals collapse to these forms).  The radiation integrands decay only
 like 1/k with oscillation, so a plain adaptive quadrature cannot be
-trusted.  The evaluator used everywhere splits each integral at a cut
+trusted.  The evaluator splits each integral at a cut
 K0:  the head [0, K0] is integrated with panel-doubled Gauss-Legendre
 rules on the cancellation-free combined integrand, while on the tail
 the integrand is *identically* a finite sum of Fourier atoms
@@ -24,14 +24,14 @@ integrals, evaluated through the complex exponential integral.  The
 only truncation error is therefore the head-panel estimate.
 
 Each kernel also has an exact closed form in position space (the ball's
-retarded field, the two-ball overlap volume, nu = R^4); those are kept
-alongside as array functions and serve as the independent cross-check
-of the quadrature (the test suite and the `kernels --cross-check` CLI
-subcommand compare the two).
+retarded field, the two-ball overlap volume, nu = R^4), kept alongside
+as array functions.  The energy density evaluates the radiation kernels
+through theirs; the quadrature serves the commutator and nu, and the
+test suite and the `kernels --cross-check` CLI subcommand compare the two.
 
-Evaluation is pure; a memo cache keyed by rounded arguments makes grid
-scans cheap.  Values are deterministic for fixed settings regardless of
-call order.
+Evaluation is pure; a memo cache keyed by rounded arguments makes the
+repeated commutator and nu evaluations of capacity maps and sweeps cheap.
+Values are deterministic for fixed settings regardless of call order.
 """
 
 from __future__ import annotations
@@ -165,8 +165,11 @@ def sphere_form_factor(k, radius: float):
 # with T_1 = E1(-iaK) and the upward recursion
 # T_{m} = e^{iaK} / ((m-1) K^{m-1}) + ia T_{m-1} / (m-1).
 
-def _expand_trig_product(coeff: float, factors) -> list[tuple[complex, float]]:
-    """Expand coeff * prod trig(a_j k) into [(c, a)] with the piece = Re sum c e^{iak}."""
+def _expand_trig_product(coeff: float, factors) -> list[tuple[complex, float, complex]]:
+    """Expand coeff * prod trig(a_j k) into [(c, a, s)] with the piece = Re sum c e^{iak}.
+
+    Atoms merge at frequencies rounded to 12 decimals; s = sum c_j (a_j - a).
+    """
     terms: list[tuple[complex, float]] = [(complex(coeff), 0.0)]
     for kind, a in factors:
         nxt: list[tuple[complex, float]] = []
@@ -177,36 +180,45 @@ def _expand_trig_product(coeff: float, factors) -> list[tuple[complex, float]]:
                 nxt += [(c / 2.0j, f + a), (-c / 2.0j, f - a)]
         terms = nxt
     merged: dict[float, complex] = {}
+    shifts: dict[float, complex] = {}
     for c, f in terms:
         key = round(f, 12)
         merged[key] = merged.get(key, 0.0j) + c
-    return [(c, f) for f, c in merged.items() if abs(c) > 0.0]
+        shifts[key] = shifts.get(key, 0.0j) + c * (f - key)
+    return [(c, f, shifts[f]) for f, c in merged.items() if abs(c) > 0.0]
 
 
-def _tail_T(m: int, a: float, cut: float) -> complex:
+def _tail_T(m: int, a: float, cut: float) -> tuple[complex, float]:
+    """T_m(a, K) and its slope |dT_m/da| = |T_{m-1}(a, K)|, T_0 = -e^{iaK}/(ia)."""
     z = 1j * a
     if abs(z) * cut < 1e-14:
         if m == 1:
             raise ValueError("divergent zero-frequency tail of power 1")
-        return complex(1.0 / ((m - 1) * cut ** (m - 1)))
-    t = exp1(-z * cut)
+        # T_1 diverges like log|a| at a = 0: take it at this branch's threshold
+        slope = 1.0 / ((m - 2) * cut ** (m - 2)) if m > 2 else abs(exp1(-1e-14j))
+        return complex(1.0 / ((m - 1) * cut ** (m - 1))), slope
+    t = prev = exp1(-z * cut)
+    phase = np.exp(z * cut)  # hoisted: the same factor at every step
     for mm in range(2, m + 1):
-        t = np.exp(z * cut) / ((mm - 1) * cut ** (mm - 1)) + z * t / (mm - 1)
-    return complex(t)
+        prev, t = t, phase / ((mm - 1) * cut ** (mm - 1)) + z * t / (mm - 1)
+    return complex(t), (abs(prev) if m > 1 else 1.0 / abs(a))
 
 
-def _tail_sum(pieces, cut: float) -> float:
-    total = 0.0j
+def _tail_sum(pieces, cut: float) -> tuple[float, float]:
+    """Tail integral and its error bound, the sum of eps |c T_m| + |s dT_m/da|."""
+    total, bound, eps = 0.0j, 0.0, float(np.finfo(float).eps)
     for coeff, factors, power in pieces:
-        for c, a in _expand_trig_product(coeff, factors):
+        for c, a, shift in _expand_trig_product(coeff, factors):
             if power == 1 and abs(a) < 1e-12:
                 # sin-type expansions leave zero coefficient here; anything
                 # else would be a genuinely divergent integral.
                 if abs(c) > 1e-10 * abs(coeff):
                     raise ValueError("non-vanishing zero-frequency 1/k atom")
                 continue
-            total += c * _tail_T(power, a, cut)
-    return float(total.real)
+            t, slope = _tail_T(power, a, cut)
+            total += c * t
+            bound += eps * abs(c * t) + abs(shift) * slope
+    return float(total.real), float(bound)
 
 
 # ----------------------------------------------------------------------
@@ -314,9 +326,10 @@ def _evaluate(parts, prefactor: float, settings: QuadratureSettings,
               cut: float) -> KernelValue:
     head_f, pieces, freq = parts
     head, head_err = _head_quad(head_f, cut, freq, settings)
-    tail = _tail_sum(pieces, cut)
+    tail, tail_err = _tail_sum(pieces, cut)
     value = prefactor * (head + tail)
-    error = max(abs(prefactor) * head_err, 1e-15 * abs(value), 1e-16)
+    error = (max(abs(prefactor) * head_err, 1e-15 * abs(value), 1e-16)
+             + abs(prefactor) * tail_err)
     return KernelValue(value, error)
 
 
@@ -453,7 +466,8 @@ def radiation_kernel(r: float, dt: float, radius: float, j: int,
 
 
 # ----------------------------------------------------------------------
-# position-space closed forms (the independent cross-check of the quadrature)
+# position-space closed forms (the energy density's radiation kernels, and the
+# independent cross-check of the quadrature)
 # ----------------------------------------------------------------------
 
 # 3-point Gauss-Legendre rule on [-1, 1]; exact for polynomials of degree <= 5
@@ -509,7 +523,7 @@ def closed_form_radiation(r, dt, radius):
     psi = (R^2 - (r - dt)^2)/(4r); zero elsewhere.  Exactly on
     r - dt = +-R and r + dt = R the values are the jump midpoints, as the
     Fourier integrals give.  Requires r >= 0 and dt > 0; r is floored like
-    the quadrature's.
+    the quadrature's.  r, dt and radius broadcast (one radius per emitter).
     """
     r = np.asarray(r, dtype=float)
     dt = np.asarray(dt, dtype=float)

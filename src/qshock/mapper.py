@@ -2,16 +2,17 @@
 
 Maps mirror the planar scans of the study: a window in the (x, y) plane
 at z = 0, energy density at the scenario's evaluation time or channel
-capacity as a function of the receiver location.  Cells are independent,
-so evaluation parallelizes trivially; results are identical for any
-worker count because every cell is a pure function of the scenario and
-quadrature settings.
+capacity as a function of the receiver location.  An energy map is one
+energy_density call per y row.  Capacity cells go through the kernel
+quadrature; their rows run serially or in a process pool with identical
+results, because every cell is a pure function of the scenario and
+quadrature settings, and isolated failed cells are retried.
 
 CSV layout: first row is the x axis (blank corner cell), each following
 row starts with its y value; numbers are printed with 9 significant
 digits in scientific notation so identical runs are byte-identical.  A
-JSON sidecar carries the scenario fingerprint, quantity tag, quadrature
-settings, and wall time.
+JSON sidecar carries the scenario fingerprint, quantity tag, wall time
+and any quadrature tolerance.
 """
 
 from __future__ import annotations
@@ -143,10 +144,6 @@ def _run_rows(row, ys, threads: int):
 # a process pool pickles them together with all the state they use and the
 # workers need nothing from the parent process (any start method works).
 
-def _energy_cell(scn: Scenario, t: float, xv, yv, bank: KernelBank) -> float:
-    return energy_density(scn, (xv, yv, 0.0), t, bank)
-
-
 def _capacity_cell(scn: Scenario, q: float, xv, yv, bank: KernelBank) -> float:
     moved = scn.with_receiver(scn.receiver.moved_to((xv, yv, 0.0)))
     p = excitation_probability(moved, couple=True, bank=bank)
@@ -182,20 +179,15 @@ def _collect(cell, results, xs, ys, quantity, fingerprint, meta):
 
 
 def energy_map(scenario: Scenario, window: Window = DEFAULT_WINDOW,
-               resolution=DEFAULT_RESOLUTION,
-               settings: QuadratureSettings | None = None,
-               threads: int = 1) -> GridMap:
+               resolution=DEFAULT_RESOLUTION) -> GridMap:
     """Energy density over the window at the scenario's evaluation time."""
-    settings = settings or QuadratureSettings()
     xs, ys = _axes(window, resolution)
     t0 = time.perf_counter()
-    cell = partial(_energy_cell, scenario, scenario.evaluation_time)
-    results = _run_rows(partial(_row, cell, xs, settings), ys, threads)
-    meta = {"evaluation_time": scenario.evaluation_time,
-            "rel_tol": settings.rel_tol,
-            "wall_time_s": time.perf_counter() - t0}
-    return _collect(cell, results, xs, ys, "energy",
-                    scenario_fingerprint(scenario, {"rel_tol": settings.rel_tol}), meta)
+    t = scenario.evaluation_time
+    values = np.vstack([energy_density(scenario, np.column_stack(
+        (xs, np.full(xs.size, yv), np.zeros(xs.size))), t) for yv in ys])
+    meta = {"evaluation_time": t, "wall_time_s": time.perf_counter() - t0}
+    return GridMap(xs, ys, values, "energy", scenario_fingerprint(scenario), meta)
 
 
 def capacity_map(scenario: Scenario, window: Window = DEFAULT_WINDOW,
@@ -286,7 +278,7 @@ def optimize_phases(scenario: Scenario, objective: str, point,
         counter["n"] += 1
         scn = scenario.with_state(w_state(n, theta_full))
         if objective == "energy":
-            val = energy_density(scn, point, scn.evaluation_time, bank)
+            val = energy_density(scn, point, scn.evaluation_time)
         else:
             moved = scn.with_receiver(scn.receiver.moved_to(point))
             p = excitation_probability(moved, couple=True, bank=bank)

@@ -24,12 +24,13 @@ the kernel integrals plus emitter-register algebra:
 
     where Im A_{i,0} / Im A_{i,radial} are the radiation kernels and the
     spatial j-sum contracts the radial scalars with unit separation
-    vectors;
+    vectors -- one quadratic form over arrays of points;
 
   * the capacity of the binary channel in which "1" = all emitters fire
     and "0" = none do, from the excitation probabilities (p, q).
 
-docs/derivations.md holds the full reductions and their cross-checks.
+nu and Delta come from the kernel quadrature, the radiation kernels from
+their closed form; docs/derivations.md holds the full reductions.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .emitters import MonopolePhase, pair_correlation, product_expectation
-from .kernels import KernelSet, QuadratureSettings
+from .kernels import KernelSet, QuadratureSettings, closed_form_radiation
 from .scenario import Scenario
 
 __all__ = [
@@ -51,6 +52,7 @@ __all__ = [
     "c1_factor",
     "excitation_probability",
     "energy_density",
+    "energy_quadratic_form",
     "channel_capacity",
     "channel_point",
     "binary_entropy",
@@ -150,42 +152,42 @@ def excitation_probability(scenario: Scenario, couple: bool,
     return _clamp_probability(0.5 * (1.0 - c1 * e_factor), "excitation probability")
 
 
-def energy_density(scenario: Scenario, x, t: float,
-                   bank: KernelBank | None = None) -> float:
-    """Normal-ordered energy density of the emitted field at (x, t).
+def energy_density(scenario: Scenario, x, t: float):
+    """Normal-ordered energy density of the emitted field at points x (..., 3), time t.
 
-    Emitters that have not fired by t are gated out; the receiver is a
-    passive probe and does not source this observable.
+    A float for one point, else an array of shape x.shape[:-1].  Emitters
+    that have not fired by t are gated out; the receiver is a passive
+    probe and does not source this observable.
     """
-    bank = bank or KernelBank()
     x = np.asarray(x, dtype=float)
-    if x.shape != (3,):
-        raise ValueError("observation point must be a 3-vector")
-    active: list[tuple[int, float, float, np.ndarray]] = []
-    for idx, emitter in enumerate(scenario.emitters):
-        dt = float(t) - emitter.coupling_time
-        if dt <= 0 or emitter.coupling_strength == 0.0:
-            continue
-        offset = x - emitter.position_array
-        r = float(np.linalg.norm(offset))
-        ks = bank.for_radius(emitter.smearing_radius)
-        k_time = ks.radiation_time(r, dt)
-        k_rad = ks.radiation_radial(r, dt)
-        rhat = offset / r if r > 1e-12 else np.zeros(3)
-        active.append((idx, emitter.coupling_strength, k_time, k_rad * rhat))
-    if not active:
-        return 0.0
-    phases = MonopolePhase.from_scenario(scenario)
-    total = 0.0
-    for _, lam, k_time, k_vec in active:
-        total += 4.0 * lam**2 * (k_time**2 + float(k_vec @ k_vec))
-    for a in range(len(active)):
-        ia, lam_a, t_a, v_a = active[a]
-        for b in range(a + 1, len(active)):
-            ib, lam_b, t_b, v_b = active[b]
-            corr = pair_correlation(scenario.emitter_state, ia + 1, ib + 1, phases)
-            total += 8.0 * lam_a * lam_b * corr * (t_a * t_b + float(v_a @ v_b))
-    return float(total)
+    if x.shape[-1:] != (3,):
+        raise ValueError("observation points must have shape (..., 3)")
+    active = [i for i, e in enumerate(scenario.emitters)
+              if float(t) - e.coupling_time > 0 and e.coupling_strength != 0.0]
+    fired = [scenario.emitters[i] for i in active]
+    offset = x[..., None, :] - np.array([e.position for e in fired]).reshape(-1, 3)
+    r = np.linalg.norm(offset, axis=-1)
+    k_time, k_rad = closed_form_radiation(
+        r, float(t) - np.array([e.coupling_time for e in fired]),
+        np.array([e.smearing_radius for e in fired]))
+    rhat = np.divide(offset, r[..., None], out=np.zeros_like(offset),
+                     where=r[..., None] > 1e-12)
+    kernels = np.concatenate([k_time[..., None], k_rad[..., None] * rhat], axis=-1)
+    corr = pair_correlation(scenario.emitter_state, MonopolePhase.from_scenario(scenario))
+    total = energy_quadratic_form(kernels, [e.coupling_strength for e in fired],
+                                  corr[np.ix_(active, active)])
+    return float(total) if total.ndim == 0 else total
+
+
+def energy_quadratic_form(kernels, strengths, correlation):
+    """T00 = sum_j K_aj M_ab K_bj, M = 4 lambda lambda^T (.) C (derivations section 5).
+
+    kernels (..., m, 4) holds each fired emitter's time kernel and radial
+    kernel times r-hat; C is their block of the pair-correlation matrix.
+    """
+    lam = np.asarray(strengths, dtype=float)
+    weights = 4.0 * np.outer(lam, lam) * correlation
+    return np.einsum("...aj,ab,...bj->...", kernels, weights, kernels)
 
 
 def binary_entropy(x: float) -> float:

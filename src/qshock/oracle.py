@@ -13,9 +13,9 @@ that mode set two entirely different routes compute the same numbers:
 
 Agreement validates the operator algebra (the conditional-displacement
 reduction, the C1 vacuum factor, the gating of the signal angles, the
-energy-density cross terms) in complete isolation from quadrature
-accuracy, which the kernels module owns through its own dual strategies.
-The oracle never integrates.
+energy-density cross terms, through the pipeline's own quadratic form)
+in complete isolation from kernel accuracy, which the tests check
+against the kernels' closed forms.  The oracle never integrates.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from scipy.linalg import expm
 
 from .emitters import MonopolePhase, pair_correlation, product_expectation
 from .kernels import sphere_form_factor
+from .observables import energy_quadratic_form
 from .scenario import Detector, Scenario
 
 __all__ = [
@@ -294,31 +295,19 @@ def discrete_probability(modes: ModeSet, scenario: Scenario, couple: bool) -> fl
 
 
 def discrete_energy(modes: ModeSet, scenario: Scenario, x, t: float) -> float:
-    """Pipeline energy-density reduction with integrals replaced by mode sums."""
-    active = [(i, e) for i, e in enumerate(scenario.emitters)
+    """Pipeline energy density (its quadratic form) on mode-sum kernels."""
+    active = [i for i, e in enumerate(scenario.emitters)
               if e.coupling_time <= t and e.coupling_strength != 0.0]
-    if not active:
-        return 0.0
-    phases = MonopolePhase.from_scenario(scenario)
-    im_a = {}
-    for i, e in active:
-        beta_i = mode_amplitudes(modes, e.position, e.coupling_time,
-                                 e.smearing_radius)
-        im_a[i] = np.array([
-            float(np.imag(np.sum(derivative_amplitudes(modes, x, t, j)
-                                 * np.conj(beta_i))))
-            for j in range(4)])
-    total = 0.0
-    for i, e in active:
-        total += 4.0 * e.coupling_strength**2 * float(im_a[i] @ im_a[i])
-    for a in range(len(active)):
-        ia, ea = active[a]
-        for b in range(a + 1, len(active)):
-            ib, eb = active[b]
-            corr = pair_correlation(scenario.emitter_state, ia + 1, ib + 1, phases)
-            total += (8.0 * ea.coupling_strength * eb.coupling_strength * corr
-                      * float(im_a[ia] @ im_a[ib]))
-    return total
+    deltas = np.array([derivative_amplitudes(modes, x, t, j) for j in range(4)])
+    kernels = np.empty((len(active), 4))
+    for a, i in enumerate(active):
+        e = scenario.emitters[i]
+        beta_i = mode_amplitudes(modes, e.position, e.coupling_time, e.smearing_radius)
+        kernels[a] = np.imag(deltas @ np.conj(beta_i))
+    corr = pair_correlation(scenario.emitter_state, MonopolePhase.from_scenario(scenario))
+    return float(energy_quadratic_form(
+        kernels, [scenario.emitters[i].coupling_strength for i in active],
+        corr[np.ix_(active, active)]))
 
 
 # ----------------------------------------------------------------------

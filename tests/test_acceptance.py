@@ -81,14 +81,12 @@ def test_criterion_1_no_signaling():
 
 def test_criterion_2_sharp_shell_support():
     t0 = time.perf_counter()
-    bank = KernelBank()
     emitter = Detector((0.0, 0.0, 0.0), 0.0, 1.0)
     receiver = Detector((20.0, 0.0, 0.0), 19.0, 1.0)
     scenario = Scenario((emitter,), receiver, w_state(1, [0.0]), 5.0)
     dt = 5.0
     radii = np.linspace(0.05, 9.0, 200)
-    values = np.array([energy_density(scenario, (r, 0.0, 0.0), dt, bank)
-                       for r in radii])
+    values = np.array([energy_density(scenario, (r, 0.0, 0.0), dt) for r in radii])
     shell = (radii >= dt - R - 0.05) & (radii <= dt + R + 0.05)
     peak = values[shell].max()
     outside_max = np.abs(values[~shell]).max()
@@ -109,12 +107,11 @@ def fig1_maps():
     scn_w = load_scenario(three_emitter_config("w"))
     scn_c = load_scenario(three_emitter_config("classical"))
     t0 = time.perf_counter()
-    grid_w = energy_map(scn_w, (0.0, 16.0, 0.0, 16.0), 160, threads=THREADS)
-    grid_c = energy_map(scn_c, (0.0, 16.0, 0.0, 16.0), 160, threads=THREADS)
+    grid_w = energy_map(scn_w, (0.0, 16.0, 0.0, 16.0), 160)
+    grid_c = energy_map(scn_c, (0.0, 16.0, 0.0, 16.0), 160)
     return scn_w, grid_w, grid_c, time.perf_counter() - t0
 
 
-@pytest.mark.slow
 def test_criterion_3_energy_map_structure(fig1_maps):
     scn, grid_w, grid_c, map_time = fig1_maps
     t0 = time.perf_counter()

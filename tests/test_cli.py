@@ -46,6 +46,12 @@ class TestUsageErrors:
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == EXIT_USAGE
 
+    def test_energy_map_has_no_quadrature_knobs(self, config_file, tmp_path):
+        # closed-form energy maps have no tolerance and no worker pool
+        for flag in (["--threads", "2"], ["--tolerance", "1e-6"]):
+            assert main(["energy-map", "--config", str(config_file),
+                         "--out", str(tmp_path / "e.csv"), *flag]) == EXIT_USAGE
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "energy-map" in capsys.readouterr().out
@@ -65,6 +71,7 @@ class TestMapsAndDiff:
         assert manifest["subcommand"] == "energy-map"
         assert str(out) in manifest["outputs"]
         assert manifest["fingerprints"]["scenario"]
+        assert "rel_tol" not in manifest["settings"]
 
     def test_byte_identical_reruns(self, config_file, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -34,22 +34,33 @@ class TestMonopoleAlgebra:
         assert out[0b10] == pytest.approx(np.exp(0.5j))
 
 
+def assert_matches_dense(state, ph, corr):
+    n = state.n_emitters
+    assert corr.shape == (n, n)
+    assert np.array_equal(corr, corr.T)
+    assert np.all(np.diag(corr) == 1.0)
+    for i in range(1, n + 1):
+        for l in range(1, n + 1):
+            assert corr[i - 1, l - 1] == pytest.approx(
+                dense_pair_correlation(state, i, l, ph.phases), abs=1e-12)
+
+
 class TestPairCorrelation:
     def test_classical_mixture_vanishes(self):
         for n in (2, 3, 4):
             state = classical_mixture(n)
             ph = phases_for(n)
-            for i in range(1, n + 1):
-                for l in range(1, n + 1):
-                    if i != l:
-                        assert pair_correlation(state, i, l, ph) == pytest.approx(
-                            0.0, abs=1e-14)
+            corr = pair_correlation(state, ph)
+            np.testing.assert_allclose(corr, np.eye(n), atol=1e-14)
+            assert_matches_dense(state, ph, corr)
 
     def test_w3_equal_monopole_phases(self):
-        # oracle-frozen: equal Omega t for all emitters gives 2/n
+        # oracle-frozen: equal Omega t for all emitters gives 2/n off the diagonal
         state = w_state(3, [0.0, 0.0, 0.0])
         ph = MonopolePhase((2.0, 2.0, 2.0))
-        assert pair_correlation(state, 1, 2, ph) == pytest.approx(2.0 / 3.0, abs=1e-14)
+        expect = np.full((3, 3), 2.0 / 3.0)
+        np.fill_diagonal(expect, 1.0)
+        np.testing.assert_allclose(pair_correlation(state, ph), expect, atol=1e-14)
         assert dense_pair_correlation(state, 1, 2, ph.phases) == pytest.approx(
             2.0 / 3.0, abs=1e-14)
 
@@ -58,34 +69,39 @@ class TestPairCorrelation:
     def test_w_state_matches_dense_oracle(self, n, data):
         thetas = data.draw(st.lists(st.floats(-4, 4), min_size=n, max_size=n))
         times = data.draw(st.lists(st.floats(0, 5), min_size=n, max_size=n))
-        i = data.draw(st.integers(1, n))
-        l = data.draw(st.integers(1, n).filter(lambda v: v != i))
         state = w_state(n, thetas)
         ph = phases_for(n, times=times)
-        got = pair_correlation(state, i, l, ph)
-        assert got == pytest.approx(dense_pair_correlation(state, i, l, ph.phases),
-                                    abs=1e-12)
+        corr = pair_correlation(state, ph)
+        assert_matches_dense(state, ph, corr)
         # the correlator depends only on the phase differences
-        expect = (2.0 / n) * math.cos((thetas[i - 1] - thetas[l - 1])
-                                      - (ph.phases[i - 1] - ph.phases[l - 1]))
-        assert got == pytest.approx(expect, abs=1e-12)
+        for i in range(n):
+            for l in range(n):
+                if i != l:
+                    expect = (2.0 / n) * math.cos((thetas[i] - thetas[l])
+                                                  - (ph.phases[i] - ph.phases[l]))
+                    assert corr[i, l] == pytest.approx(expect, abs=1e-12)
+
+    def test_random_pure_state_and_mixture_match_dense(self):
+        rng = np.random.default_rng(9)
+        n = 3
+        vecs = [rng.normal(size=2**n) + 1j * rng.normal(size=2**n) for _ in range(2)]
+        vecs = [v / np.linalg.norm(v) for v in vecs]
+        ph = phases_for(n)
+        for state in (EmitterState.pure(vecs[0]),
+                      EmitterState.mixture([(0.3, vecs[0]), (0.7, vecs[1])])):
+            assert_matches_dense(state, ph, pair_correlation(state, ph))
 
     def test_global_phase_shift_invariance(self):
         n = 4
         ph = phases_for(n)
         base = w_state(n, [0.1, 0.7, -0.3, 1.9])
         shifted = w_state(n, [0.1 + 2.2, 0.7 + 2.2, -0.3 + 2.2, 1.9 + 2.2])
-        for i, l in [(1, 2), (2, 4), (3, 1)]:
-            assert pair_correlation(base, i, l, ph) == pytest.approx(
-                pair_correlation(shifted, i, l, ph), abs=1e-12)
+        np.testing.assert_allclose(pair_correlation(base, ph),
+                                   pair_correlation(shifted, ph), atol=1e-12)
 
-    def test_diagonal_rejected(self):
-        with pytest.raises(ValueError, match="distinct"):
-            pair_correlation(w_state(2, [0, 0]), 1, 1, phases_for(2))
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(IndexError):
-            pair_correlation(w_state(2, [0, 0]), 1, 3, phases_for(2))
+    def test_phase_count_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="phases"):
+            pair_correlation(w_state(2, [0, 0]), phases_for(3))
 
 
 class TestProductExpectation:

@@ -295,6 +295,21 @@ class TestClosedForms:
         assert worst["far"] <= 1e-12
         assert worst["near"] <= 1e-9
 
+    def test_commutator_error_estimate_covers_closed_form_gap(self):
+        # as d -> 0 the tail's 1/d coefficients amplify the shift that
+        # merging atom frequencies makes; the reported error must carry it,
+        # yet stay below criterion 8's 1e-13 floor away from d -> 0
+        ks = KernelSet(R)
+        rng = np.random.default_rng(300)
+        for _ in range(300):
+            d, dt = rng.uniform(1e-6, 1e-3), rng.uniform(0.05, 0.95)
+            kv = ks.commutator_value(d, dt)
+            assert abs(kv.value - closed_form_commutator(d, dt, R, R)) <= kv.error
+        for _ in range(50):
+            d = rng.uniform(0.5, 7.0)
+            dt = rng.uniform(d - 2 * R + 0.05, d + 2 * R - 0.05)
+            assert ks.commutator_value(d, dt).error < 1e-13
+
     def test_radiation_matches_quadrature_sampled(self):
         rng = np.random.default_rng(7)
         worst = 0.0
@@ -341,5 +356,11 @@ class TestClosedForms:
         assert out[2] == 0.0
         time, radial = closed_form_radiation(np.array([[4.8], [5.3]]), 5.0, R)
         assert time.shape == radial.shape == (2, 1)
+        # one radius per emitter broadcasts against the last axis
+        rs, radii = np.array([[4.8, 5.3], [0.1, 5.6]]), np.array([0.5, 0.7])
+        time, radial = closed_form_radiation(rs, 5.0, radii)
+        for idx in np.ndindex(rs.shape):
+            single = closed_form_radiation(rs[idx], 5.0, radii[idx[1]])
+            assert (time[idx], radial[idx]) == (single[0], single[1])
         with pytest.raises(ValueError):
             closed_form_radiation(1.0, 0.0, R)

@@ -55,45 +55,28 @@ class TestEnergyMap:
         assert np.all(np.abs(grid.values) < 1e-20)
 
     def test_cells_match_pointwise_evaluation(self, small_energy_map, fig_scenario):
-        bank = KernelBank()
-        iy, ix = 13, 17
-        direct = energy_density(fig_scenario,
-                                (small_energy_map.x[ix], small_energy_map.y[iy], 0.0),
-                                fig_scenario.evaluation_time, bank)
-        assert small_energy_map.values[iy, ix] == pytest.approx(direct, rel=1e-12)
+        t = fig_scenario.evaluation_time
+        for iy, yv in enumerate(small_energy_map.y):
+            for ix, xv in enumerate(small_energy_map.x):
+                direct = energy_density(fig_scenario, (xv, yv, 0.0), t)
+                assert small_energy_map.values[iy, ix] == pytest.approx(direct, rel=1e-12)
+
+    def test_exact_shell_edge_takes_jump_midpoint(self):
+        # the cell at x = 5.5 sits exactly on r - dt = R (dt = 5, R = 0.5)
+        emitters = (Detector((0.0, 0.0, 0.0), 0.0, 1.0),)
+        scn = Scenario(emitters, Detector((9.0, 0.0, 0.0), 9.0, 2.0),
+                       w_state(1, [0.0]), 5.0)
+        grid = energy_map(scn, (0.0, 11.0, 0.0, 11.0), 3)
+        assert grid.x[1] == 5.5 and grid.y[0] == 0.0
+        midpoint = (0.5 / (4.0 * 5.5)) / 2.0  # half the shell-side |kernel| R/4r
+        by_kernels = 4.0 * (midpoint**2 + midpoint**2)
+        assert grid.values[0, 1] == energy_density(scn, (5.5, 0.0, 0.0), 5.0)
+        assert grid.values[0, 1] == pytest.approx(by_kernels, rel=1e-15)
 
     def test_deterministic_rerun(self, small_energy_map, fig_scenario):
         again = energy_map(fig_scenario, WINDOW, 24)
         assert np.array_equal(small_energy_map.values, again.values)
         assert small_energy_map.fingerprint == again.fingerprint
-
-    def test_parallel_equals_serial(self, small_energy_map, fig_scenario):
-        par = energy_map(fig_scenario, WINDOW, 24, threads=2)
-        assert np.array_equal(small_energy_map.values, par.values)
-
-    def test_parallel_equals_serial_under_spawn(self):
-        # spawned workers import the package afresh and see only what the
-        # map function hands them, so no state may live in module globals
-        script = f"""
-import multiprocessing, numpy as np
-from qshock.mapper import capacity_map, energy_map
-from qshock.scenario import load_scenario
-multiprocessing.set_start_method("spawn")
-scn = load_scenario({three_emitter_config(evaluation_time=9.0)!r})
-for fn, window in ((energy_map, (3.0, 13.0, 0.0, 10.0)),
-                   (capacity_map, (8.0, 12.0, 2.0, 6.0))):
-    serial = fn(scn, window, 3)
-    assert np.array_equal(fn(scn, window, 3, threads=2).values, serial.values)
-    assert np.any(serial.values > 0.0)
-print("ok")
-"""
-        src = str(Path(qshock.__file__).resolve().parents[1])
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run([sys.executable, "-c", script], env=env, timeout=300,
-                              capture_output=True, text=True)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "ok"
 
     def test_resolution_guard(self, fig_scenario):
         with pytest.raises(ValueError, match="resolution"):
@@ -106,16 +89,64 @@ print("ok")
         g2 = energy_map(shift, WINDOW, 10)
         np.testing.assert_allclose(g2.values, g1.values, atol=1e-12)
 
-    def test_widespread_quadrature_failure_aborts(self, fig_scenario):
-        # an unreachable tolerance fails every cell; the map must abort
-        from qshock.kernels import QuadratureError
-        impossible = QuadratureSettings(rel_tol=1e-30, abs_floor=0.0,
-                                        max_doublings=2)
-        with pytest.raises(QuadratureError, match="cells failed"):
-            energy_map(fig_scenario, (4.0, 6.0, 6.0, 8.0), 4, impossible)
+
+CAPACITY_WINDOW = (8.0, 12.0, 2.0, 6.0)
+
+
+@pytest.fixture(scope="module")
+def contact_scenario():
+    return load_scenario(three_emitter_config(evaluation_time=9.0))
+
+
+@pytest.fixture(scope="module")
+def small_capacity_map(contact_scenario):
+    return capacity_map(contact_scenario, CAPACITY_WINDOW, 6)
 
 
 class TestCapacityMap:
+    def test_parallel_equals_serial(self, small_capacity_map, contact_scenario):
+        par = capacity_map(contact_scenario, CAPACITY_WINDOW, 6, threads=2)
+        assert np.array_equal(small_capacity_map.values, par.values)
+
+    def test_parallel_equals_serial_under_spawn(self):
+        # spawned workers import the package afresh and see only what the
+        # map function hands them, so no state may live in module globals
+        script = f"""
+import multiprocessing, numpy as np
+from qshock.mapper import capacity_map
+from qshock.scenario import load_scenario
+multiprocessing.set_start_method("spawn")
+scn = load_scenario({three_emitter_config(evaluation_time=9.0)!r})
+serial = capacity_map(scn, {CAPACITY_WINDOW!r}, 3)
+assert np.array_equal(capacity_map(scn, {CAPACITY_WINDOW!r}, 3, threads=2).values,
+                      serial.values)
+assert np.any(serial.values > 0.0)
+print("ok")
+"""
+        src = str(Path(qshock.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script], env=env, timeout=300,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "ok"
+
+    def test_widespread_quadrature_failure_aborts(self, contact_scenario, monkeypatch):
+        # an unreachable tolerance fails every cell; the map must abort
+        from qshock import mapper
+        from qshock.kernels import QuadratureError
+        impossible = QuadratureSettings(rel_tol=1e-30, abs_floor=0.0,
+                                        max_doublings=2)
+        with pytest.raises(QuadratureError):  # already at the noise level q
+            capacity_map(contact_scenario, CAPACITY_WINDOW, 4, impossible)
+
+        def failing_cell(*_args):
+            raise QuadratureError("head quadrature did not converge", 1.0, 1e-8)
+
+        monkeypatch.setattr(mapper, "_capacity_cell", failing_cell)
+        with pytest.raises(QuadratureError, match="cells failed"):
+            capacity_map(contact_scenario, CAPACITY_WINDOW, 4)
+
     def test_spacelike_window_is_zero(self):
         scn = load_scenario(three_emitter_config(evaluation_time=9.0))
         grid = capacity_map(scn, (200.0, 210.0, 0.0, 10.0), 5)
@@ -217,10 +248,9 @@ class TestOptimizePhases:
         point = (10.0833, 4.8126, 0.0)  # both shells cross here
         res = optimize_phases(scn, "energy", point, budget=400, seed=3)
         # 1-D brute-force oracle over the relative phase
-        bank = KernelBank()
         thetas = np.linspace(0.0, 2.0 * math.pi, 1441)
-        brute = max(energy_density(scn.with_state(w_state(2, [0.0, t2])), point,
-                                   8.0, bank) for t2 in thetas)
+        brute = max(energy_density(scn.with_state(w_state(2, [0.0, t2])), point, 8.0)
+                    for t2 in thetas)
         assert res.value >= brute - 1e-9
         # optimum sits where the relative phase cancels Omega (t2 - t1) = 2
         assert math.cos(res.phases[1] - 2.0) == pytest.approx(1.0, abs=1e-6)
@@ -262,13 +292,17 @@ class TestSerialization:
         assert back.quantity == "energy"
         assert back.fingerprint == small_energy_map.fingerprint
 
-    def test_sidecar_contents(self, small_energy_map, tmp_path):
+    def test_sidecar_contents(self, small_energy_map, small_capacity_map, tmp_path):
         path = tmp_path / "map.csv"
         write_grid_csv(small_energy_map, path)
         side = json.loads((tmp_path / "map.json").read_text())
         assert side["quantity"] == "energy"
         assert side["fingerprint"] == small_energy_map.fingerprint
         assert "wall_time_s" in side
+        assert "rel_tol" not in side  # closed-form kernels: no tolerance
+        write_grid_csv(small_capacity_map, path)
+        side = json.loads((tmp_path / "map.json").read_text())
+        assert side["quantity"] == "capacity"
         assert "rel_tol" in side
 
     def test_sweep_csv(self, tmp_path):

@@ -8,7 +8,8 @@ from qshock.observables import (ReceiverNotCoupledWarning,
                                 binary_entropy, c1_factor, channel_capacity,
                                 channel_point, energy_density,
                                 excitation_probability)
-from qshock.scenario import Detector, Scenario, load_scenario, w_state
+from qshock.scenario import (Detector, EmitterState, Scenario, classical_mixture,
+                             load_scenario, w_state)
 
 from conftest import blahut_arimoto_capacity, three_emitter_config
 
@@ -82,61 +83,106 @@ class TestExcitationProbability:
             p = excitation_probability(scn, couple, bank=kernel_bank)
             assert 0.0 <= p <= 1.0
 
+    @given(data=st.data())
+    @hsettings(max_examples=40, deadline=None)
+    def test_probability_within_vacuum_noise_band(self, kernel_bank, data):
+        # |E| <= 1 pins p to [(1 - C1)/2, (1 + C1)/2] for any emitter state
+        n = data.draw(st.integers(1, 4))
+        coord = st.floats(-3.0, 3.0)
+        emitters = tuple(Detector((data.draw(coord), data.draw(coord), 0.0),
+                                  data.draw(st.floats(0.0, 3.0)),
+                                  data.draw(st.floats(0.0, 3.0)))
+                         for _ in range(n))
+        kind = data.draw(st.sampled_from(["w", "classical", "pure"]))
+        if kind == "w":
+            state = w_state(n, data.draw(st.lists(st.floats(0.0, 6.3),
+                                                  min_size=n, max_size=n)))
+        elif kind == "classical":
+            state = classical_mixture(n)
+        else:
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+            vec = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+            state = EmitterState.pure(vec / np.linalg.norm(vec))
+        t_b = data.draw(st.floats(2.0, 6.0))
+        receiver = Detector((data.draw(coord), data.draw(coord), data.draw(coord)),
+                            t_b, data.draw(st.floats(0.0, 4.0)))
+        scn = Scenario(emitters, receiver, state, t_b + 1.0)
+        c1 = c1_factor(receiver.coupling_strength, R, kernel_bank)
+        p = excitation_probability(scn, couple=True, bank=kernel_bank)
+        assert 0.5 * (1.0 - c1) <= p <= 0.5 * (1.0 + c1)
+
 
 class TestEnergyDensity:
-    def test_vacuum(self, kernel_bank):
+    def test_vacuum(self):
         receiver = Detector((0.0, 0.0, 0.0), 1.0, 2.0)
-        scn = Scenario((), receiver, __import__("qshock").EmitterState.pure([1.0]), 2.0)
-        assert energy_density(scn, (1.0, 1.0, 1.0), 2.0, kernel_bank) == 0.0
+        scn = Scenario((), receiver, EmitterState.pure([1.0]), 2.0)
+        assert energy_density(scn, (1.0, 1.0, 1.0), 2.0) == 0.0
 
-    def test_single_emitter_off_shell(self, kernel_bank):
+    def test_single_emitter_off_shell(self):
         emitters = (Detector((0.0, 0.0, 0.0), 0.0, 1.0),)
         scn = Scenario(emitters, Detector((9.0, 0.0, 0.0), 9.0, 2.0),
                        w_state(1, [0.0]), 5.0)
-        on_peak = energy_density(scn, (5.45, 0.0, 0.0), 5.0, kernel_bank)
+        on_peak = energy_density(scn, (5.45, 0.0, 0.0), 5.0)
         for r in (3.0, 4.3, 5.7, 8.0):
-            off = energy_density(scn, (r, 0.0, 0.0), 5.0, kernel_bank)
+            off = energy_density(scn, (r, 0.0, 0.0), 5.0)
             assert abs(off) < 1e-6 * abs(on_peak)
 
-    def test_single_emitter_nonnegative(self, kernel_bank):
+    def test_single_emitter_nonnegative(self):
         emitters = (Detector((0.0, 0.0, 0.0), 0.0, 1.0),)
         scn = Scenario(emitters, Detector((9.0, 0.0, 0.0), 9.0, 2.0),
                        w_state(1, [0.0]), 5.0)
         rng = np.random.default_rng(5)
         for _ in range(25):
             x = rng.uniform(-7, 7, size=3)
-            assert energy_density(scn, x, 5.0, kernel_bank) >= 0.0
+            assert energy_density(scn, x, 5.0) >= 0.0
 
-    def test_classical_mixture_equals_sum_of_singles(self, kernel_bank):
+    def test_classical_mixture_equals_sum_of_singles(self):
         # cross terms vanish for the incoherent mixture
         scn = load_scenario(three_emitter_config("classical"))
         point, t = (10.0833, 4.8126, 0.0), 8.0
-        total = energy_density(scn, point, t, kernel_bank)
+        total = energy_density(scn, point, t)
         singles = 0.0
         for keep in range(3):
             emitters = (scn.emitters[keep],)
             single = Scenario(emitters, scn.receiver, w_state(1, [0.0]),
                               scn.evaluation_time)
-            singles += energy_density(single, point, t, kernel_bank)
+            singles += energy_density(single, point, t)
         assert total == pytest.approx(singles, rel=1e-10)
 
-    def test_entangled_differs_only_in_overlap(self, kernel_bank):
+    def test_entangled_differs_only_in_overlap(self):
         scn_w = load_scenario(three_emitter_config("w"))
         scn_c = load_scenario(three_emitter_config("classical"))
         t = 8.0
         overlap_point = (10.0833, 4.8126, 0.0)      # shells of emitters 1 and 2 cross
         single_point = (5.0, 7.0, 0.0)              # only emitter 1's shell
-        dw = energy_density(scn_w, overlap_point, t, kernel_bank)
-        dc = energy_density(scn_c, overlap_point, t, kernel_bank)
+        dw = energy_density(scn_w, overlap_point, t)
+        dc = energy_density(scn_c, overlap_point, t)
         assert abs(dw - dc) > 1e-8
-        dw1 = energy_density(scn_w, single_point, t, kernel_bank)
-        dc1 = energy_density(scn_c, single_point, t, kernel_bank)
+        dw1 = energy_density(scn_w, single_point, t)
+        dc1 = energy_density(scn_c, single_point, t)
         assert dw1 == pytest.approx(dc1, abs=1e-12)
 
-    def test_inactive_emitters_gated(self, kernel_bank):
+    def test_inactive_emitters_gated(self):
         scn = load_scenario(three_emitter_config())
         # before anyone fires
-        assert energy_density(scn, (5.0, 1.0, 0.0), 0.5, kernel_bank) == 0.0
+        assert energy_density(scn, (5.0, 1.0, 0.0), 0.5) == 0.0
+
+    def test_point_arrays_with_mixed_radii(self):
+        # (..., 3) points give an array of shape (...); radii differ per emitter
+        emitters = (Detector((5.0, 0.0, 0.0), 1.0, 1.0, smearing_radius=0.5),
+                    Detector((6.5, 0.0, 0.0), 2.0, 1.0, smearing_radius=0.8))
+        scn = Scenario(emitters, Detector((11.0, 4.5, 0.0), 8.0, 2.0),
+                       w_state(2, [0.0, 0.4]), 8.0)
+        rng = np.random.default_rng(4)
+        points = np.column_stack((rng.uniform(5.0, 13.0, 12), rng.uniform(0.0, 8.0, 12),
+                                  np.zeros(12))).reshape(3, 4, 3)
+        grid = energy_density(scn, points, 8.0)
+        assert grid.shape == (3, 4) and np.any(grid > 0.0)
+        for idx in np.ndindex(3, 4):
+            assert grid[idx] == pytest.approx(energy_density(scn, points[idx], 8.0),
+                                              rel=1e-12, abs=0.0)
+        with pytest.raises(ValueError, match="shape"):
+            energy_density(scn, (1.0, 2.0), 8.0)
 
 
 class TestChannelCapacity:
