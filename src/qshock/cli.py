@@ -101,12 +101,10 @@ def build_parser() -> _Parser:
         p.add_argument("--config", required=True, help="scenario configuration file")
         p.add_argument("--out", required=True, help="output CSV path")
 
-    def add_quadrature(p):
+    def add_tolerance(p):
         p.add_argument("--tolerance", type=float, default=None,
                        help=f"kernel relative tolerance (default 1e-8 or "
                             f"${TOLERANCE_ENV})")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                       help="parallel workers (results identical for any value)")
 
     p = sub.add_parser("validate", help="check a scenario configuration")
     p.add_argument("--config", required=True)
@@ -116,7 +114,9 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name, help=help_text)
         add_common(p)
         if name == "capacity-map":
-            add_quadrature(p)
+            add_tolerance(p)
+            p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                           help="parallel workers (results identical for any value)")
         p.add_argument("--window", default=None, help="xmin,xmax,ymin,ymax "
                                                       "(default 0,16,0,16)")
         p.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION)
@@ -128,14 +128,14 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="capacity vs receiver coupling strength")
     add_common(p)
-    add_quadrature(p)
+    add_tolerance(p)
     p.add_argument("--lambda-min", type=float, default=0.0)
     p.add_argument("--lambda-max", type=float, default=8.0)
     p.add_argument("--samples", type=int, default=100)
 
     p = sub.add_parser("optimize", help="search emitter phases for a target")
     add_common(p)
-    add_quadrature(p)
+    add_tolerance(p)
     p.add_argument("--objective", choices=("energy", "capacity"), required=True)
     p.add_argument("--point", required=True, help="x,y[,z] objective location")
     p.add_argument("--budget", type=int, default=800)

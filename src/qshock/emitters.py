@@ -15,14 +15,20 @@ here are evaluated without any perturbative truncation:
     2 lambda_B lambda_i times the gated commutator kernel; see
     observables for the correspondence).
 
-State vectors are applied factor by factor, costing O(n 2^n) per pure
-component; mixtures are weight-averaged component-wise.  n is capped at
-24 by the state-vector representation.
+mu_i is index-permuted: (mu_i psi)[k] = f_i[k] psi[k XOR b_i], with b_i
+emitter i's bit and f_i[k] = e^{+i Omega_i t_i} where k has it set,
+e^{-i Omega_i t_i} where not.  These tables (24 n 2^n bytes) are built
+once per (n, phases) and serve all three functions here.
+product_expectation applies each factor to a whole batch of angle
+vectors (..., n) at once.  Cost is O(n 2^n) per pure component and angle
+vector; mixtures are weight-averaged component-wise.  n is capped at 24
+by the state-vector representation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -56,6 +62,21 @@ def _check_register(n: int) -> None:
         raise ValueError(f"state-vector register capped at {MAX_EMITTERS} emitters")
 
 
+@lru_cache(maxsize=8)
+def _flip_tables(phases: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """perm (n, 2^n) = k XOR b_i and factor (n, 2^n) = e^{+-i phase_i}, read-only."""
+    n = len(phases)
+    index = np.arange(2**n)
+    bits = 1 << np.arange(n - 1, -1, -1)[:, None]  # emitter 1 = MSB
+    up = np.array([np.exp(1j * p) for p in phases]).reshape(n, 1)
+    down = np.array([np.exp(-1j * p) for p in phases]).reshape(n, 1)
+    perm = index ^ bits
+    factor = np.where(index & bits, up, down)
+    perm.setflags(write=False)
+    factor.setflags(write=False)
+    return perm, factor
+
+
 def apply_monopole(vec: np.ndarray, n: int, i: int, phase: float) -> np.ndarray:
     """Apply mu_i (1-based emitter index, emitter 1 = MSB) to a state vector.
 
@@ -63,14 +84,10 @@ def apply_monopole(vec: np.ndarray, n: int, i: int, phase: float) -> np.ndarray:
     """
     if not 1 <= i <= n:
         raise IndexError(f"emitter index {i} out of range 1..{n}")
-    view = vec.reshape([2] * n)
-    out = np.empty_like(view)
-    axis = i - 1
-    ground = tuple(slice(None) if ax != axis else 0 for ax in range(n))
-    excited = tuple(slice(None) if ax != axis else 1 for ax in range(n))
-    out[excited] = np.exp(1j * phase) * view[ground]
-    out[ground] = np.exp(-1j * phase) * view[excited]
-    return out.reshape(-1)
+    phases = [0.0] * n
+    phases[i - 1] = float(phase)
+    perm, factor = _flip_tables(tuple(phases))
+    return factor[i - 1] * vec[..., perm[i - 1]]
 
 
 def pair_correlation(state: EmitterState, phases: MonopolePhase) -> np.ndarray:
@@ -84,42 +101,56 @@ def pair_correlation(state: EmitterState, phases: MonopolePhase) -> np.ndarray:
     _check_register(n)
     if len(phases) != n:
         raise ValueError(f"expected {n} monopole phases, got {len(phases)}")
+    perm, factor = _flip_tables(phases.phases)
     total = np.zeros((n, n))
     for w, vec in state.vectors():
-        flipped = np.array([apply_monopole(vec, n, i, phases.phases[i - 1])
-                            for i in range(1, n + 1)]).reshape(n, vec.size)
+        flipped = factor * vec[perm]
         total += w * (flipped.conj() @ flipped.T).real
     total = 0.5 * (total + total.T)
     np.fill_diagonal(total, 1.0)
     return total
 
 
-def product_expectation(state: EmitterState, g, phases: MonopolePhase) -> float:
+def product_expectation(state: EmitterState, g, phases: MonopolePhase):
     """Re < prod_i (cos g_i + i mu_i sin g_i) > over the emitter state.
 
-    Bounded by 1 in magnitude for any normalized state (each factor is
-    unitary), invariant under a global phase of the state.
+    g holds one angle per emitter, or a batch of them (..., n): a float for
+    one angle vector, else an array of shape g.shape[:-1].  Bounded by 1
+    in magnitude for any normalized state (each factor is unitary),
+    invariant under a global phase of the state.
     """
     n = state.n_emitters
     _check_register(n)
     g = np.asarray(g, dtype=float)
-    if g.shape != (n,):
+    if g.shape[-1:] != (n,):
         raise ValueError(f"expected {n} angles, got shape {g.shape}")
     if len(phases) != n:
         raise ValueError(f"expected {n} monopole phases, got {len(phases)}")
-    total = 0.0
+    perm, factor = _flip_tables(phases.phases)
+    batch = g.shape[:-1]
+    turning = g != 0.0
+    angle_axes = tuple(range(g.ndim - 1))
+    touched = turning.any(axis=angle_axes).tolist()
+    everywhere = turning.all(axis=angle_axes).tolist()
+    cos, isin = np.cos(g)[..., None], 1j * np.sin(g)[..., None]
+    total = np.zeros(batch)
     for w, vec in state.vectors():
         work = vec
-        for idx in range(1, n + 1):
-            gi = g[idx - 1]
-            if gi == 0.0:
+        for i in range(n):
+            if not touched[i]:
                 continue
-            flipped = apply_monopole(work, n, idx, phases.phases[idx - 1])
-            work = np.cos(gi) * work + 1j * np.sin(gi) * flipped
-        total += w * np.vdot(vec, work).real
+            flipped = factor[i] * work[..., perm[i]]
+            turned = cos[..., i, :] * work + isin[..., i, :] * flipped
+            # rows with g_i = 0 skip the factor, as a single-vector call does
+            work = turned if everywhere[i] else np.where(turning[..., i, None],
+                                                         turned, work)
+        if work.shape != batch + vec.shape:  # no angle turned this component
+            work = np.broadcast_to(work, batch + vec.shape)
+        for k in np.ndindex(batch):
+            total[k] += w * np.vdot(vec, work[k]).real
     # each factor is unitary, so |E| <= 1 up to rounding dust
-    if abs(total) > 1.0:
-        if abs(total) > 1.0 + 1e-12:
+    if np.any(np.abs(total) > 1.0):
+        if np.any(np.abs(total) > 1.0 + 1e-12):
             raise FloatingPointError(f"product expectation {total!r} left [-1, 1]")
-        total = float(np.clip(total, -1.0, 1.0))
-    return float(total)
+        total = np.clip(total, -1.0, 1.0)
+    return float(total) if total.ndim == 0 else total

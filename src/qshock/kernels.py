@@ -30,7 +30,8 @@ through theirs; the quadrature serves the commutator and nu, and the
 test suite and the `kernels --cross-check` CLI subcommand compare the two.
 
 Evaluation is pure; a memo cache keyed by rounded arguments makes the
-repeated commutator and nu evaluations of capacity maps and sweeps cheap.
+repeated commutator and nu evaluations of capacity maps cheap.  Sweeps and
+phase searches do not rely on it: they evaluate each kernel once per call.
 Values are deterministic for fixed settings regardless of call order.
 """
 

@@ -8,6 +8,11 @@ quadrature; their rows run serially or in a process pool with identical
 results, because every cell is a pure function of the scenario and
 quadrature settings, and isolated failed cells are retried.
 
+Sweeps and phase searches hoist the geometry: the kernels at the fixed
+receiver or point are evaluated once per call, and each sample or
+evaluation only runs the emitter-register algebra.  A sweep passes all
+its couplings to product_expectation as one (samples, n) batch of angles.
+
 CSV layout: first row is the x axis (blank corner cell), each following
 row starts with its y value; numbers are printed with 9 significant
 digits in scientific notation so identical runs are byte-identical.  A
@@ -28,8 +33,11 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .kernels import QuadratureError, QuadratureSettings
-from .observables import (KernelBank, ChannelPoint, channel_capacity,
-                          energy_density, excitation_probability)
+from .emitters import MonopolePhase
+from .observables import (KernelBank, ChannelPoint, channel_capacity, energy_density,
+                          excitation_probability, _emission_energy, _emission_kernels,
+                          _receiver_kernels, _receiver_probability, _signal_angles,
+                          _vacuum_factor)
 from .scenario import Scenario, scenario_fingerprint, w_state
 
 __all__ = [
@@ -220,23 +228,43 @@ def diff_map(a: GridMap, b: GridMap) -> GridMap:
                                    "base_quantity": a.quantity})
 
 
+def _capacities(scenario: Scenario, couplings: np.ndarray, settings: QuadratureSettings):
+    """Capacity per receiver coupling as a function of the emitter state.
+
+    The receiver's nu and Delta_i, hence C1, the angles and q, are fixed
+    here; each call runs only the emitter algebra, all couplings in one
+    batch.  All zero when the receiver has not coupled by the evaluation time.
+    """
+    kernels = _receiver_kernels(scenario, KernelBank(settings))
+    if kernels is None:
+        return lambda state: np.zeros(len(couplings))
+    c1 = _vacuum_factor(couplings, kernels[0])
+    angles = _signal_angles(couplings, [e.coupling_strength for e in scenario.emitters],
+                            kernels[1])
+    q = _receiver_probability(c1)
+    phases = MonopolePhase.from_scenario(scenario)
+    return lambda state: np.array([
+        channel_capacity(ChannelPoint(pk, qk))
+        for pk, qk in zip(_receiver_probability(c1, angles, state, phases), q)])
+
+
 def coupling_sweep(scenario: Scenario, couplings,
                    settings: QuadratureSettings | None = None) -> SweepCurve:
-    """Capacity at the fixed receiver location for each coupling strength."""
+    """Capacity at the fixed receiver location for each coupling strength.
+
+    The receiver's nu and Delta_i are evaluated once; C1, the angles and
+    the product expectation then cover every coupling as one batch.
+    """
     lam = np.asarray(couplings, dtype=float)
     if lam.size <= 2:
         raise ValueError("a sweep needs more than 2 samples")
+    if not np.all(np.isfinite(lam)):
+        raise ValueError("coupling strengths must be finite")
     if np.any(lam < 0):
         raise ValueError("coupling strengths must be >= 0")
     settings = settings or QuadratureSettings()
-    bank = KernelBank(settings)
     t0 = time.perf_counter()
-    caps = np.empty(lam.size)
-    for i, lb in enumerate(lam):
-        moved = scenario.with_receiver(scenario.receiver.with_strength(lb))
-        p = excitation_probability(moved, couple=True, bank=bank)
-        q = excitation_probability(moved, couple=False, bank=bank)
-        caps[i] = channel_capacity(ChannelPoint(p, q))
+    caps = _capacities(scenario, lam, settings)(scenario.emitter_state)
     idx = int(np.argmax(caps))
     meta = {"rel_tol": settings.rel_tol, "wall_time_s": time.perf_counter() - t0}
     return SweepCurve(lam, caps, idx, float(lam[idx]), float(caps[idx]),
@@ -247,16 +275,32 @@ def coupling_sweep(scenario: Scenario, couplings,
 # derivative-free phase optimization
 # ----------------------------------------------------------------------
 
+def _phase_objective(scenario: Scenario, objective: str, point,
+                     settings: QuadratureSettings):
+    """The objective as a function of the emitter state, kernels evaluated once."""
+    if objective == "energy":
+        active, kernels = _emission_kernels(scenario, point, scenario.evaluation_time)
+        strengths = [e.coupling_strength for e in scenario.emitters]
+        phases = MonopolePhase.from_scenario(scenario)
+        return lambda state: float(_emission_energy(kernels, active, strengths, state,
+                                                    phases))
+    moved = scenario.with_receiver(scenario.receiver.moved_to(point))
+    capacities = _capacities(moved, [moved.receiver.coupling_strength], settings)
+    return lambda state: float(capacities(state)[0])
+
+
 def optimize_phases(scenario: Scenario, objective: str, point,
                     budget: int = 800, restarts: int = 4, seed: int = 0,
                     settings: QuadratureSettings | None = None) -> PhaseOptimum:
     """Search emitter phases maximizing energy or capacity at a fixed point.
 
     objective: "energy" (density at `point`, at the scenario evaluation
-    time) or "capacity" (receiver moved to `point`).  The global-phase
-    direction is removed by pinning the first phase to 0; the search runs
-    Nelder-Mead from `restarts` starting points and reports the best
-    evaluation found together with the full trace.
+    time) or "capacity" (receiver moved to `point`).  The kernels at the
+    point are evaluated once; each evaluation builds the W state and runs
+    the emitter algebra.  The global-phase direction is removed by pinning
+    the first phase to 0; the search runs Nelder-Mead from `restarts`
+    starting points and reports the best evaluation found together with
+    the full trace.
     """
     n = scenario.n_emitters
     if n < 1:
@@ -267,23 +311,16 @@ def optimize_phases(scenario: Scenario, objective: str, point,
         raise ValueError("objective must be 'energy' or 'capacity'")
     if restarts < 1:
         raise ValueError("needs at least one restart")
-    settings = settings or QuadratureSettings()
-    bank = KernelBank(settings)
     point = tuple(float(c) for c in point)
+    value_of = _phase_objective(scenario, objective, point,
+                                settings or QuadratureSettings())
 
     trace: list[tuple[tuple[float, ...], float]] = []
     counter = {"n": 0}
 
     def evaluate(theta_full: np.ndarray) -> float:
         counter["n"] += 1
-        scn = scenario.with_state(w_state(n, theta_full))
-        if objective == "energy":
-            val = energy_density(scn, point, scn.evaluation_time)
-        else:
-            moved = scn.with_receiver(scn.receiver.moved_to(point))
-            p = excitation_probability(moved, couple=True, bank=bank)
-            q = excitation_probability(moved, couple=False, bank=bank)
-            val = channel_capacity(ChannelPoint(p, q))
+        val = value_of(w_state(n, theta_full))
         trace.append((tuple(theta_full), val))
         return val
 

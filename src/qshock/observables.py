@@ -29,8 +29,13 @@ the kernel integrals plus emitter-register algebra:
   * the capacity of the binary channel in which "1" = all emitters fire
     and "0" = none do, from the excitation probabilities (p, q).
 
-nu and Delta come from the kernel quadrature, the radiation kernels from
-their closed form; docs/derivations.md holds the full reductions.
+Each observable splits into its geometry, the kernel values at the
+receiver or the points (_receiver_kernels, _emission_kernels), and its
+algebra over the emitter register (_vacuum_factor, _signal_angles,
+_receiver_probability, _emission_energy); the mapper's sweeps and phase
+searches evaluate the geometry once and repeat only the algebra.  nu and
+Delta come from the kernel quadrature, the radiation kernels from their
+closed form; docs/derivations.md holds the full reductions.
 """
 
 from __future__ import annotations
@@ -109,23 +114,74 @@ def c1_factor(lambda_b: float, radius: float,
     if lambda_b < 0:
         raise ValueError("receiver coupling must be >= 0")
     bank = bank or KernelBank()
-    nu = bank.for_radius(radius).vacuum_variance()
-    return math.exp(-2.0 * lambda_b**2 * nu)
+    return _vacuum_factor(lambda_b, bank.for_radius(radius).vacuum_variance())
 
 
-def _signal_angles(scenario: Scenario, bank: KernelBank) -> np.ndarray:
-    """g_i = 2 lambda_B lambda_i Theta(t_B - t_i) Delta(d_i, t_B - t_i)."""
+# -- receiver probability: geometry (kernel calls), then algebra ---------
+
+def _receiver_kernels(scenario: Scenario, bank: KernelBank | None = None,
+                     couple: bool = True) -> tuple[float, np.ndarray] | None:
+    """The receiver's nu and the gated Delta_i, one kernel call each.
+
+    Delta_i = Delta(|x_i - x_B|, t_B - t_i), left at 0 for an emitter that
+    fires after the receiver, and for every emitter when couple=False (the
+    emitters stay silent).  None, with a ReceiverNotCoupledWarning, when
+    the evaluation time does not exceed the receiver's coupling instant:
+    the probability is then 0.
+    """
     rec = scenario.receiver
-    ks = bank.for_radius(rec.smearing_radius)
-    g = np.zeros(scenario.n_emitters)
-    for idx, emitter in enumerate(scenario.emitters):
+    if scenario.evaluation_time <= rec.coupling_time:
+        warnings.warn("evaluation time does not exceed the receiver coupling instant; "
+                      "probability is 0 until it fires", ReceiverNotCoupledWarning,
+                      stacklevel=3)
+        return None
+    ks = (bank or KernelBank()).for_radius(rec.smearing_radius)
+    deltas = np.zeros(scenario.n_emitters)
+    for idx, emitter in enumerate(scenario.emitters if couple else ()):
         dt = rec.coupling_time - emitter.coupling_time
         if dt < 0:  # emitter fires after the receiver: time ordering gates it out
             continue
         d = float(np.linalg.norm(rec.position_array - emitter.position_array))
-        delta = ks.commutator(d, dt, other_radius=emitter.smearing_radius)
-        g[idx] = 2.0 * rec.coupling_strength * emitter.coupling_strength * delta
-    return g
+        deltas[idx] = ks.commutator(d, dt, other_radius=emitter.smearing_radius)
+    return ks.vacuum_variance(), deltas
+
+
+def _vacuum_factor(lambda_b, nu: float):
+    """C1 = exp(-2 lambda_B^2 nu) for a coupling (float) or a vector of them."""
+    if np.ndim(lambda_b) == 0:
+        return math.exp(-2.0 * float(lambda_b)**2 * nu)
+    return np.array([_vacuum_factor(lb, nu) for lb in lambda_b])
+
+
+def _signal_angles(lambda_b, strengths, deltas) -> np.ndarray:
+    """g_i = 2 lambda_B lambda_i Delta_i, multiplied left to right.
+
+    Shape (n,) for one coupling lambda_b, (k, n) for a vector of k.
+    """
+    lam_b = np.asarray(lambda_b, dtype=float)[..., None]
+    return 2.0 * lam_b * np.asarray(strengths, dtype=float) * deltas
+
+
+def _receiver_probability(c1, g=None, state=None, phases=None):
+    """p = (1 - C1 E)/2 with E = product_expectation(state, g, phases).
+
+    g may be a batch of angle vectors (..., n) with C1 of shape (...).
+    Without angles the emitters are silent, E = 1 and this is the noise
+    probability q = (1 - C1)/2.  Not clamped to [0, 1].
+    """
+    e_factor = 1.0 if g is None else product_expectation(state, g, phases)
+    return 0.5 * (1.0 - c1 * e_factor)
+
+
+def _excitation(scenario: Scenario, nu: float, deltas: np.ndarray, couple: bool) -> float:
+    rec = scenario.receiver
+    c1 = _vacuum_factor(rec.coupling_strength, nu)
+    if not (couple and scenario.n_emitters):
+        return _receiver_probability(c1)
+    g = _signal_angles(rec.coupling_strength,
+                      [e.coupling_strength for e in scenario.emitters], deltas)
+    return _receiver_probability(c1, g, scenario.emitter_state,
+                                MonopolePhase.from_scenario(scenario))
 
 
 def excitation_probability(scenario: Scenario, couple: bool,
@@ -135,29 +191,19 @@ def excitation_probability(scenario: Scenario, couple: bool,
     couple=False encodes the emitters staying silent, which leaves only
     the receiver's own vacuum noise q = (1 - C1)/2.
     """
-    rec = scenario.receiver
-    if scenario.evaluation_time <= rec.coupling_time:
-        warnings.warn("evaluation time does not exceed the receiver coupling instant; "
-                      "probability is 0 until it fires", ReceiverNotCoupledWarning,
-                      stacklevel=2)
+    kernels = _receiver_kernels(scenario, bank, couple)
+    if kernels is None:
         return 0.0
-    bank = bank or KernelBank()
-    c1 = c1_factor(rec.coupling_strength, rec.smearing_radius, bank)
-    if couple and scenario.n_emitters:
-        g = _signal_angles(scenario, bank)
-        phases = MonopolePhase.from_scenario(scenario)
-        e_factor = product_expectation(scenario.emitter_state, g, phases)
-    else:
-        e_factor = 1.0
-    return _clamp_probability(0.5 * (1.0 - c1 * e_factor), "excitation probability")
+    return _clamp_probability(_excitation(scenario, *kernels, couple),
+                              "excitation probability")
 
 
-def energy_density(scenario: Scenario, x, t: float):
-    """Normal-ordered energy density of the emitted field at points x (..., 3), time t.
+# -- energy density: geometry (closed-form kernels), then algebra ---------
 
-    A float for one point, else an array of shape x.shape[:-1].  Emitters
-    that have not fired by t are gated out; the receiver is a passive
-    probe and does not source this observable.
+def _emission_kernels(scenario: Scenario, x, t: float) -> tuple[list[int], np.ndarray]:
+    """Indices of the emitters fired by t (nonzero coupling), their kernels K (..., m, 4).
+
+    Each row of K is a time kernel and a radial kernel times r-hat at x (..., 3).
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-1:] != (3,):
@@ -172,10 +218,27 @@ def energy_density(scenario: Scenario, x, t: float):
         np.array([e.smearing_radius for e in fired]))
     rhat = np.divide(offset, r[..., None], out=np.zeros_like(offset),
                      where=r[..., None] > 1e-12)
-    kernels = np.concatenate([k_time[..., None], k_rad[..., None] * rhat], axis=-1)
-    corr = pair_correlation(scenario.emitter_state, MonopolePhase.from_scenario(scenario))
-    total = energy_quadratic_form(kernels, [e.coupling_strength for e in fired],
-                                  corr[np.ix_(active, active)])
+    return active, np.concatenate([k_time[..., None], k_rad[..., None] * rhat], axis=-1)
+
+
+def _emission_energy(kernels, active, strengths, state, phases: MonopolePhase):
+    """T00 from the kernels of the active (fired) emitters; strengths cover all."""
+    corr = pair_correlation(state, phases)
+    return energy_quadratic_form(kernels, [strengths[i] for i in active],
+                                 corr[np.ix_(active, active)])
+
+
+def energy_density(scenario: Scenario, x, t: float):
+    """Normal-ordered energy density of the emitted field at points x (..., 3), time t.
+
+    A float for one point, else an array of shape x.shape[:-1].  Emitters
+    that have not fired by t are gated out; the receiver is a passive
+    probe and does not source this observable.
+    """
+    active, kernels = _emission_kernels(scenario, x, t)
+    total = _emission_energy(kernels, active,
+                            [e.coupling_strength for e in scenario.emitters],
+                            scenario.emitter_state, MonopolePhase.from_scenario(scenario))
     return float(total) if total.ndim == 0 else total
 
 
@@ -240,8 +303,9 @@ def channel_capacity(point: ChannelPoint | None = None, *,
 
 
 def channel_point(scenario: Scenario, bank: KernelBank | None = None) -> ChannelPoint:
-    """Evaluate (p, q) for the scenario's receiver in place."""
-    bank = bank or KernelBank()
-    p = excitation_probability(scenario, couple=True, bank=bank)
-    q = excitation_probability(scenario, couple=False, bank=bank)
-    return ChannelPoint(p, q)
+    """Evaluate (p, q) for the scenario's receiver in place, from one set of kernels."""
+    kernels = _receiver_kernels(scenario, bank)
+    if kernels is None:
+        return ChannelPoint(0.0, 0.0)
+    return ChannelPoint(_excitation(scenario, *kernels, True),
+                        _excitation(scenario, *kernels, False))

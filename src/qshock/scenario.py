@@ -207,10 +207,6 @@ class Scenario:
     def with_state(self, state: EmitterState) -> "Scenario":
         return Scenario(self.emitters, self.receiver, state, self.evaluation_time)
 
-    def with_emitter_strengths(self, strength: float) -> "Scenario":
-        return Scenario(tuple(e.with_strength(strength) for e in self.emitters),
-                        self.receiver, self.emitter_state, self.evaluation_time)
-
     def to_config_dict(self) -> dict:
         def det(d: Detector) -> dict:
             return {"position": list(d.position), "time": d.coupling_time,

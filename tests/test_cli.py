@@ -52,6 +52,16 @@ class TestUsageErrors:
             assert main(["energy-map", "--config", str(config_file),
                          "--out", str(tmp_path / "e.csv"), *flag]) == EXIT_USAGE
 
+    def test_sweep_and_optimize_have_no_threads(self, tmp_path):
+        # both run serially: --threads could not change anything
+        fig3, fig2a = str(SCENARIOS / "fig3.cfg"), str(SCENARIOS / "fig2a.cfg")
+        for argv in (["sweep", "--config", fig3, "--samples", "5"],
+                     ["optimize", "--config", fig2a, "--objective", "capacity",
+                      "--point", "11,4.5", "--budget", "20"]):
+            out = str(tmp_path / f"{argv[0]}.csv")
+            assert main([*argv, "--out", out, "--threads", "2"]) == EXIT_USAGE
+            assert main([*argv, "--out", out]) == EXIT_OK
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "energy-map" in capsys.readouterr().out

@@ -177,3 +177,36 @@ class TestProductExpectation:
         avg = 0.5 * (dense_product_expectation(EmitterState.pure(e1), g, ph.phases)
                      + dense_product_expectation(EmitterState.pure(e2), g, ph.phases))
         assert product_expectation(mix, g, ph) == pytest.approx(avg, abs=1e-14)
+
+
+class TestBatchedProductExpectation:
+    """A batch of angle vectors gives, element for element, the scalar call's bits."""
+
+    @staticmethod
+    def states(n, rng):
+        vecs = [rng.normal(size=2**n) + 1j * rng.normal(size=2**n) for _ in range(2)]
+        vecs = [v / np.linalg.norm(v) for v in vecs]
+        return (w_state(n, rng.uniform(-3, 3, n)), classical_mixture(n),
+                EmitterState.pure(vecs[0]),
+                EmitterState.mixture([(0.4, vecs[0]), (0.6, vecs[1])]))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("shape", [(7,), (3, 5)])
+    def test_rows_equal_scalar_calls(self, n, shape):
+        rng = np.random.default_rng(10 * n + len(shape))
+        ph = phases_for(n)
+        g = rng.uniform(-2, 2, shape + (n,))
+        g[..., 0, :] = 0.0                        # all-zero angle vectors
+        g[(rng.random(shape + (n,)) < 0.3)] = 0.0  # some emitters off in some rows
+        if n > 1:
+            g[..., -1] = 0.0                      # a column gated out of every row
+        for state in self.states(n, rng):
+            got = product_expectation(state, g, ph)
+            assert got.shape == shape
+            expect = [product_expectation(state, row, ph) for row in g.reshape(-1, n)]
+            assert all(isinstance(v, float) for v in expect)
+            assert np.array_equal(got, np.reshape(expect, shape))
+
+    def test_batch_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="angles"):
+            product_expectation(w_state(2, [0, 0]), np.zeros((4, 3)), phases_for(2))

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 import qshock
-from qshock.kernels import QuadratureSettings
+from qshock.kernels import KernelSet, QuadratureSettings
 from qshock.mapper import (GridMap, SweepCurve, capacity_map, coupling_sweep,
                            diff_map, energy_map, optimize_phases, read_grid_csv,
                            write_grid_csv, write_sweep_csv)
-from qshock.observables import KernelBank, energy_density
+from qshock.observables import (KernelBank, ReceiverNotCoupledWarning, channel_capacity,
+                                channel_point, energy_density)
 from qshock.scenario import Detector, EmitterState, Scenario, load_scenario, w_state
 
 from conftest import four_emitter_config, three_emitter_config
@@ -222,6 +223,39 @@ class TestCouplingSweep:
         with pytest.raises(ValueError, match="samples"):
             coupling_sweep(scn, [1.0, 2.0])
 
+    def test_non_finite_coupling_rejected(self):
+        scn = load_scenario(four_emitter_config())
+        with pytest.raises(ValueError, match="finite"):
+            coupling_sweep(scn, [0.0, 1.0, np.nan])
+
+    @pytest.mark.parametrize("state_type, receiver_pos, receiver_time", [
+        ("w", (11.0, 4.5, 0.0), 8.0),
+        ("classical", (11.0, 4.5, 0.0), 8.0),
+        ("w", (5.0, 2.0, 0.0), 3.5),   # the fourth emitter fires after the receiver
+    ])
+    def test_capacities_equal_pointwise_channel(self, state_type, receiver_pos,
+                                                receiver_time):
+        cfg = json.loads(four_emitter_config(phases=(0, 0, math.pi, math.pi),
+                                             state_type=state_type,
+                                             receiver_pos=receiver_pos))
+        cfg["receiver"]["time"] = receiver_time
+        scn = load_scenario(json.dumps(cfg))
+        lams = np.linspace(0.0, 8.0, 25)
+        curve = coupling_sweep(scn, lams)
+        bank = KernelBank()
+        expect = [channel_capacity(channel_point(
+            scn.with_receiver(scn.receiver.with_strength(lb)), bank)) for lb in lams]
+        assert np.array_equal(curve.capacities, expect)
+        assert curve.argmax_capacity > 0.0
+
+    def test_receiver_not_yet_coupled(self):
+        cfg = json.loads(four_emitter_config())
+        cfg["evaluation_time"] = cfg["receiver"]["time"]
+        scn = load_scenario(json.dumps(cfg))
+        with pytest.warns(ReceiverNotCoupledWarning):
+            curve = coupling_sweep(scn, np.linspace(0.0, 8.0, 5))
+        assert np.array_equal(curve.capacities, np.zeros(5))
+
 
 class TestOptimizePhases:
     def test_single_emitter_constant_objective(self):
@@ -272,10 +306,70 @@ class TestOptimizePhases:
         assert not res.converged
         assert res.evaluations <= 24  # one simplex step may overshoot slightly
 
+    @pytest.mark.parametrize("objective", ["energy", "capacity"])
+    def test_trace_values_equal_pointwise_evaluation(self, objective):
+        scn = load_scenario(four_emitter_config())
+        point = (11.0, 4.5, 0.0)
+        res = optimize_phases(scn, objective, point, budget=60, restarts=2, seed=1)
+        bank = KernelBank()
+        for theta, value in res.trace:
+            with_theta = scn.with_state(w_state(4, theta))
+            if objective == "energy":
+                expect = energy_density(with_theta, point, scn.evaluation_time)
+            else:
+                expect = channel_capacity(channel_point(
+                    with_theta.with_receiver(scn.receiver.moved_to(point)), bank))
+            assert value == expect
+        assert res.value > 0.0
+
     def test_objective_validation(self):
         scn = load_scenario(four_emitter_config())
         with pytest.raises(ValueError, match="objective"):
             optimize_phases(scn, "entropy", (0, 0, 0))
+
+
+class TestKernelsEvaluatedOnce:
+    """A sweep or a phase search evaluates each kernel once, however many samples."""
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        calls = []
+        for name in ("commutator", "vacuum_variance"):
+            original = getattr(KernelSet, name)
+
+            def counted(self, *args, _name=name, _original=original, **kwargs):
+                calls.append((_name, self.radius, args, tuple(sorted(kwargs.items()))))
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(KernelSet, name, counted)
+        return calls
+
+    @staticmethod
+    def assert_each_once(calls, n_emitters):
+        assert len(calls) == len(set(calls))
+        assert [c[0] for c in calls].count("vacuum_variance") == 1
+        assert [c[0] for c in calls].count("commutator") == n_emitters
+
+    def test_sweep(self, kernel_calls):
+        coupling_sweep(load_scenario(four_emitter_config()), np.linspace(0.0, 8.0, 60))
+        self.assert_each_once(kernel_calls, 4)
+
+    def test_capacity_search(self, kernel_calls):
+        res = optimize_phases(load_scenario(four_emitter_config()), "capacity",
+                              (11.0, 4.5, 0.0), budget=60, restarts=2)
+        assert res.evaluations > 1
+        self.assert_each_once(kernel_calls, 4)
+
+    def test_energy_search(self, kernel_calls, monkeypatch):
+        import qshock.observables
+        radiation = []
+        original = qshock.observables.closed_form_radiation
+        monkeypatch.setattr(qshock.observables, "closed_form_radiation",
+                            lambda *args: radiation.append(args) or original(*args))
+        res = optimize_phases(load_scenario(four_emitter_config()), "energy",
+                              (11.0, 4.5, 0.0), budget=60, restarts=2)
+        assert res.evaluations > 1
+        assert len(radiation) == 1 and kernel_calls == []
 
 
 class TestSerialization:
