@@ -9,6 +9,7 @@ artifacts are reproducible byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -161,6 +162,16 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> _Parser:
+    """The parser main uses: built on the first call, then kept for the process.
+
+    parse_args fills a fresh namespace on every call, so reuse carries no
+    state from one command to the next.
+    """
+    return build_parser()
+
+
 # ----------------------------------------------------------------------
 # subcommand bodies
 # ----------------------------------------------------------------------
@@ -311,7 +322,7 @@ def _cmd_oracle(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

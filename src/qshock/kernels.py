@@ -29,10 +29,20 @@ as array functions.  The energy density evaluates the radiation kernels
 through theirs; the quadrature serves the commutator and nu, and the
 test suite and the `kernels --cross-check` CLI subcommand compare the two.
 
-Evaluation is pure; a memo cache keyed by rounded arguments makes the
-repeated commutator and nu evaluations of capacity maps cheap.  Sweeps and
-phase searches do not rely on it: they evaluate each kernel once per call.
-Values are deterministic for fixed settings regardless of call order.
+A memo cache keyed by arguments rounded to `cache_decimals` (9) makes the
+repeated commutator and nu evaluations of capacity maps cheap.  It keeps
+the value of the first call for each key, so arguments that round alike
+share that value and a KernelSet's results can depend on call order: on
+one KernelSet(0.5), commutator(0.6000000001, 0.7) followed by
+commutator(0.6000000004, 0.7) returns the first point's value, which
+differs from a fresh set's in the 11th digit.  Outputs are still
+reproducible, because every capacity-map row uses a fresh cache and
+visits its cells in a fixed order, and sweeps and phase searches
+evaluate each kernel once per call on a fresh cache.
+
+scipy.special (exp1, for the quadrature tails) is imported inside
+_tail_sum, once per kernel evaluation, so the closed forms and the
+import of this module do not load scipy.
 """
 
 from __future__ import annotations
@@ -42,7 +52,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import exp1
 
 __all__ = [
     "QuadratureSettings",
@@ -189,8 +198,11 @@ def _expand_trig_product(coeff: float, factors) -> list[tuple[complex, float, co
     return [(c, f, shifts[f]) for f, c in merged.items() if abs(c) > 0.0]
 
 
-def _tail_T(m: int, a: float, cut: float) -> tuple[complex, float]:
-    """T_m(a, K) and its slope |dT_m/da| = |T_{m-1}(a, K)|, T_0 = -e^{iaK}/(ia)."""
+def _tail_T(m: int, a: float, cut: float, exp1) -> tuple[complex, float]:
+    """T_m(a, K) and its slope |dT_m/da| = |T_{m-1}(a, K)|, T_0 = -e^{iaK}/(ia).
+
+    exp1 is scipy.special.exp1, passed in by the caller (see _tail_sum).
+    """
     z = 1j * a
     if abs(z) * cut < 1e-14:
         if m == 1:
@@ -206,7 +218,13 @@ def _tail_T(m: int, a: float, cut: float) -> tuple[complex, float]:
 
 
 def _tail_sum(pieces, cut: float) -> tuple[float, float]:
-    """Tail integral and its error bound, the sum of eps |c T_m| + |s dT_m/da|."""
+    """Tail integral and its error bound, the sum of eps |c T_m| + |s dT_m/da|.
+
+    scipy.special is imported here, once per kernel evaluation, so that
+    importing the package (and every closed-form path) does not load scipy.
+    """
+    from scipy.special import exp1
+
     total, bound, eps = 0.0j, 0.0, float(np.finfo(float).eps)
     for coeff, factors, power in pieces:
         for c, a, shift in _expand_trig_product(coeff, factors):
@@ -216,7 +234,7 @@ def _tail_sum(pieces, cut: float) -> tuple[float, float]:
                 if abs(c) > 1e-10 * abs(coeff):
                     raise ValueError("non-vanishing zero-frequency 1/k atom")
                 continue
-            t, slope = _tail_T(power, a, cut)
+            t, slope = _tail_T(power, a, cut, exp1)
             total += c * t
             bound += eps * abs(c * t) + abs(shift) * slope
     return float(total.real), float(bound)

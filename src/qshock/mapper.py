@@ -18,6 +18,11 @@ row starts with its y value; numbers are printed with 9 significant
 digits in scientific notation so identical runs are byte-identical.  A
 JSON sidecar carries the scenario fingerprint, quantity tag, wall time
 and any quadrature tolerance.
+
+Imports that only some calls need are made inside those calls:
+scipy.optimize in optimize_phases (for n >= 2 emitters) and
+concurrent.futures in _run_rows (capacity maps with threads > 1), so
+importing this module loads neither.
 """
 
 from __future__ import annotations
@@ -25,12 +30,10 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .kernels import QuadratureError, QuadratureSettings
 from .emitters import MonopolePhase
@@ -144,6 +147,8 @@ def _run_rows(row, ys, threads: int):
     """Map row(y) over the y samples, serially or in processes."""
     if threads <= 1:
         return [row(yv) for yv in ys]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(row, ys, chunksize=1))
 
@@ -329,6 +334,8 @@ def optimize_phases(scenario: Scenario, objective: str, point,
         val = evaluate(np.zeros(1))
         return PhaseOptimum((0.0,), val, objective, counter["n"], True, 1,
                             tuple(trace))
+
+    from scipy.optimize import minimize
 
     rng = np.random.default_rng(seed)
     starts = [np.zeros(n - 1)]

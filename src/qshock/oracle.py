@@ -16,6 +16,9 @@ reduction, the C1 vacuum factor, the gating of the signal angles, the
 energy-density cross terms, through the pipeline's own quadratic form)
 in complete isolation from kernel accuracy, which the tests check
 against the kernels' closed forms.  The oracle never integrates.
+
+scipy.linalg is imported inside expm, on the first exact evolution, so
+importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .emitters import MonopolePhase, pair_correlation, product_expectation
 from .kernels import sphere_form_factor
@@ -160,6 +162,12 @@ def _field_displacement_generator(betas: np.ndarray, ann: list[np.ndarray]) -> n
     for b, a in zip(betas, ann):
         phi += b * a.conj().T + np.conj(b) * a
     return phi
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """Dense matrix exponential, scipy.linalg.expm imported on first use."""
+    from scipy.linalg import expm as dense_expm
+    return dense_expm(a)
 
 
 def _check_budget(n_qubits: int, modes: ModeSet, budget: int) -> int:

@@ -113,11 +113,12 @@ class EmitterState:
                 raise ValidationError("state", "mixture weights must be >= 0")
             if len(vec) != dim:
                 raise ValidationError("state", "mixture components differ in length")
-            norm = math.sqrt(sum(abs(a) ** 2 for a in vec))
+            amplitudes = tuple(map(complex, vec))
+            norm = math.sqrt(sum(abs(a) ** 2 for a in amplitudes))
             if abs(norm - 1.0) > _NORM_TOL:
                 raise ValidationError("state", f"component norm {norm!r} != 1")
             total += w
-            frozen.append((w, tuple(complex(a) for a in vec)))
+            frozen.append((w, amplitudes))
         if abs(total - 1.0) > _NORM_TOL:
             raise ValidationError("state", f"mixture weights sum to {total!r} != 1")
         object.__setattr__(self, "components", tuple(frozen))
@@ -135,14 +136,14 @@ class EmitterState:
         for w, vec in self.components:
             yield w, np.array(vec, dtype=complex)
 
+    # __post_init__ converts every amplitude to complex; these only collect them
     @staticmethod
     def pure(amplitudes) -> "EmitterState":
-        return EmitterState(((1.0, tuple(complex(a) for a in amplitudes)),))
+        return EmitterState(((1.0, tuple(amplitudes)),))
 
     @staticmethod
     def mixture(pairs) -> "EmitterState":
-        return EmitterState(tuple((float(w), tuple(complex(a) for a in vec))
-                                  for w, vec in pairs))
+        return EmitterState(tuple((float(w), tuple(vec)) for w, vec in pairs))
 
 
 def _single_excitation_index(n: int, m: int) -> int:
@@ -164,7 +165,7 @@ def w_state(n: int, phases) -> EmitterState:
     vec = np.zeros(2**n, dtype=complex)
     for m, theta in enumerate(phases, start=1):
         vec[_single_excitation_index(n, m)] = np.exp(1j * theta) / math.sqrt(n)
-    return EmitterState.pure(vec)
+    return EmitterState.pure(vec.tolist())
 
 
 def classical_mixture(n: int) -> EmitterState:
@@ -175,7 +176,7 @@ def classical_mixture(n: int) -> EmitterState:
     for m in range(1, n + 1):
         vec = np.zeros(2**n, dtype=complex)
         vec[_single_excitation_index(n, m)] = 1.0
-        pairs.append((1.0 / n, vec))
+        pairs.append((1.0 / n, vec.tolist()))
     return EmitterState.mixture(pairs)
 
 

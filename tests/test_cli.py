@@ -1,13 +1,19 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from qshock.cli import EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
+from qshock import cli, oracle
+from qshock.cli import EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, build_parser, main
+from qshock.scenario import Detector, Scenario, w_state
 
 from conftest import three_emitter_config
 
-SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+ROOT = Path(__file__).resolve().parents[1]
+SCENARIOS = ROOT / "scenarios"
 
 
 @pytest.fixture()
@@ -177,3 +183,141 @@ class TestOracleCommand:
         out = capsys.readouterr().out
         assert "pass" in out
         assert "FAIL" not in out
+
+
+class TestSharedParser:
+    """main parses every command with one parser, built once per process."""
+
+    @pytest.fixture()
+    def recorded(self, monkeypatch):
+        calls = []
+
+        def record(args, *_):
+            calls.append(vars(args).copy())
+            return EXIT_OK
+
+        for name in ("_cmd_validate", "_cmd_map", "_cmd_diff", "_cmd_sweep",
+                     "_cmd_optimize", "_cmd_kernels", "_cmd_oracle"):
+            monkeypatch.setattr(cli, name, record)
+        return calls
+
+    def test_built_once_and_build_parser_stays_fresh(self, monkeypatch, recorded):
+        builds = []
+
+        def counting_build():
+            builds.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        cli._shared_parser.cache_clear()
+        try:
+            for argv in (["validate", "--config", "a"], ["oracle"],
+                         ["diff", "--a", "x", "--b", "y", "--out", "z"], ["frobnicate"]):
+                main(argv)
+            assert len(builds) == 1
+            assert cli._shared_parser() is cli._shared_parser()
+        finally:
+            cli._shared_parser.cache_clear()
+        assert build_parser() is not build_parser()
+
+    def test_successive_commands_share_no_state(self, recorded):
+        opt = ["optimize", "--config", "c", "--out", "o", "--point", "1,2"]
+        assert main([*opt, "--objective", "energy", "--seed", "5",
+                     "--budget", "7", "--tolerance", "1e-6"]) == EXIT_OK
+        assert main(["sweep", "--config", "c", "--out", "s", "--samples", "9"]) == EXIT_OK
+        assert main([*opt, "--objective", "capacity"]) == EXIT_OK
+        assert main(["capacity-map", "--config", "c", "--out", "m",
+                     "--threads", "1", "--resolution", "5"]) == EXIT_OK
+        assert main(["capacity-map", "--config", "c", "--out", "m"]) == EXIT_OK
+        first, sweep, second, threaded, default = recorded
+        assert (first["seed"], first["budget"], first["tolerance"]) == (5, 7, 1e-6)
+        assert (second["seed"], second["budget"], second["tolerance"]) == (0, 800, None)
+        assert second["objective"] == "capacity"
+        assert sweep == {"subcommand": "sweep", "config": "c", "out": "s",
+                         "tolerance": None, "lambda_min": 0.0, "lambda_max": 8.0,
+                         "samples": 9}
+        assert (threaded["threads"], threaded["resolution"]) == (1, 5)
+        assert default["threads"] == (os.cpu_count() or 1)
+        assert default["resolution"] == cli.DEFAULT_RESOLUTION
+
+    def test_usage_errors_exit_64_between_commands(self, recorded, capsys):
+        bad = (["energy-map", "--config", "c", "--out", "e", "--threads", "2"],
+               ["frobnicate"], ["validate"], ["sweep", "--config", "c", "--out", "s",
+                                              "--samples", "many"], [])
+        for argv in bad:
+            assert main(argv) == EXIT_USAGE
+            assert main(["validate", "--config", "c"]) == EXIT_OK
+        assert all(call == {"subcommand": "validate", "config": "c"}
+                   for call in recorded)
+        assert main(["--help"]) == 0
+        assert "energy-map" in capsys.readouterr().out
+
+
+# Runs the commands in a fresh interpreter; after each one, prints its exit
+# code and the scipy modules loaded so far as one JSON line.
+_FRESH = """
+import io, json, sys
+from contextlib import redirect_stdout
+import qshock.cli
+loaded = lambda: sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps([None, loaded()]))
+for argv in json.loads(sys.argv[1]):
+    with redirect_stdout(io.StringIO()):
+        code = qshock.cli.main(argv)
+    print(json.dumps([code, loaded()]))
+"""
+
+
+def _fresh_interpreter(commands, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", _FRESH, json.dumps(commands)],
+                          cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=300, check=True)
+    return [json.loads(line) for line in done.stdout.splitlines()]
+
+
+class TestColdStart:
+    """Only the subcommands that call into scipy load it."""
+
+    def test_import_and_closed_form_commands_load_no_scipy(self, tmp_path):
+        a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+        commands = [["validate", "--config", str(SCENARIOS / "fig1.cfg")],
+                    ["energy-map", "--config", str(SCENARIOS / "fig1.cfg"),
+                     "--resolution", "4", "--out", a],
+                    ["energy-map", "--config", str(SCENARIOS / "fig1_classical.cfg"),
+                     "--resolution", "4", "--out", b],
+                    ["diff", "--a", a, "--b", b, "--out", str(tmp_path / "d.csv")]]
+        steps = _fresh_interpreter(commands, tmp_path)
+        assert steps == [[None, []]] + [[EXIT_OK, []]] * len(commands)
+
+    def test_scipy_commands_run_in_a_clean_interpreter(self, tmp_path):
+        commands = [["capacity-map", "--config", str(SCENARIOS / "fig2b.cfg"),
+                     "--resolution", "4", "--out", str(tmp_path / "c.csv")],
+                    ["optimize", "--config", str(SCENARIOS / "fig2a.cfg"),
+                     "--objective", "capacity", "--point", "11,4.5", "--budget", "20",
+                     "--out", str(tmp_path / "o.csv")]]
+        start, capacity, optimize = _fresh_interpreter(commands, tmp_path)
+        assert start == [None, []]
+        assert capacity[0] == EXIT_OK and "scipy.special" in capacity[1]
+        assert "scipy.optimize" not in capacity[1]
+        assert optimize[0] == EXIT_OK and "scipy.optimize" in optimize[1]
+        assert (tmp_path / "c.csv").is_file() and (tmp_path / "o.csv").is_file()
+
+    def test_exact_evolution_calls_module_level_expm(self, monkeypatch):
+        # benchmark instrumentation wraps qshock.oracle.expm by name
+        shapes = []
+        real = oracle.expm
+
+        def counting(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return real(a, *args, **kwargs)
+
+        scenario = Scenario((Detector((0.0, 0.0, 0.0), 0.5, 0.9),),
+                            Detector((0.7, 0.9, 0.2), 3.0, 0.8), w_state(1, [0.4]), 5.0)
+        modes = oracle.ModeSet(((0.9, 0.2, -0.3), (-0.4, 1.1, 0.3)), (12.0, 20.0), 4)
+        expected = oracle.exact_probability(modes, scenario, True)
+        monkeypatch.setattr(oracle, "expm", counting)
+        assert oracle.exact_probability(modes, scenario, True) == expected
+        assert shapes == [(64, 64), (64, 64)]   # emitter, then receiver

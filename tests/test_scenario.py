@@ -68,6 +68,20 @@ class TestWState:
         vec = np.array(w_state(n, phases).components[0][1])
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
 
+    @given(n=st.integers(1, 8), data=st.data())
+    def test_amplitudes_equal_per_element_conversion(self, n, data):
+        # the stored amplitudes are exactly complex(a) of the numpy W vector
+        phases = data.draw(st.lists(st.floats(-10, 10), min_size=n, max_size=n))
+        vec = np.zeros(2**n, dtype=complex)
+        for m, theta in enumerate(phases):
+            vec[1 << (n - 1 - m)] = np.exp(1j * theta) / math.sqrt(n)
+        (w, stored), = w_state(n, phases).components
+        assert w == 1.0 and len(stored) == 2**n
+        for got, a in zip(stored, vec):
+            assert type(got) is complex
+            want = complex(a)
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
 
 class TestClassicalMixture:
     def test_single(self):
@@ -105,6 +119,15 @@ class TestEmitterState:
         good = np.array([1.0, 0.0])
         with pytest.raises(ValidationError, match="weights"):
             EmitterState.mixture([(0.6, good), (0.6, good)])
+
+    def test_amplitudes_stored_as_python_complex(self):
+        amps = np.array([0.6, 0.8j])
+        for state in (EmitterState.pure(amps), EmitterState.pure(a for a in amps),
+                      EmitterState.mixture([(1.0, amps)]),
+                      EmitterState(((1, [0.6, 0.8j]),))):
+            (w, stored), = state.components
+            assert type(w) is float and stored == (0.6 + 0j, 0.8j)
+            assert all(type(a) is complex for a in stored)
 
 
 class TestLoadScenario:
