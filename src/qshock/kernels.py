@@ -29,9 +29,16 @@ as array functions.  The energy density evaluates the radiation kernels
 through theirs; the quadrature serves the commutator and nu, and the
 test suite and the `kernels --cross-check` CLI subcommand compare the two.
 
-A memo cache keyed by arguments rounded to `cache_decimals` (9) makes the
-repeated commutator and nu evaluations of capacity maps cheap.  It keeps
-the value of the first call for each key, so arguments that round alike
+The commutator of balls with radii R_B and R_i vanishes exactly unless
+|d - |dt|| < R_B + R_i (the strong Huygens principle); _in_causal_contact
+states that support, together with the time ordering dt > 0 that lets an
+emitter signal a receiver.  Capacity maps, sweeps and phase searches run
+the commutator quadrature only at a receiver that at least one emitter
+is in causal contact with; everywhere else every Delta is exactly 0 and
+no quadrature runs.  That gate, not the memo cache, keeps capacity maps
+cheap: the cache, keyed by arguments rounded to `cache_decimals` (9),
+mainly serves nu to every cell of a capacity-map row.  It keeps the
+value of the first call for each key, so arguments that round alike
 share that value and a KernelSet's results can depend on call order: on
 one KernelSet(0.5), commutator(0.6000000001, 0.7) followed by
 commutator(0.6000000004, 0.7) returns the first point's value, which
@@ -74,6 +81,17 @@ _INV_2PI2 = 1.0 / (2.0 * math.pi**2)
 # Arguments closer to a kernel singularity than this are nudged outward;
 # the kernels are smooth there and the shift is far below every tolerance.
 _R_FLOOR = 1e-6
+
+
+def _in_causal_contact(d, dt, radius_b, radius_i):
+    """Whether emitter i, fired dt before the receiver at distance d, can signal it.
+
+    True iff dt > 0 and |max(d, _R_FLOOR) - dt| < R_B + R_i: outside that
+    set the commutator kernel Delta(d, dt) is exactly 0 (its closed form
+    returns 0.0; docs/derivations.md section 3).  Broadcasts over arrays.
+    """
+    d = np.maximum(d, _R_FLOOR)
+    return (np.asarray(dt) > 0.0) & (np.abs(d - dt) < radius_b + radius_i)
 
 
 class QuadratureError(RuntimeError):

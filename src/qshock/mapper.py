@@ -6,18 +6,23 @@ capacity as a function of the receiver location.  An energy map is one
 energy_density call per y row.  Capacity cells go through the kernel
 quadrature; their rows run serially or in a process pool with identical
 results, because every cell is a pure function of the scenario and
-quadrature settings, and isolated failed cells are retried.
+quadrature settings, and isolated failed cells are retried.  Only cells
+in causal contact with at least one emitter (kernels._in_causal_contact)
+reach the quadrature; every other cell is p = q and capacity 0 exactly,
+and the sidecar counts the former as cells_in_contact.
 
 Sweeps and phase searches hoist the geometry: the kernels at the fixed
 receiver or point are evaluated once per call, and each sample or
 evaluation only runs the emitter-register algebra.  A sweep passes all
-its couplings to product_expectation as one (samples, n) batch of angles.
+its couplings to product_expectation as one (samples, n) batch of angles;
+at a receiver no emitter is in causal contact with, neither runs any
+quadrature or register algebra and every capacity is exactly 0.
 
 CSV layout: first row is the x axis (blank corner cell), each following
 row starts with its y value; numbers are printed with 9 significant
 digits in scientific notation so identical runs are byte-identical.  A
-JSON sidecar carries the scenario fingerprint, quantity tag, wall time
-and any quadrature tolerance.
+JSON sidecar carries the scenario fingerprint, quantity tag, wall time,
+any quadrature tolerance and, for capacity maps, cells_in_contact.
 
 Imports that only some calls need are made inside those calls:
 scipy.optimize in optimize_phases (for n >= 2 emitters) and
@@ -35,7 +40,7 @@ from functools import partial
 
 import numpy as np
 
-from .kernels import QuadratureError, QuadratureSettings
+from .kernels import QuadratureError, QuadratureSettings, _in_causal_contact
 from .emitters import MonopolePhase
 from .observables import (KernelBank, ChannelPoint, channel_capacity, energy_density,
                           excitation_probability, _emission_energy, _emission_kernels,
@@ -216,9 +221,28 @@ def capacity_map(scenario: Scenario, window: Window = DEFAULT_WINDOW,
     cell = partial(_capacity_cell, scenario, q)
     results = _run_rows(partial(_row, cell, xs, settings), ys, threads)
     meta = {"noise_probability": q, "rel_tol": settings.rel_tol,
+            "cells_in_contact": _cells_in_contact(scenario, xs, ys),
             "wall_time_s": time.perf_counter() - t0}
     return _collect(cell, results, xs, ys, "capacity",
                     scenario_fingerprint(scenario, {"rel_tol": settings.rel_tol}), meta)
+
+
+def _cells_in_contact(scenario: Scenario, xs: np.ndarray, ys: np.ndarray) -> int:
+    """Cells of the (ys, xs) grid with at least one emitter in causal contact.
+
+    One array expression over (cells, emitters) of the predicate that
+    gates each cell's quadrature; 0 while the receiver has not coupled.
+    """
+    rec, emitters = scenario.receiver, scenario.emitters
+    if scenario.evaluation_time <= rec.coupling_time:
+        return 0
+    cells = np.stack([*np.meshgrid(xs, ys), np.zeros((ys.size, xs.size))], axis=-1)
+    positions = np.array([e.position for e in emitters]).reshape(-1, 3)
+    contact = _in_causal_contact(
+        np.linalg.norm(cells[..., None, :] - positions, axis=-1),
+        rec.coupling_time - np.array([e.coupling_time for e in emitters]),
+        rec.smearing_radius, np.array([e.smearing_radius for e in emitters]))
+    return int(np.count_nonzero(contact.any(axis=-1)))
 
 
 def diff_map(a: GridMap, b: GridMap) -> GridMap:
@@ -238,10 +262,11 @@ def _capacities(scenario: Scenario, couplings: np.ndarray, settings: QuadratureS
 
     The receiver's nu and Delta_i, hence C1, the angles and q, are fixed
     here; each call runs only the emitter algebra, all couplings in one
-    batch.  All zero when the receiver has not coupled by the evaluation time.
+    batch.  All zero, with no algebra, when the receiver has not coupled
+    by the evaluation time or no emitter is in causal contact with it.
     """
     kernels = _receiver_kernels(scenario, KernelBank(settings))
-    if kernels is None:
+    if kernels is None or not kernels[1].any():
         return lambda state: np.zeros(len(couplings))
     c1 = _vacuum_factor(couplings, kernels[0])
     angles = _signal_angles(couplings, [e.coupling_strength for e in scenario.emitters],

@@ -36,6 +36,11 @@ _receiver_probability, _emission_energy); the mapper's sweeps and phase
 searches evaluate the geometry once and repeat only the algebra.  nu and
 Delta come from the kernel quadrature, the radiation kernels from their
 closed form; docs/derivations.md holds the full reductions.
+
+A receiver that no emitter is in causal contact with (time-ordered and
+inside the commutator's support, kernels._in_causal_contact) gets every
+Delta_i = 0 exactly without any quadrature, and then p = q bit for bit:
+the register algebra is skipped (E = 1) and the capacity is exactly 0.
 """
 
 from __future__ import annotations
@@ -47,7 +52,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .emitters import MonopolePhase, pair_correlation, product_expectation
-from .kernels import KernelSet, QuadratureSettings, closed_form_radiation
+from .kernels import (KernelSet, QuadratureSettings, _in_causal_contact,
+                      closed_form_radiation)
 from .scenario import Scenario
 
 __all__ = [
@@ -125,9 +131,13 @@ def _receiver_kernels(scenario: Scenario, bank: KernelBank | None = None,
 
     Delta_i = Delta(|x_i - x_B|, t_B - t_i), left at 0 for an emitter that
     fires after the receiver, and for every emitter when couple=False (the
-    emitters stay silent).  None, with a ReceiverNotCoupledWarning, when
-    the evaluation time does not exceed the receiver's coupling instant:
-    the probability is then 0.
+    emitters stay silent) or when no emitter is in causal contact with the
+    receiver (kernels._in_causal_contact): there every Delta_i is exactly
+    0 and no quadrature runs.  The gate is per receiver, not per emitter:
+    in contact, every time-ordered Delta_i comes from the quadrature,
+    including an off-support emitter's rounding noise.  None, with a
+    ReceiverNotCoupledWarning, when the evaluation time does not exceed the
+    receiver's coupling instant: the probability is then 0.
     """
     rec = scenario.receiver
     if scenario.evaluation_time <= rec.coupling_time:
@@ -136,13 +146,15 @@ def _receiver_kernels(scenario: Scenario, bank: KernelBank | None = None,
                       stacklevel=3)
         return None
     ks = (bank or KernelBank()).for_radius(rec.smearing_radius)
+    emitters = scenario.emitters if couple else ()
+    dts = [rec.coupling_time - e.coupling_time for e in emitters]
+    ds = [float(np.linalg.norm(rec.position_array - e.position_array)) for e in emitters]
     deltas = np.zeros(scenario.n_emitters)
-    for idx, emitter in enumerate(scenario.emitters if couple else ()):
-        dt = rec.coupling_time - emitter.coupling_time
-        if dt < 0:  # emitter fires after the receiver: time ordering gates it out
-            continue
-        d = float(np.linalg.norm(rec.position_array - emitter.position_array))
-        deltas[idx] = ks.commutator(d, dt, other_radius=emitter.smearing_radius)
+    if any(_in_causal_contact(d, dt, rec.smearing_radius, e.smearing_radius)
+           for e, d, dt in zip(emitters, ds, dts)):
+        for idx, (emitter, d, dt) in enumerate(zip(emitters, ds, dts)):
+            if dt >= 0:  # an emitter firing after the receiver is gated out
+                deltas[idx] = ks.commutator(d, dt, other_radius=emitter.smearing_radius)
     return ks.vacuum_variance(), deltas
 
 
@@ -176,7 +188,7 @@ def _receiver_probability(c1, g=None, state=None, phases=None):
 def _excitation(scenario: Scenario, nu: float, deltas: np.ndarray, couple: bool) -> float:
     rec = scenario.receiver
     c1 = _vacuum_factor(rec.coupling_strength, nu)
-    if not (couple and scenario.n_emitters):
+    if not (couple and deltas.any()):  # no signal: E = 1 and p = q exactly
         return _receiver_probability(c1)
     g = _signal_angles(rec.coupling_strength,
                       [e.coupling_strength for e in scenario.emitters], deltas)

@@ -187,3 +187,18 @@ def four_emitter_config(phases=(0.0, 0.0, 0.0, 0.0), state_type="w",
 def kernel_bank():
     from qshock.observables import KernelBank
     return KernelBank()
+
+
+@pytest.fixture
+def commutator_calls(monkeypatch):
+    """Every KernelSet.commutator call made during the test, as (d, dt) pairs."""
+    from qshock.kernels import KernelSet
+    calls = []
+    original = KernelSet.commutator
+
+    def counted(self, d, dt, *args, **kwargs):
+        calls.append((d, dt))
+        return original(self, d, dt, *args, **kwargs)
+
+    monkeypatch.setattr(KernelSet, "commutator", counted)
+    return calls

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from qshock.kernels import KernelSet, QuadratureSettings
+from qshock.kernels import KernelSet, QuadratureSettings, closed_form_commutator
 from qshock.mapper import capacity_map, coupling_sweep, diff_map, energy_map
 from qshock.observables import (KernelBank, channel_capacity, channel_point,
                                 energy_density, excitation_probability)
@@ -35,11 +35,19 @@ def report(criterion: str, detail: str, elapsed: float, limit: float | None = No
 # criterion 1: microcausality / no-signaling
 # ----------------------------------------------------------------------
 
+# The pipeline skips the commutator quadrature at receivers outside every
+# emitter's light-cone shell, so p = q there by construction.  The kernel
+# itself is therefore checked at every spacelike pair: its exact closed form
+# is 0, and the quadrature's off-support noise (at most 1.1e-14 over these
+# 93 pairs) stays below KERNEL_NOISE_BOUND.
+KERNEL_NOISE_BOUND = 1e-12
+
+
 def test_criterion_1_no_signaling():
     t0 = time.perf_counter()
     rng = np.random.default_rng(2024)
     bank = KernelBank()
-    worst_gap, worst_cap = 0.0, 0.0
+    worst_gap, worst_cap, worst_kernel = 0.0, 0.0, 0.0
     for _ in range(50):
         n = int(rng.integers(1, 4))
         emitters = []
@@ -59,8 +67,11 @@ def test_criterion_1_no_signaling():
         scenario = Scenario(tuple(emitters), receiver, w_state(n, rng.uniform(
             0, 2 * math.pi, size=n)), t_b + 1.0)
         for e in emitters:
-            d = np.linalg.norm(receiver.position_array - e.position_array)
-            assert d > (t_b - e.coupling_time) + 2 * R + 0.1
+            d = float(np.linalg.norm(receiver.position_array - e.position_array))
+            dt = t_b - e.coupling_time
+            assert d > dt + 2 * R + 0.1
+            assert closed_form_commutator(d, dt, R, R) == 0.0
+            worst_kernel = max(worst_kernel, abs(bank.for_radius(R).commutator(d, dt)))
         p = excitation_probability(scenario, couple=True, bank=bank)
         q = excitation_probability(scenario, couple=False, bank=bank)
         cap = channel_capacity(p=p, q=q)
@@ -69,10 +80,12 @@ def test_criterion_1_no_signaling():
     elapsed = time.perf_counter() - t0
     assert worst_gap < 1e-9
     assert worst_cap < 1e-12
+    assert worst_kernel < KERNEL_NOISE_BOUND
     assert elapsed < 60.0
     report("criterion 1 (no-signaling)",
            f"50 spacelike scenarios, max |p-q| {worst_gap:.1e}, "
-           f"max capacity {worst_cap:.1e}", elapsed, 60)
+           f"max capacity {worst_cap:.1e}, max |Delta| quadrature "
+           f"{worst_kernel:.1e} (closed form 0)", elapsed, 60)
 
 
 # ----------------------------------------------------------------------

@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings as hsettings, strategies as st
+from hypothesis import example, given, settings as hsettings, strategies as st
 
-from qshock.kernels import (KernelSet, QuadratureSettings, closed_form_commutator,
-                            closed_form_radiation, closed_form_variance,
-                            commutator_kernel, radiation_kernel, sphere_form_factor,
-                            vacuum_variance)
+from qshock.kernels import (KernelSet, QuadratureSettings, _in_causal_contact,
+                            closed_form_commutator, closed_form_radiation,
+                            closed_form_variance, commutator_kernel, radiation_kernel,
+                            sphere_form_factor, vacuum_variance)
 
 from conftest import retarded_dr, retarded_dt
 
@@ -348,6 +348,26 @@ class TestClosedForms:
         assert closed_form_commutator(d, -dt, ra, rb) == -value
         if abs(d - dt) >= ra + rb:  # |dt| outside (d - S, d + S)
             assert value == 0.0
+
+    @given(d=st.one_of(st.floats(0.0, 12.0), st.floats(0.0, 2e-6)),
+           dt=st.one_of(st.floats(-12.0, 12.0), st.just(0.0)),
+           radii=st.sampled_from(RADIUS_PAIRS + [(0.25, 0.75)]),
+           edge=st.sampled_from([None, -1.0, 1.0]))
+    @hsettings(max_examples=300, deadline=None)
+    @example(d=3.0, dt=2.0, radii=(0.5, 0.5), edge=None)    # d - dt == S exactly
+    @example(d=2.0, dt=3.0, radii=(0.5, 0.5), edge=None)    # dt - d == S exactly
+    @example(d=4.0, dt=5.0, radii=(0.25, 0.75), edge=None)  # mixed radii, dt - d == S
+    @example(d=0.0, dt=6.0, radii=(0.5, 0.5), edge=None)    # d floored, inner hole
+    @example(d=1e-9, dt=0.0, radii=(0.5, 0.5), edge=None)   # dt = 0 at the floor
+    @example(d=0.0, dt=0.0, radii=(0.3, 1.1), edge=None)
+    def test_exactly_zero_without_causal_contact(self, d, dt, radii, edge):
+        ra, rb = radii
+        if edge is not None:  # on a support edge, up to the rounding of d +- S
+            dt = max(d, 1e-6) + edge * (ra + rb)
+        # an emitter firing with or after the receiver never signals it
+        assert not _in_causal_contact(d, -abs(dt), ra, rb)
+        if not _in_causal_contact(d, abs(dt), ra, rb):
+            assert closed_form_commutator(d, dt, ra, rb) == 0.0
 
     def test_arrays_broadcast(self):
         d = np.array([0.5, 3.0, 10.0])

@@ -20,6 +20,7 @@ from qshock.scenario import Detector, EmitterState, Scenario, load_scenario, w_s
 from conftest import four_emitter_config, three_emitter_config
 
 WINDOW = (3.0, 13.0, 0.0, 10.0)
+R = 0.5  # the default smearing radius of every detector here
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +105,16 @@ def small_capacity_map(contact_scenario):
     return capacity_map(contact_scenario, CAPACITY_WINDOW, 6)
 
 
+def contact_cells(scn, grid):
+    """Cells whose receiver lies on some earlier emitter's smeared light-cone shell."""
+    rec = scn.receiver
+    return np.array([[any(
+        0.0 < rec.coupling_time - e.coupling_time
+        and abs(math.dist((xv, yv, 0.0), e.position)
+                - (rec.coupling_time - e.coupling_time)) < 2 * R
+        for e in scn.emitters) for xv in grid.x] for yv in grid.y])
+
+
 class TestCapacityMap:
     def test_parallel_equals_serial(self, small_capacity_map, contact_scenario):
         par = capacity_map(contact_scenario, CAPACITY_WINDOW, 6, threads=2)
@@ -151,7 +162,27 @@ print("ok")
     def test_spacelike_window_is_zero(self):
         scn = load_scenario(three_emitter_config(evaluation_time=9.0))
         grid = capacity_map(scn, (200.0, 210.0, 0.0, 10.0), 5)
-        assert np.all(grid.values < 1e-12)
+        assert np.all(grid.values == 0.0)
+        assert grid.meta["cells_in_contact"] == 0
+
+    def test_receiver_not_yet_coupled_has_no_contact_cells(self):
+        scn = load_scenario(three_emitter_config(evaluation_time=8.0))  # t_B = 8
+        with pytest.warns(ReceiverNotCoupledWarning):
+            grid = capacity_map(scn, CAPACITY_WINDOW, 3)
+        assert np.all(grid.values == 0.0)
+        assert grid.meta["cells_in_contact"] == 0
+
+    def test_quadrature_only_in_contact_cells(self, commutator_calls):
+        # the 24x24 fig2b map: a cell runs the commutator quadrature for all
+        # four emitters iff at least one of them is in causal contact
+        scn = load_scenario(four_emitter_config(phases=(0, 0, math.pi, math.pi)))
+        grid = capacity_map(scn, (0.0, 16.0, 0.0, 16.0), 24)
+        contact = contact_cells(scn, grid)
+        assert np.count_nonzero(contact) == 174
+        assert grid.meta["cells_in_contact"] == 174
+        assert len(commutator_calls) == 4 * 174
+        assert np.all(grid.values[~contact] == 0.0)
+        assert np.count_nonzero(grid.values[contact]) > 0
 
     def test_ridge_in_contact_region(self):
         scn = load_scenario(three_emitter_config(evaluation_time=9.0))
@@ -360,6 +391,22 @@ class TestKernelsEvaluatedOnce:
         assert res.evaluations > 1
         self.assert_each_once(kernel_calls, 4)
 
+    @pytest.mark.parametrize("receiver_pos, receiver_time", [
+        ((40.0, 0.0, 0.0), 8.0),   # outside every emitter's shell
+        ((7.0, 0.0, 0.0), 30.0),   # inside every shell's inner hole
+    ])
+    def test_disconnected_receiver_runs_no_quadrature(self, commutator_calls,
+                                                      receiver_pos, receiver_time):
+        cfg = json.loads(four_emitter_config(receiver_pos=receiver_pos))
+        cfg["receiver"]["time"] = receiver_time
+        cfg["evaluation_time"] = receiver_time + 1.0
+        scn = load_scenario(json.dumps(cfg))
+        curve = coupling_sweep(scn, np.linspace(0.0, 8.0, 30))
+        assert np.all(curve.capacities == 0.0)
+        res = optimize_phases(scn, "capacity", receiver_pos, budget=40, restarts=2)
+        assert [value for _, value in res.trace] == [0.0] * res.evaluations
+        assert commutator_calls == []
+
     def test_energy_search(self, kernel_calls, monkeypatch):
         import qshock.observables
         radiation = []
@@ -398,6 +445,11 @@ class TestSerialization:
         side = json.loads((tmp_path / "map.json").read_text())
         assert side["quantity"] == "capacity"
         assert "rel_tol" in side
+        in_contact = np.count_nonzero(contact_cells(
+            load_scenario(three_emitter_config(evaluation_time=9.0)), small_capacity_map))
+        assert 0 < in_contact < small_capacity_map.values.size
+        assert side["cells_in_contact"] == in_contact
+        assert side["fingerprint"] == small_capacity_map.fingerprint
 
     def test_sweep_csv(self, tmp_path):
         curve = SweepCurve(np.array([0.0, 1.0, 2.0, 3.0]),

@@ -112,6 +112,55 @@ class TestExcitationProbability:
         assert 0.5 * (1.0 - c1) <= p <= 0.5 * (1.0 + c1)
 
 
+def random_pure(rng, n):
+    vec = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return vec / np.linalg.norm(vec)
+
+
+DISCONNECTED_STATES = {
+    "w": lambda rng: w_state(3, [0.3, 1.1, 2.0]),
+    "classical": lambda rng: classical_mixture(3),
+    "random pure": lambda rng: EmitterState.pure(random_pure(rng, 3)),
+    "random mixed": lambda rng: EmitterState.mixture(
+        [(0.3, random_pure(rng, 3)), (0.7, random_pure(rng, 3))]),
+}
+# receiver (position, coupling time) that no emitter below can signal
+DISCONNECTED_RECEIVERS = {
+    "outside the shells": ((30.0, 0.0, 0.0), 6.0),
+    "inside the inner hole": ((0.5, 0.5, 0.0), 12.0),  # d + 2R <= dt for all
+}
+
+
+def disconnected_scenario(state_kind, receiver_kind, seed=11):
+    emitters = (Detector((0.0, 0.0, 0.0), 0.0, 1.0),
+                Detector((1.0, 0.0, 0.0), 0.5, 1.5),
+                Detector((0.0, 1.0, 0.0), 1.0, 0.7))
+    position, t_b = DISCONNECTED_RECEIVERS[receiver_kind]
+    for e in emitters:
+        d = math.dist(position, e.position)
+        assert abs(d - (t_b - e.coupling_time)) >= 2 * R
+    state = DISCONNECTED_STATES[state_kind](np.random.default_rng(seed))
+    return Scenario(emitters, Detector(position, t_b, 2.0), state, t_b + 1.0)
+
+
+class TestDisconnectedReceiver:
+    """No emitter in causal contact: no quadrature, p = q bit for bit, capacity 0."""
+
+    @pytest.mark.parametrize("receiver_kind", sorted(DISCONNECTED_RECEIVERS))
+    @pytest.mark.parametrize("state_kind", sorted(DISCONNECTED_STATES))
+    def test_noise_only_and_no_commutator_call(self, state_kind, receiver_kind,
+                                               commutator_calls, kernel_bank):
+        scn = disconnected_scenario(state_kind, receiver_kind)
+        point = channel_point(scn, kernel_bank)
+        assert commutator_calls == []
+        assert point.p == point.q
+        assert point.q == 0.5 * (1.0 - c1_factor(2.0, R, kernel_bank))
+        assert channel_capacity(point) == 0.0
+        assert (excitation_probability(scn, True, kernel_bank)
+                == excitation_probability(scn, False, kernel_bank))
+        assert commutator_calls == []
+
+
 class TestEnergyDensity:
     def test_vacuum(self):
         receiver = Detector((0.0, 0.0, 0.0), 1.0, 2.0)
