@@ -34,8 +34,6 @@ EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 EXIT_USAGE = 64
 
-TOLERANCE_ENV = "QSHOCK_KERNEL_RTOL"
-
 
 @dataclass
 class RunManifest:
@@ -66,14 +64,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _settings_from(args) -> QuadratureSettings:
-    tol = getattr(args, "tolerance", None)
-    if tol is None:
-        env = os.environ.get(TOLERANCE_ENV)
-        tol = float(env) if env else 1e-8
-    return QuadratureSettings(rel_tol=tol)
-
-
 def _window_from(args):
     if args.window is None:
         return DEFAULT_WINDOW
@@ -102,11 +92,6 @@ def build_parser() -> _Parser:
         p.add_argument("--config", required=True, help="scenario configuration file")
         p.add_argument("--out", required=True, help="output CSV path")
 
-    def add_tolerance(p):
-        p.add_argument("--tolerance", type=float, default=None,
-                       help=f"kernel relative tolerance (default 1e-8 or "
-                            f"${TOLERANCE_ENV})")
-
     p = sub.add_parser("validate", help="check a scenario configuration")
     p.add_argument("--config", required=True)
 
@@ -115,7 +100,6 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name, help=help_text)
         add_common(p)
         if name == "capacity-map":
-            add_tolerance(p)
             p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                            help="parallel workers (results identical for any value)")
         p.add_argument("--window", default=None, help="xmin,xmax,ymin,ymax "
@@ -129,14 +113,12 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="capacity vs receiver coupling strength")
     add_common(p)
-    add_tolerance(p)
     p.add_argument("--lambda-min", type=float, default=0.0)
     p.add_argument("--lambda-max", type=float, default=8.0)
     p.add_argument("--samples", type=int, default=100)
 
     p = sub.add_parser("optimize", help="search emitter phases for a target")
     add_common(p)
-    add_tolerance(p)
     p.add_argument("--objective", choices=("energy", "capacity"), required=True)
     p.add_argument("--point", required=True, help="x,y[,z] objective location")
     p.add_argument("--budget", type=int, default=800)
@@ -151,7 +133,8 @@ def build_parser() -> _Parser:
     p.add_argument("--r", default="0.5,8,32", help="min,max,count for r (or d)")
     p.add_argument("--dt", default="5", help="time difference (single value)")
     p.add_argument("--out", required=True)
-    p.add_argument("--tolerance", type=float, default=None)
+    p.add_argument("--tolerance", type=float, default=1e-8,
+                   help="quadrature relative tolerance")
     p.add_argument("--cross-check", action="store_true",
                    help="add a closed_form column: the exact position-space "
                         "kernel, an independent check of the quadrature")
@@ -193,9 +176,8 @@ def _cmd_map(args, quantity: str) -> int:
     if quantity == "energy":
         grid = energy_map(scenario, window, args.resolution)
     else:
-        settings = _settings_from(args)
-        grid = capacity_map(scenario, window, args.resolution, settings, threads=args.threads)
-        run_settings.update(rel_tol=settings.rel_tol, threads=args.threads)
+        grid = capacity_map(scenario, window, args.resolution, threads=args.threads)
+        run_settings.update(threads=args.threads)
     write_grid_csv(grid, args.out)
     manifest = RunManifest(quantity + "-map", args.config, [args.out], run_settings,
                            {"scenario": scenario_fingerprint(scenario),
@@ -222,14 +204,13 @@ def _cmd_diff(args) -> int:
 def _cmd_sweep(args) -> int:
     t0 = time.perf_counter()
     scenario = load_scenario_file(args.config)
-    settings = _settings_from(args)
     lams = np.linspace(args.lambda_min, args.lambda_max, args.samples)
-    curve = coupling_sweep(scenario, lams, settings)
+    curve = coupling_sweep(scenario, lams)
     write_sweep_csv(curve, args.out)
     manifest = RunManifest("sweep", args.config, [args.out],
                            {"lambda_min": args.lambda_min,
                             "lambda_max": args.lambda_max,
-                            "samples": args.samples, "rel_tol": settings.rel_tol},
+                            "samples": args.samples},
                            {"scenario": scenario_fingerprint(scenario),
                             "curve": curve.fingerprint}, time.perf_counter() - t0)
     manifest.write(args.out)
@@ -241,11 +222,9 @@ def _cmd_sweep(args) -> int:
 def _cmd_optimize(args) -> int:
     t0 = time.perf_counter()
     scenario = load_scenario_file(args.config)
-    settings = _settings_from(args)
     point = _point_from(args.point)
     result = optimize_phases(scenario, args.objective, point, budget=args.budget,
-                             restarts=args.restarts, seed=args.seed,
-                             settings=settings)
+                             restarts=args.restarts, seed=args.seed)
     lines = ["evaluation,value," + ",".join(f"theta_{i+1}"
                                             for i in range(len(result.phases)))]
     for i, (thetas, value) in enumerate(result.trace):
@@ -267,8 +246,7 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_kernels(args) -> int:
-    settings = _settings_from(args)
-    ks = KernelSet(args.radius, settings)
+    ks = KernelSet(args.radius, QuadratureSettings(rel_tol=args.tolerance))
     lo, hi, count = (float(v) for v in args.r.split(","))
     rs = np.linspace(lo, hi, int(count))
     dt = float(args.dt)
@@ -300,7 +278,7 @@ def _cmd_kernels(args) -> int:
         fh.write("\n".join(lines) + "\n")
     manifest = RunManifest("kernels", None, [args.out],
                            {"kind": args.kind, "radius": args.radius,
-                            "dt": dt, "rel_tol": settings.rel_tol}, {})
+                            "dt": dt, "rel_tol": args.tolerance}, {})
     manifest.write(args.out)
     print(f"wrote {args.out} ({len(rs)} samples)")
     return EXIT_OK

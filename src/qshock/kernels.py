@@ -35,17 +35,13 @@ states that support, together with the time ordering dt > 0 that lets an
 emitter signal a receiver.  Capacity maps, sweeps and phase searches run
 the commutator quadrature only at a receiver that at least one emitter
 is in causal contact with; everywhere else every Delta is exactly 0 and
-no quadrature runs.  That gate, not the memo cache, keeps capacity maps
-cheap: the cache, keyed by arguments rounded to `cache_decimals` (9),
-mainly serves nu to every cell of a capacity-map row.  It keeps the
-value of the first call for each key, so arguments that round alike
-share that value and a KernelSet's results can depend on call order: on
-one KernelSet(0.5), commutator(0.6000000001, 0.7) followed by
-commutator(0.6000000004, 0.7) returns the first point's value, which
-differs from a fresh set's in the 11th digit.  Outputs are still
-reproducible, because every capacity-map row uses a fresh cache and
-visits its cells in a fixed order, and sweeps and phase searches
-evaluate each kernel once per call on a fresh cache.
+no quadrature runs.  Off that support the quadrature returns rounding
+noise instead of 0, and its reported error then covers that noise.
+
+KernelSet keeps no state between calls: every call runs its quadrature,
+so each value is a pure function of its arguments, whatever was
+evaluated before.  Callers that need a kernel at many points evaluate
+each distinct argument once themselves (observables._receiver_kernels).
 
 scipy.special (exp1, for the quadrature tails) is imported inside
 _tail_sum, once per kernel evaluation, so the closed forms and the
@@ -99,8 +95,12 @@ class QuadratureError(RuntimeError):
 
     def __init__(self, message: str, achieved: float, requested: float):
         super().__init__(f"{message} (achieved {achieved:.3e}, requested {requested:.3e})")
+        self.message = message
         self.achieved = achieved
         self.requested = requested
+
+    def __reduce__(self):  # rebuilt from its own arguments when a worker raises it
+        return type(self), (self.message, self.achieved, self.requested)
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,6 @@ class QuadratureSettings:
                      (None: max(6, 3/R) chosen per radius)
     head_order       Gauss-Legendre order per panel
     max_doublings    panel-doubling budget before QuadratureError
-    cache_decimals   rounding of (r, dt) cache keys
     """
 
     rel_tol: float = 1e-8
@@ -121,7 +120,6 @@ class QuadratureSettings:
     head_cut: float | None = None
     head_order: int = 12
     max_doublings: int = 12
-    cache_decimals: int = 9
 
     def cut_for(self, radius: float) -> float:
         if self.head_cut is not None:
@@ -375,37 +373,21 @@ def _evaluate(parts, prefactor: float, settings: QuadratureSettings,
 # ----------------------------------------------------------------------
 
 class KernelSet:
-    """Memoised kernel evaluations for one smearing radius.
-
-    Evaluation is pure and idempotent, so plain dict inserts (atomic under
-    the GIL) make the cache safe for concurrent use; a racing re-insert
-    writes the identical value.
-    """
+    """Kernel evaluations for one smearing radius; each call runs its quadrature."""
 
     def __init__(self, radius: float, settings: QuadratureSettings | None = None):
         if radius <= 0:
             raise ValueError("smearing radius must be > 0")
         self.radius = float(radius)
         self.settings = settings or QuadratureSettings()
-        self._cache: dict[tuple, KernelValue] = {}
 
-    # -- internals ------------------------------------------------------
-
-    def _key(self, kind: str, *args: float) -> tuple:
-        dec = self.settings.cache_decimals
-        return (kind,) + tuple(round(a, dec) for a in args)
-
-    def _cut(self) -> float:
-        return self.settings.cut_for(self.radius)
+    def _evaluate(self, parts, prefactor: float) -> KernelValue:
+        return _evaluate(parts, prefactor, self.settings, self.settings.cut_for(self.radius))
 
     # -- kernels --------------------------------------------------------
 
     def vacuum_variance_value(self) -> KernelValue:
-        key = self._key("nu")
-        if key not in self._cache:
-            self._cache[key] = _evaluate(
-                _variance_parts(self.radius), _INV_4PI2, self.settings, self._cut())
-        return self._cache[key]
+        return self._evaluate(_variance_parts(self.radius), _INV_4PI2)
 
     def vacuum_variance(self) -> float:
         """Smeared-field vacuum variance; position/time independent, > 0."""
@@ -417,6 +399,11 @@ class KernelSet:
 
     def commutator_value(self, d: float, dt: float,
                          other_radius: float | None = None) -> KernelValue:
+        """Delta(d, dt) and its error; off the support the error covers |value|.
+
+        There the exact kernel is 0 and the quadrature returns only rounding
+        noise, which the head-panel estimate does not bound.
+        """
         if d < 0:
             raise ValueError("separation distance must be >= 0")
         rb = self.radius if other_radius is None else float(other_radius)
@@ -424,13 +411,12 @@ class KernelSet:
             return KernelValue(0.0, 0.0)
         sign = 1.0 if dt > 0 else -1.0
         d_eff = max(d, _R_FLOOR)
-        key = self._key("comm", d_eff, abs(dt), rb)
-        if key not in self._cache:
-            self._cache[key] = _evaluate(
-                _commutator_parts(d_eff, abs(dt), self.radius, rb),
-                -_INV_2PI2, self.settings, self._cut())
-        base = self._cache[key]
-        return KernelValue(sign * base.value, base.error)
+        base = self._evaluate(_commutator_parts(d_eff, abs(dt), self.radius, rb),
+                              -_INV_2PI2)
+        error = base.error
+        if abs(d_eff - abs(dt)) >= self.radius + rb:
+            error = max(error, abs(base.value))
+        return KernelValue(sign * base.value, error)
 
     def commutator(self, d: float, dt: float, other_radius: float | None = None) -> float:
         """Smeared field commutator kernel Delta(d, dt); odd in dt, causal in d."""
@@ -438,23 +424,13 @@ class KernelSet:
 
     def radiation_time_value(self, r: float, dt: float) -> KernelValue:
         self._check_radiation_args(r, dt)
-        r_eff = max(r, _R_FLOOR)
-        key = self._key("rad0", r_eff, dt)
-        if key not in self._cache:
-            self._cache[key] = _evaluate(
-                _radiation_time_parts(r_eff, dt, self.radius),
-                _INV_4PI2, self.settings, self._cut())
-        return self._cache[key]
+        return self._evaluate(_radiation_time_parts(max(r, _R_FLOOR), dt, self.radius),
+                              _INV_4PI2)
 
     def radiation_radial_value(self, r: float, dt: float) -> KernelValue:
         self._check_radiation_args(r, dt)
-        r_eff = max(r, _R_FLOOR)
-        key = self._key("radr", r_eff, dt)
-        if key not in self._cache:
-            self._cache[key] = _evaluate(
-                _radiation_radial_parts(r_eff, dt, self.radius),
-                _INV_4PI2, self.settings, self._cut())
-        return self._cache[key]
+        return self._evaluate(_radiation_radial_parts(max(r, _R_FLOOR), dt, self.radius),
+                              _INV_4PI2)
 
     def radiation_time(self, r: float, dt: float) -> float:
         """Time component of the emission kernel (Im of the 0-derivative overlap)."""
@@ -471,9 +447,6 @@ class KernelSet:
         if dt <= 0:
             raise ValueError("radiation kernels require dt > 0; callers gate on the "
                              "switching step function")
-
-    def cache_size(self) -> int:
-        return len(self._cache)
 
 
 # ----------------------------------------------------------------------

@@ -3,31 +3,30 @@
 Maps mirror the planar scans of the study: a window in the (x, y) plane
 at z = 0, energy density at the scenario's evaluation time or channel
 capacity as a function of the receiver location.  An energy map is one
-energy_density call per y row.  Capacity cells go through the kernel
-quadrature; their rows run serially or in a process pool with identical
-results, because every cell is a pure function of the scenario and
-quadrature settings, and isolated failed cells are retried.  Only cells
-in causal contact with at least one emitter (kernels._in_causal_contact)
-reach the quadrature; every other cell is p = q and capacity 0 exactly,
-and the sidecar counts the former as cells_in_contact.
+energy_density call per y row.
 
-Sweeps and phase searches hoist the geometry: the kernels at the fixed
-receiver or point are evaluated once per call, and each sample or
-evaluation only runs the emitter-register algebra.  A sweep passes all
-its couplings to product_expectation as one (samples, n) batch of angles;
-at a receiver no emitter is in causal contact with, neither runs any
-quadrature or register algebra and every capacity is exactly 0.
+Capacity maps, sweeps and phase searches share one path.  The receiver
+geometry (observables._receiver_kernels) yields nu, the gated Delta_i
+and the contact mask, once per call, for every receiver position at
+once: the grid's cells for a map, one position for a sweep or a phase
+search.  _capacities then runs only the emitter-register algebra, all
+signalling receivers and all couplings in one product_expectation batch.
+A capacity map is a sweep over positions at one coupling.  Each distinct
+commutator argument is integrated once, matched exactly, so every cell
+is a pure function of its own position; a map's threads only spread
+those quadratures over processes.  A receiver that no emitter is in
+causal contact with (kernels._in_causal_contact) runs no quadrature and
+no algebra, and its capacity is exactly 0; the map's sidecar counts the
+others as cells_in_contact.
 
 CSV layout: first row is the x axis (blank corner cell), each following
 row starts with its y value; numbers are printed with 9 significant
 digits in scientific notation so identical runs are byte-identical.  A
-JSON sidecar carries the scenario fingerprint, quantity tag, wall time,
-any quadrature tolerance and, for capacity maps, cells_in_contact.
+JSON sidecar carries the scenario fingerprint, quantity tag, wall time
+and, for capacity maps, the noise probability and cells_in_contact.
 
-Imports that only some calls need are made inside those calls:
-scipy.optimize in optimize_phases (for n >= 2 emitters) and
-concurrent.futures in _run_rows (capacity maps with threads > 1), so
-importing this module loads neither.
+scipy.optimize is imported inside optimize_phases (for n >= 2 emitters),
+so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -36,13 +35,11 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
-from .kernels import QuadratureError, QuadratureSettings, _in_causal_contact
 from .emitters import MonopolePhase
-from .observables import (KernelBank, ChannelPoint, channel_capacity, energy_density,
+from .observables import (ChannelPoint, channel_capacity, energy_density,
                           excitation_probability, _emission_energy, _emission_kernels,
                           _receiver_kernels, _receiver_probability, _signal_angles,
                           _vacuum_factor)
@@ -69,7 +66,6 @@ Window = tuple[float, float, float, float]  # (xmin, xmax, ymin, ymax)
 DEFAULT_WINDOW: Window = (0.0, 16.0, 0.0, 16.0)
 DEFAULT_RESOLUTION = 160
 _FMT = "{:.8e}"  # 9 significant digits, locale-independent
-_MAX_FAILURE_FRACTION = 1e-3
 
 
 @dataclass(frozen=True)
@@ -148,54 +144,6 @@ def _axes(window: Window, resolution) -> tuple[np.ndarray, np.ndarray]:
     return np.linspace(xmin, xmax, nx), np.linspace(ymin, ymax, ny)
 
 
-def _run_rows(row, ys, threads: int):
-    """Map row(y) over the y samples, serially or in processes."""
-    if threads <= 1:
-        return [row(yv) for yv in ys]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(row, ys, chunksize=1))
-
-
-# Cells and rows are module-level functions bound with functools.partial, so
-# a process pool pickles them together with all the state they use and the
-# workers need nothing from the parent process (any start method works).
-
-def _capacity_cell(scn: Scenario, q: float, xv, yv, bank: KernelBank) -> float:
-    moved = scn.with_receiver(scn.receiver.moved_to((xv, yv, 0.0)))
-    p = excitation_probability(moved, couple=True, bank=bank)
-    return channel_capacity(ChannelPoint(p, q))
-
-
-def _row(cell, xs: np.ndarray, settings: QuadratureSettings, yv):
-    """One y row of cells with a fresh kernel cache; failed cells become NaN."""
-    bank = KernelBank(settings)
-    row = np.empty(xs.size)
-    failures = []
-    for ix, xv in enumerate(xs):
-        try:
-            row[ix] = cell(xv, yv, bank)
-        except QuadratureError:
-            row[ix] = np.nan
-            failures.append(ix)
-    return row, failures
-
-
-def _collect(cell, results, xs, ys, quantity, fingerprint, meta):
-    failures = [(ix, iy) for iy, (_, fails) in enumerate(results) for ix in fails]
-    if len(failures) > _MAX_FAILURE_FRACTION * xs.size * ys.size:
-        raise QuadratureError(
-            f"{len(failures)} of {xs.size * ys.size} cells failed", math.inf, 0.0)
-    values = np.vstack([row for row, _ in results])
-    if failures:  # isolated failures are re-tried serially at a looser budget
-        retry_bank = KernelBank(QuadratureSettings(rel_tol=1e-6))
-        for ix, iy in failures:
-            values[iy, ix] = cell(xs[ix], ys[iy], retry_bank)
-        meta = {**meta, "retried_cells": [[int(ix), int(iy)] for ix, iy in failures]}
-    return GridMap(xs, ys, values, quantity, fingerprint, meta)
-
-
 def energy_map(scenario: Scenario, window: Window = DEFAULT_WINDOW,
                resolution=DEFAULT_RESOLUTION) -> GridMap:
     """Energy density over the window at the scenario's evaluation time."""
@@ -209,40 +157,25 @@ def energy_map(scenario: Scenario, window: Window = DEFAULT_WINDOW,
 
 
 def capacity_map(scenario: Scenario, window: Window = DEFAULT_WINDOW,
-                 resolution=DEFAULT_RESOLUTION,
-                 settings: QuadratureSettings | None = None,
-                 threads: int = 1) -> GridMap:
-    """Channel capacity as a function of the receiver location over the window."""
-    settings = settings or QuadratureSettings()
+                 resolution=DEFAULT_RESOLUTION, threads: int = 1) -> GridMap:
+    """Channel capacity as a function of the receiver location over the window.
+
+    threads > 1 runs the commutator quadratures in that many processes;
+    the values do not depend on it.
+    """
     xs, ys = _axes(window, resolution)
     t0 = time.perf_counter()
-    bank = KernelBank(settings)
-    q = excitation_probability(scenario, couple=False, bank=bank)
-    cell = partial(_capacity_cell, scenario, q)
-    results = _run_rows(partial(_row, cell, xs, settings), ys, threads)
-    meta = {"noise_probability": q, "rel_tol": settings.rel_tol,
-            "cells_in_contact": _cells_in_contact(scenario, xs, ys),
-            "wall_time_s": time.perf_counter() - t0}
-    return _collect(cell, results, xs, ys, "capacity",
-                    scenario_fingerprint(scenario, {"rel_tol": settings.rel_tol}), meta)
-
-
-def _cells_in_contact(scenario: Scenario, xs: np.ndarray, ys: np.ndarray) -> int:
-    """Cells of the (ys, xs) grid with at least one emitter in causal contact.
-
-    One array expression over (cells, emitters) of the predicate that
-    gates each cell's quadrature; 0 while the receiver has not coupled.
-    """
-    rec, emitters = scenario.receiver, scenario.emitters
-    if scenario.evaluation_time <= rec.coupling_time:
-        return 0
     cells = np.stack([*np.meshgrid(xs, ys), np.zeros((ys.size, xs.size))], axis=-1)
-    positions = np.array([e.position for e in emitters]).reshape(-1, 3)
-    contact = _in_causal_contact(
-        np.linalg.norm(cells[..., None, :] - positions, axis=-1),
-        rec.coupling_time - np.array([e.coupling_time for e in emitters]),
-        rec.smearing_radius, np.array([e.smearing_radius for e in emitters]))
-    return int(np.count_nonzero(contact.any(axis=-1)))
+    kernels = _receiver_kernels(scenario, cells.reshape(-1, 3), threads)
+    values, in_contact = np.zeros((ys.size, xs.size)), 0
+    if kernels is not None:
+        nu, deltas, contact = kernels
+        values = _capacities(scenario, [scenario.receiver.coupling_strength], nu, deltas)(
+            scenario.emitter_state).reshape(values.shape)
+        in_contact = int(contact.any(axis=-1).sum())
+    meta = {"noise_probability": excitation_probability(scenario, couple=False),
+            "cells_in_contact": in_contact, "wall_time_s": time.perf_counter() - t0}
+    return GridMap(xs, ys, values, "capacity", scenario_fingerprint(scenario), meta)
 
 
 def diff_map(a: GridMap, b: GridMap) -> GridMap:
@@ -257,29 +190,35 @@ def diff_map(a: GridMap, b: GridMap) -> GridMap:
                                    "base_quantity": a.quantity})
 
 
-def _capacities(scenario: Scenario, couplings: np.ndarray, settings: QuadratureSettings):
-    """Capacity per receiver coupling as a function of the emitter state.
+def _capacities(scenario: Scenario, couplings, nu: float, deltas: np.ndarray):
+    """Capacity per receiver and coupling as a function of the emitter state.
 
-    The receiver's nu and Delta_i, hence C1, the angles and q, are fixed
-    here; each call runs only the emitter algebra, all couplings in one
-    batch.  All zero, with no algebra, when the receiver has not coupled
-    by the evaluation time or no emitter is in causal contact with it.
+    nu and the gated Delta (receivers, n) of _receiver_kernels, hence C1,
+    the angles and q, are fixed here; each call runs only the emitter
+    algebra, every receiver with a signal and every coupling in one batch,
+    and returns shape (receivers, couplings).  A receiver whose every
+    Delta_i is 0 has p = q and capacity exactly 0 without any algebra.
     """
-    kernels = _receiver_kernels(scenario, KernelBank(settings))
-    if kernels is None or not kernels[1].any():
-        return lambda state: np.zeros(len(couplings))
-    c1 = _vacuum_factor(couplings, kernels[0])
+    shape = (len(deltas), len(couplings))
+    signal = deltas.any(axis=-1)
+    if not signal.any():
+        return lambda state: np.zeros(shape)
+    c1 = _vacuum_factor(couplings, nu)
     angles = _signal_angles(couplings, [e.coupling_strength for e in scenario.emitters],
-                            kernels[1])
+                            deltas[signal, None, :])
     q = _receiver_probability(c1)
     phases = MonopolePhase.from_scenario(scenario)
-    return lambda state: np.array([
-        channel_capacity(ChannelPoint(pk, qk))
-        for pk, qk in zip(_receiver_probability(c1, angles, state, phases), q)])
+
+    def capacities(state) -> np.ndarray:
+        caps = np.zeros(shape)
+        caps[signal] = [[channel_capacity(ChannelPoint(pk, qk)) for pk, qk in zip(row, q)]
+                        for row in _receiver_probability(c1, angles, state, phases)]
+        return caps
+
+    return capacities
 
 
-def coupling_sweep(scenario: Scenario, couplings,
-                   settings: QuadratureSettings | None = None) -> SweepCurve:
+def coupling_sweep(scenario: Scenario, couplings) -> SweepCurve:
     """Capacity at the fixed receiver location for each coupling strength.
 
     The receiver's nu and Delta_i are evaluated once; C1, the angles and
@@ -292,11 +231,12 @@ def coupling_sweep(scenario: Scenario, couplings,
         raise ValueError("coupling strengths must be finite")
     if np.any(lam < 0):
         raise ValueError("coupling strengths must be >= 0")
-    settings = settings or QuadratureSettings()
     t0 = time.perf_counter()
-    caps = _capacities(scenario, lam, settings)(scenario.emitter_state)
+    kernels = _receiver_kernels(scenario)
+    caps = np.zeros(lam.size) if kernels is None else _capacities(
+        scenario, lam, *kernels[:2])(scenario.emitter_state)[0]
     idx = int(np.argmax(caps))
-    meta = {"rel_tol": settings.rel_tol, "wall_time_s": time.perf_counter() - t0}
+    meta = {"wall_time_s": time.perf_counter() - t0}
     return SweepCurve(lam, caps, idx, float(lam[idx]), float(caps[idx]),
                       scenario_fingerprint(scenario, {"sweep": "lambda_B"}), meta)
 
@@ -305,8 +245,7 @@ def coupling_sweep(scenario: Scenario, couplings,
 # derivative-free phase optimization
 # ----------------------------------------------------------------------
 
-def _phase_objective(scenario: Scenario, objective: str, point,
-                     settings: QuadratureSettings):
+def _phase_objective(scenario: Scenario, objective: str, point):
     """The objective as a function of the emitter state, kernels evaluated once."""
     if objective == "energy":
         active, kernels = _emission_kernels(scenario, point, scenario.evaluation_time)
@@ -314,14 +253,16 @@ def _phase_objective(scenario: Scenario, objective: str, point,
         phases = MonopolePhase.from_scenario(scenario)
         return lambda state: float(_emission_energy(kernels, active, strengths, state,
                                                     phases))
-    moved = scenario.with_receiver(scenario.receiver.moved_to(point))
-    capacities = _capacities(moved, [moved.receiver.coupling_strength], settings)
-    return lambda state: float(capacities(state)[0])
+    kernels = _receiver_kernels(scenario, [point])
+    if kernels is None:
+        return lambda state: 0.0
+    capacities = _capacities(scenario, [scenario.receiver.coupling_strength],
+                             *kernels[:2])
+    return lambda state: float(capacities(state)[0, 0])
 
 
 def optimize_phases(scenario: Scenario, objective: str, point,
-                    budget: int = 800, restarts: int = 4, seed: int = 0,
-                    settings: QuadratureSettings | None = None) -> PhaseOptimum:
+                    budget: int = 800, restarts: int = 4, seed: int = 0) -> PhaseOptimum:
     """Search emitter phases maximizing energy or capacity at a fixed point.
 
     objective: "energy" (density at `point`, at the scenario evaluation
@@ -342,8 +283,7 @@ def optimize_phases(scenario: Scenario, objective: str, point,
     if restarts < 1:
         raise ValueError("needs at least one restart")
     point = tuple(float(c) for c in point)
-    value_of = _phase_objective(scenario, objective, point,
-                                settings or QuadratureSettings())
+    value_of = _phase_objective(scenario, objective, point)
 
     trace: list[tuple[tuple[float, ...], float]] = []
     counter = {"n": 0}

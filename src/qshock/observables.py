@@ -30,12 +30,18 @@ the kernel integrals plus emitter-register algebra:
     and "0" = none do, from the excitation probabilities (p, q).
 
 Each observable splits into its geometry, the kernel values at the
-receiver or the points (_receiver_kernels, _emission_kernels), and its
+receivers or the points (_receiver_kernels, _emission_kernels), and its
 algebra over the emitter register (_vacuum_factor, _signal_angles,
-_receiver_probability, _emission_energy); the mapper's sweeps and phase
-searches evaluate the geometry once and repeat only the algebra.  nu and
-Delta come from the kernel quadrature, the radiation kernels from their
-closed form; docs/derivations.md holds the full reductions.
+_receiver_probability, _emission_energy).  _receiver_kernels is the one
+receiver geometry of every capacity observable: it takes an array of
+receiver positions (one for channel_point, a sweep or a phase search,
+the whole grid for a capacity map), integrates nu once and each distinct
+(d, dt, R_i) commutator argument once, matched by exact equality, so
+every receiver's Delta_i is a pure function of its own position.  The
+mapper then repeats only the algebra, batched over receivers and
+couplings.  nu and Delta come from the kernel quadrature, the radiation
+kernels from their closed form; docs/derivations.md holds the full
+reductions.
 
 A receiver that no emitter is in causal contact with (time-ordered and
 inside the commutator's support, kernels._in_causal_contact) gets every
@@ -48,17 +54,16 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .emitters import MonopolePhase, pair_correlation, product_expectation
-from .kernels import (KernelSet, QuadratureSettings, _in_causal_contact,
-                      closed_form_radiation)
+from .kernels import KernelSet, _in_causal_contact, closed_form_radiation
 from .scenario import Scenario
 
 __all__ = [
     "ChannelPoint",
-    "KernelBank",
     "ReceiverNotCoupledWarning",
     "c1_factor",
     "excitation_probability",
@@ -74,20 +79,6 @@ _PROB_DUST = 1e-12
 
 class ReceiverNotCoupledWarning(RuntimeWarning):
     """The evaluation time precedes the receiver's coupling instant."""
-
-
-class KernelBank:
-    """KernelSet per smearing radius, shared across observables of one run."""
-
-    def __init__(self, settings: QuadratureSettings | None = None):
-        self.settings = settings or QuadratureSettings()
-        self._sets: dict[float, KernelSet] = {}
-
-    def for_radius(self, radius: float) -> KernelSet:
-        key = round(float(radius), 12)
-        if key not in self._sets:
-            self._sets[key] = KernelSet(radius, self.settings)
-        return self._sets[key]
 
 
 @dataclass(frozen=True)
@@ -110,8 +101,7 @@ def _clamp_probability(value: float, name: str) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def c1_factor(lambda_b: float, radius: float,
-              bank: KernelBank | None = None) -> float:
+def c1_factor(lambda_b: float, radius: float) -> float:
     """Vacuum displacement factor exp(-2 lambda_B^2 nu): the receiver's own noise.
 
     Equals 1 at zero coupling and decreases monotonically to 0, driving
@@ -119,25 +109,27 @@ def c1_factor(lambda_b: float, radius: float,
     """
     if lambda_b < 0:
         raise ValueError("receiver coupling must be >= 0")
-    bank = bank or KernelBank()
-    return _vacuum_factor(lambda_b, bank.for_radius(radius).vacuum_variance())
+    return _vacuum_factor(lambda_b, KernelSet(radius).vacuum_variance())
 
 
 # -- receiver probability: geometry (kernel calls), then algebra ---------
 
-def _receiver_kernels(scenario: Scenario, bank: KernelBank | None = None,
-                     couple: bool = True) -> tuple[float, np.ndarray] | None:
-    """The receiver's nu and the gated Delta_i, one kernel call each.
+def _receiver_kernels(scenario: Scenario, positions=None, threads: int = 1):
+    """nu, the gated Delta (receivers, n) and the contact mask (receivers, n).
 
-    Delta_i = Delta(|x_i - x_B|, t_B - t_i), left at 0 for an emitter that
-    fires after the receiver, and for every emitter when couple=False (the
-    emitters stay silent) or when no emitter is in causal contact with the
-    receiver (kernels._in_causal_contact): there every Delta_i is exactly
-    0 and no quadrature runs.  The gate is per receiver, not per emitter:
-    in contact, every time-ordered Delta_i comes from the quadrature,
-    including an off-support emitter's rounding noise.  None, with a
-    ReceiverNotCoupledWarning, when the evaluation time does not exceed the
-    receiver's coupling instant: the probability is then 0.
+    positions (receivers, 3) default to the scenario's receiver; the
+    receiver's coupling and timing hold at each of them.  mask[r, i] says
+    whether emitter i is in causal contact with receiver r
+    (kernels._in_causal_contact).  Delta[r, i] = Delta(|x_i - x_r|, t_B - t_i)
+    at a receiver in contact with at least one emitter, for every emitter
+    that fired before t_B; every other Delta is exactly 0 and runs no
+    quadrature.  The gate is per receiver, not per emitter: in contact,
+    every time-ordered Delta comes from the quadrature, including an
+    off-support emitter's rounding noise.  Each distinct (d, dt, R_i) is
+    integrated once, by exact equality of the arguments, so threads > 1
+    (a process pool over those quadratures) cannot change a value.  None,
+    with a ReceiverNotCoupledWarning, when the evaluation time does not
+    exceed the receiver's coupling instant: the probability is then 0.
     """
     rec = scenario.receiver
     if scenario.evaluation_time <= rec.coupling_time:
@@ -145,17 +137,52 @@ def _receiver_kernels(scenario: Scenario, bank: KernelBank | None = None,
                       "probability is 0 until it fires", ReceiverNotCoupledWarning,
                       stacklevel=3)
         return None
-    ks = (bank or KernelBank()).for_radius(rec.smearing_radius)
-    emitters = scenario.emitters if couple else ()
-    dts = [rec.coupling_time - e.coupling_time for e in emitters]
-    ds = [float(np.linalg.norm(rec.position_array - e.position_array)) for e in emitters]
-    deltas = np.zeros(scenario.n_emitters)
-    if any(_in_causal_contact(d, dt, rec.smearing_radius, e.smearing_radius)
-           for e, d, dt in zip(emitters, ds, dts)):
-        for idx, (emitter, d, dt) in enumerate(zip(emitters, ds, dts)):
-            if dt >= 0:  # an emitter firing after the receiver is gated out
-                deltas[idx] = ks.commutator(d, dt, other_radius=emitter.smearing_radius)
-    return ks.vacuum_variance(), deltas
+    emitters = scenario.emitters
+    where = np.reshape(rec.position if positions is None else positions, (-1, 3))
+    offsets = where[:, None, :] - np.array([e.position for e in emitters]).reshape(-1, 3)
+    # np.linalg.norm of each 3-vector, not norm(..., axis=-1), whose sum
+    # rounds differently in the last bit: the ill-conditioned
+    # channel_capacity amplifies that bit far above the map's precision
+    # (ROADMAP item 1)
+    ds = np.array([np.linalg.norm(v) for v in offsets.reshape(-1, 3)]).reshape(
+        offsets.shape[:-1])
+    dts = rec.coupling_time - np.array([e.coupling_time for e in emitters])
+    radii = np.array([e.smearing_radius for e in emitters])
+    contact = _in_causal_contact(ds, dts, rec.smearing_radius, radii)
+    rows, cols = np.nonzero(contact.any(axis=-1)[:, None] & (dts > 0.0))
+    args = list(zip(ds[rows, cols].tolist(), dts[cols].tolist(), radii[cols].tolist()))
+    distinct = list(dict.fromkeys(args))
+    values = dict(zip(distinct, _commutators(rec.smearing_radius, distinct, threads)))
+    deltas = np.zeros(ds.shape)
+    deltas[rows, cols] = [values[a] for a in args]
+    return KernelSet(rec.smearing_radius).vacuum_variance(), deltas, contact
+
+
+def _commutators(radius: float, args: list, threads: int = 1) -> list[float]:
+    """KernelSet(radius).commutator(d, dt, R_i) for each (d, dt, R_i) in args.
+
+    threads > 1 runs them in that many processes, a few strided chunks per
+    worker, so that arguments of similar cost spread over all workers.
+    concurrent.futures is imported only then.
+    """
+    if threads <= 1 or not args:
+        return _commutator_chunk(radius, args)
+    from concurrent.futures import ProcessPoolExecutor
+
+    stride = 4 * threads
+    values = [0.0] * len(args)
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        chunks = pool.map(partial(_commutator_chunk, radius),
+                          [args[i::stride] for i in range(stride)])
+        for i, chunk in enumerate(chunks):
+            values[i::stride] = chunk
+    return values
+
+
+def _commutator_chunk(radius: float, args: list) -> list[float]:
+    """Module level, so a process pool can pickle it under any start method."""
+    ks = KernelSet(radius)
+    return [ks.commutator(d, dt, other_radius=r) for d, dt, r in args]
 
 
 def _vacuum_factor(lambda_b, nu: float):
@@ -185,29 +212,22 @@ def _receiver_probability(c1, g=None, state=None, phases=None):
     return 0.5 * (1.0 - c1 * e_factor)
 
 
-def _excitation(scenario: Scenario, nu: float, deltas: np.ndarray, couple: bool) -> float:
-    rec = scenario.receiver
-    c1 = _vacuum_factor(rec.coupling_strength, nu)
-    if not (couple and deltas.any()):  # no signal: E = 1 and p = q exactly
-        return _receiver_probability(c1)
-    g = _signal_angles(rec.coupling_strength,
-                      [e.coupling_strength for e in scenario.emitters], deltas)
-    return _receiver_probability(c1, g, scenario.emitter_state,
-                                MonopolePhase.from_scenario(scenario))
-
-
-def excitation_probability(scenario: Scenario, couple: bool,
-                           bank: KernelBank | None = None) -> float:
+def excitation_probability(scenario: Scenario, couple: bool) -> float:
     """Probability that the receiver ends excited at the evaluation time.
 
     couple=False encodes the emitters staying silent, which leaves only
-    the receiver's own vacuum noise q = (1 - C1)/2.
+    the receiver's own vacuum noise q = (1 - C1)/2: that needs nu alone,
+    so the geometry is asked for no receiver position and runs no
+    commutator quadrature.
     """
-    kernels = _receiver_kernels(scenario, bank, couple)
+    if couple:
+        return channel_point(scenario).p
+    kernels = _receiver_kernels(scenario, np.empty((0, 3)))
     if kernels is None:
         return 0.0
-    return _clamp_probability(_excitation(scenario, *kernels, couple),
-                              "excitation probability")
+    return _clamp_probability(_receiver_probability(
+        _vacuum_factor(scenario.receiver.coupling_strength, kernels[0])),
+        "excitation probability")
 
 
 # -- energy density: geometry (closed-form kernels), then algebra ---------
@@ -314,10 +334,18 @@ def channel_capacity(point: ChannelPoint | None = None, *,
     return min(capacity, 1.0)
 
 
-def channel_point(scenario: Scenario, bank: KernelBank | None = None) -> ChannelPoint:
+def channel_point(scenario: Scenario) -> ChannelPoint:
     """Evaluate (p, q) for the scenario's receiver in place, from one set of kernels."""
-    kernels = _receiver_kernels(scenario, bank)
+    kernels = _receiver_kernels(scenario)
     if kernels is None:
         return ChannelPoint(0.0, 0.0)
-    return ChannelPoint(_excitation(scenario, *kernels, True),
-                        _excitation(scenario, *kernels, False))
+    nu, deltas, _ = kernels
+    rec = scenario.receiver
+    c1 = _vacuum_factor(rec.coupling_strength, nu)
+    q = _receiver_probability(c1)
+    if not deltas.any():  # no signal: E = 1 and p = q exactly
+        return ChannelPoint(q, q)
+    g = _signal_angles(rec.coupling_strength,
+                      [e.coupling_strength for e in scenario.emitters], deltas[0])
+    return ChannelPoint(_receiver_probability(c1, g, scenario.emitter_state,
+                                              MonopolePhase.from_scenario(scenario)), q)

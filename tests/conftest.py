@@ -183,10 +183,28 @@ def four_emitter_config(phases=(0.0, 0.0, 0.0, 0.0), state_type="w",
     })
 
 
-@pytest.fixture(scope="session")
-def kernel_bank():
-    from qshock.observables import KernelBank
-    return KernelBank()
+@pytest.fixture
+def quadrature_fails_in_workers(monkeypatch):
+    """Every kernel quadrature run outside this process raises QuadratureError.
+
+    Forked pool workers inherit the patch, so a failure there has to cross
+    the process boundary to reach the caller.  Skips where pools spawn
+    fresh interpreters instead.
+    """
+    import multiprocessing
+    import os
+
+    from qshock import kernels
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("pool workers inherit the patch only under the fork start method")
+    parent, original = os.getpid(), kernels._head_quad
+
+    def head_quad(*args, **kwargs):
+        if os.getpid() != parent:
+            raise kernels.QuadratureError("head quadrature did not converge", 1.0, 1e-8)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "_head_quad", head_quad)
 
 
 @pytest.fixture

@@ -15,8 +15,8 @@ import pytest
 
 from qshock.kernels import KernelSet, QuadratureSettings, closed_form_commutator
 from qshock.mapper import capacity_map, coupling_sweep, diff_map, energy_map
-from qshock.observables import (KernelBank, channel_capacity, channel_point,
-                                energy_density, excitation_probability)
+from qshock.observables import (channel_capacity, channel_point, energy_density,
+                                excitation_probability)
 from qshock.oracle import run_standard_comparisons
 from qshock.scenario import Detector, Scenario, load_scenario, w_state
 
@@ -46,7 +46,7 @@ KERNEL_NOISE_BOUND = 1e-12
 def test_criterion_1_no_signaling():
     t0 = time.perf_counter()
     rng = np.random.default_rng(2024)
-    bank = KernelBank()
+    kernels = KernelSet(R)
     worst_gap, worst_cap, worst_kernel = 0.0, 0.0, 0.0
     for _ in range(50):
         n = int(rng.integers(1, 4))
@@ -71,9 +71,9 @@ def test_criterion_1_no_signaling():
             dt = t_b - e.coupling_time
             assert d > dt + 2 * R + 0.1
             assert closed_form_commutator(d, dt, R, R) == 0.0
-            worst_kernel = max(worst_kernel, abs(bank.for_radius(R).commutator(d, dt)))
-        p = excitation_probability(scenario, couple=True, bank=bank)
-        q = excitation_probability(scenario, couple=False, bank=bank)
+            worst_kernel = max(worst_kernel, abs(kernels.commutator(d, dt)))
+        p = excitation_probability(scenario, couple=True)
+        q = excitation_probability(scenario, couple=False)
         cap = channel_capacity(p=p, q=q)
         worst_gap = max(worst_gap, abs(p - q))
         worst_cap = max(worst_cap, cap)
@@ -289,10 +289,9 @@ def test_criterion_8_quadrature_stability():
 
 def test_criterion_9_strong_coupling_washout():
     t0 = time.perf_counter()
-    bank = KernelBank()
     scn = load_scenario(four_emitter_config((0.0, 0.0, math.pi, math.pi)))
     strong = scn.with_receiver(scn.receiver.with_strength(50.0))
-    cp = channel_point(strong, bank)
+    cp = channel_point(strong)
     cap = channel_capacity(cp)
     elapsed = time.perf_counter() - t0
     assert abs(cp.p - 0.5) < 1e-3

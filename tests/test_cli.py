@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from qshock import cli, oracle
-from qshock.cli import EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, build_parser, main
+from qshock.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION,
+                        build_parser, main)
 from qshock.scenario import Detector, Scenario, w_state
 
 from conftest import three_emitter_config
@@ -68,6 +69,28 @@ class TestUsageErrors:
             assert main([*argv, "--out", out, "--threads", "2"]) == EXIT_USAGE
             assert main([*argv, "--out", out]) == EXIT_OK
 
+    def test_capacity_commands_have_no_tolerance(self, config_file, tmp_path):
+        # the tolerance knob is gone; only `kernels` still takes one
+        fig2a = str(SCENARIOS / "fig2a.cfg")
+        for argv in (["capacity-map", "--config", str(config_file), "--resolution", "3"],
+                     ["sweep", "--config", fig2a, "--samples", "5"],
+                     ["optimize", "--config", fig2a, "--objective", "capacity",
+                      "--point", "11,4.5", "--budget", "20"]):
+            out = str(tmp_path / f"{argv[0]}.csv")
+            assert main([*argv, "--out", out, "--tolerance", "1e-6"]) == EXIT_USAGE
+
+    def test_tolerance_environment_variable_is_ignored(self, tmp_path, monkeypatch):
+        argv = ["sweep", "--config", str(SCENARIOS / "fig3.cfg"), "--samples", "20"]
+        plain, loose = tmp_path / "plain.csv", tmp_path / "loose.csv"
+        assert main([*argv, "--out", str(plain)]) == EXIT_OK
+        monkeypatch.setenv("QSHOCK_KERNEL_RTOL", "1e-3")
+        assert main([*argv, "--out", str(loose)]) == EXIT_OK
+        assert plain.read_bytes() == loose.read_bytes()
+        plain_run, loose_run = (json.loads((tmp_path / f"{name}.manifest.json").read_text())
+                                for name in ("plain", "loose"))
+        assert plain_run["settings"] == loose_run["settings"]
+        assert "rel_tol" not in plain_run["settings"]
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "energy-map" in capsys.readouterr().out
@@ -112,6 +135,14 @@ class TestMapsAndDiff:
                      "--out", str(delta)]) == EXIT_OK
         side = json.loads((tmp_path / "d.json").read_text())
         assert side["quantity"] == "delta"
+
+    def test_worker_quadrature_failure_exits_two(self, config_file, tmp_path, capsys,
+                                                 quadrature_fails_in_workers):
+        assert main(["capacity-map", "--config", str(config_file),
+                     "--out", str(tmp_path / "m.csv"), "--window", "8,12,2,6",
+                     "--resolution", "4", "--threads", "2"]) == EXIT_NUMERICAL
+        assert "numerical failure: head quadrature did not converge" in (
+            capsys.readouterr().err)
 
     def test_diff_axis_mismatch_fails(self, config_file, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -223,19 +254,18 @@ class TestSharedParser:
     def test_successive_commands_share_no_state(self, recorded):
         opt = ["optimize", "--config", "c", "--out", "o", "--point", "1,2"]
         assert main([*opt, "--objective", "energy", "--seed", "5",
-                     "--budget", "7", "--tolerance", "1e-6"]) == EXIT_OK
+                     "--budget", "7", "--restarts", "2"]) == EXIT_OK
         assert main(["sweep", "--config", "c", "--out", "s", "--samples", "9"]) == EXIT_OK
         assert main([*opt, "--objective", "capacity"]) == EXIT_OK
         assert main(["capacity-map", "--config", "c", "--out", "m",
                      "--threads", "1", "--resolution", "5"]) == EXIT_OK
         assert main(["capacity-map", "--config", "c", "--out", "m"]) == EXIT_OK
         first, sweep, second, threaded, default = recorded
-        assert (first["seed"], first["budget"], first["tolerance"]) == (5, 7, 1e-6)
-        assert (second["seed"], second["budget"], second["tolerance"]) == (0, 800, None)
+        assert (first["seed"], first["budget"], first["restarts"]) == (5, 7, 2)
+        assert (second["seed"], second["budget"], second["restarts"]) == (0, 800, 4)
         assert second["objective"] == "capacity"
         assert sweep == {"subcommand": "sweep", "config": "c", "out": "s",
-                         "tolerance": None, "lambda_min": 0.0, "lambda_max": 8.0,
-                         "samples": 9}
+                         "lambda_min": 0.0, "lambda_max": 8.0, "samples": 9}
         assert (threaded["threads"], threaded["resolution"]) == (1, 5)
         assert default["threads"] == (os.cpu_count() or 1)
         assert default["resolution"] == cli.DEFAULT_RESOLUTION

@@ -1,10 +1,12 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings as hsettings, strategies as st
 
-from qshock.kernels import (KernelSet, QuadratureSettings, _in_causal_contact,
+from qshock.kernels import (KernelSet, QuadratureError, QuadratureSettings,
+                            _R_FLOOR, _in_causal_contact,
                             closed_form_commutator, closed_form_radiation,
                             closed_form_variance, commutator_kernel, radiation_kernel,
                             sphere_form_factor, vacuum_variance)
@@ -235,22 +237,43 @@ class TestRadiationKernels:
 
 
 # ----------------------------------------------------------------------
-# cache and stability
+# purity and stability
 # ----------------------------------------------------------------------
 
 class TestKernelSet:
-    def test_cache_returns_identical_values(self):
+    def test_repeated_calls_return_identical_values(self):
         ks = KernelSet(R)
-        a = ks.commutator(3.0, 3.0)
-        b = ks.commutator(3.0, 3.0)
-        assert a == b
-        assert ks.cache_size() >= 1
+        assert ks.commutator(3.0, 3.0) == ks.commutator(3.0, 3.0)
+        assert ks.vacuum_variance() == ks.vacuum_variance()
 
-    def test_cache_key_rounding(self):
+    def test_values_independent_of_call_order(self):
+        # nearby arguments get their own values, whatever came before
         ks = KernelSet(R)
-        a = ks.commutator(3.0, 3.0)
-        b = ks.commutator(3.0 + 1e-12, 3.0)  # rounds onto the same key
-        assert a == b
+        first = ks.commutator(0.6000000001, 0.7)
+        second = ks.commutator(0.6000000004, 0.7)
+        assert second == KernelSet(R).commutator(0.6000000004, 0.7)
+        assert first == KernelSet(R).commutator(0.6000000001, 0.7)
+        assert first != second
+
+    @given(d=st.floats(0.0, 20.0), dt=st.floats(-20.0, 20.0),
+           other=st.sampled_from([0.25, 0.5, 1.1]))
+    @hsettings(max_examples=60, deadline=None)
+    @example(d=16.06, dt=11.58, other=0.5)  # |value| 2.5e-15 against an estimate of 1e-16
+    def test_off_support_error_covers_the_value(self, d, dt, other):
+        # off the support the exact kernel is 0, so |value| is all error
+        if abs(max(d, _R_FLOOR) - abs(dt)) < R + other:
+            return
+        kv = KernelSet(R).commutator_value(d, dt, other)
+        assert abs(kv.value) <= kv.error
+        assert kv.value == KernelSet(R).commutator(d, dt, other)
+
+    def test_quadrature_error_survives_pickling(self):
+        error = QuadratureError("head quadrature did not converge", 1.0, 1e-8)
+        back = pickle.loads(pickle.dumps(error))
+        assert type(back) is QuadratureError
+        assert str(back) == str(error)
+        assert (back.message, back.achieved, back.requested) == (
+            "head quadrature did not converge", 1.0, 1e-8)
 
     def test_tolerance_halving_within_reported_error(self):
         # sampled stability: halving the tolerance moves values less than

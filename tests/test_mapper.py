@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 import qshock
-from qshock.kernels import KernelSet, QuadratureSettings
+from qshock.kernels import KernelSet, QuadratureError
 from qshock.mapper import (GridMap, SweepCurve, capacity_map, coupling_sweep,
                            diff_map, energy_map, optimize_phases, read_grid_csv,
                            write_grid_csv, write_sweep_csv)
-from qshock.observables import (KernelBank, ReceiverNotCoupledWarning, channel_capacity,
+from qshock.observables import (ReceiverNotCoupledWarning, channel_capacity,
                                 channel_point, energy_density)
 from qshock.scenario import Detector, EmitterState, Scenario, load_scenario, w_state
 
@@ -143,21 +143,26 @@ print("ok")
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "ok"
 
-    def test_widespread_quadrature_failure_aborts(self, contact_scenario, monkeypatch):
-        # an unreachable tolerance fails every cell; the map must abort
-        from qshock import mapper
-        from qshock.kernels import QuadratureError
-        impossible = QuadratureSettings(rel_tol=1e-30, abs_floor=0.0,
-                                        max_doublings=2)
-        with pytest.raises(QuadratureError):  # already at the noise level q
-            capacity_map(contact_scenario, CAPACITY_WINDOW, 4, impossible)
+    def test_widespread_quadrature_failure_aborts(self, contact_scenario,
+                                                  quadrature_fails_in_workers):
+        # the workers' error reaches the caller whole, not as a broken pool
+        with pytest.raises(QuadratureError, match="did not converge") as failure:
+            capacity_map(contact_scenario, CAPACITY_WINDOW, 4, threads=2)
+        assert (failure.value.achieved, failure.value.requested) == (1.0, 1e-8)
+        serial = capacity_map(contact_scenario, CAPACITY_WINDOW, 4)  # no worker
+        assert np.any(serial.values > 0.0)
 
-        def failing_cell(*_args):
-            raise QuadratureError("head quadrature did not converge", 1.0, 1e-8)
-
-        monkeypatch.setattr(mapper, "_capacity_cell", failing_cell)
-        with pytest.raises(QuadratureError, match="cells failed"):
-            capacity_map(contact_scenario, CAPACITY_WINDOW, 4)
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("state_type", ["w", "classical"])
+    def test_cells_equal_pointwise_channel(self, state_type, threads):
+        scn = load_scenario(four_emitter_config(phases=(0, 0, math.pi, math.pi),
+                                                state_type=state_type))
+        grid = capacity_map(scn, (8.0, 14.0, 0.0, 6.0), 6, threads=threads)
+        for iy, yv in enumerate(grid.y):
+            for ix, xv in enumerate(grid.x):
+                moved = scn.with_receiver(scn.receiver.moved_to((xv, yv, 0.0)))
+                assert grid.values[iy, ix] == channel_capacity(channel_point(moved))
+        assert np.count_nonzero(grid.values) > 0
 
     def test_spacelike_window_is_zero(self):
         scn = load_scenario(three_emitter_config(evaluation_time=9.0))
@@ -173,14 +178,22 @@ print("ok")
         assert grid.meta["cells_in_contact"] == 0
 
     def test_quadrature_only_in_contact_cells(self, commutator_calls):
-        # the 24x24 fig2b map: a cell runs the commutator quadrature for all
-        # four emitters iff at least one of them is in causal contact
+        # the 24x24 fig2b map: a cell needs the commutator for all four
+        # emitters iff at least one of them is in causal contact, and each
+        # distinct (d, dt) among those cells is integrated exactly once
         scn = load_scenario(four_emitter_config(phases=(0, 0, math.pi, math.pi)))
         grid = capacity_map(scn, (0.0, 16.0, 0.0, 16.0), 24)
         contact = contact_cells(scn, grid)
         assert np.count_nonzero(contact) == 174
         assert grid.meta["cells_in_contact"] == 174
-        assert len(commutator_calls) == 4 * 174
+        t_b = scn.receiver.coupling_time
+        needed = {(float(np.linalg.norm(np.array((xv, yv, 0.0)) - e.position_array)),
+                   t_b - e.coupling_time)
+                  for iy, yv in enumerate(grid.y) for ix, xv in enumerate(grid.x)
+                  if contact[iy, ix] for e in scn.emitters if e.coupling_time < t_b}
+        assert len(needed) == 643
+        assert len(commutator_calls) == len(needed)
+        assert set(commutator_calls) == needed
         assert np.all(grid.values[~contact] == 0.0)
         assert np.count_nonzero(grid.values[contact]) > 0
 
@@ -273,9 +286,8 @@ class TestCouplingSweep:
         scn = load_scenario(json.dumps(cfg))
         lams = np.linspace(0.0, 8.0, 25)
         curve = coupling_sweep(scn, lams)
-        bank = KernelBank()
         expect = [channel_capacity(channel_point(
-            scn.with_receiver(scn.receiver.with_strength(lb)), bank)) for lb in lams]
+            scn.with_receiver(scn.receiver.with_strength(lb)))) for lb in lams]
         assert np.array_equal(curve.capacities, expect)
         assert curve.argmax_capacity > 0.0
 
@@ -324,11 +336,9 @@ class TestOptimizePhases:
         scn = load_scenario(four_emitter_config())
         point = (11.0, 4.5, 0.0)
         res = optimize_phases(scn, "capacity", point, budget=700, seed=0)
-        bank = KernelBank()
-        from qshock.observables import channel_point, channel_capacity
         ref = channel_capacity(channel_point(
             scn.with_state(w_state(4, [0, 0, math.pi, math.pi]))
-               .with_receiver(scn.receiver.moved_to(point)), bank))
+               .with_receiver(scn.receiver.moved_to(point))))
         assert res.value >= ref - 1e-12
 
     def test_budget_exhaustion_flagged(self):
@@ -342,14 +352,13 @@ class TestOptimizePhases:
         scn = load_scenario(four_emitter_config())
         point = (11.0, 4.5, 0.0)
         res = optimize_phases(scn, objective, point, budget=60, restarts=2, seed=1)
-        bank = KernelBank()
         for theta, value in res.trace:
             with_theta = scn.with_state(w_state(4, theta))
             if objective == "energy":
                 expect = energy_density(with_theta, point, scn.evaluation_time)
             else:
                 expect = channel_capacity(channel_point(
-                    with_theta.with_receiver(scn.receiver.moved_to(point)), bank))
+                    with_theta.with_receiver(scn.receiver.moved_to(point))))
             assert value == expect
         assert res.value > 0.0
 
@@ -444,7 +453,8 @@ class TestSerialization:
         write_grid_csv(small_capacity_map, path)
         side = json.loads((tmp_path / "map.json").read_text())
         assert side["quantity"] == "capacity"
-        assert "rel_tol" in side
+        assert "rel_tol" not in side  # no quadrature knob reaches a capacity map
+        assert 0.0 < side["noise_probability"] < 0.5
         in_contact = np.count_nonzero(contact_cells(
             load_scenario(three_emitter_config(evaluation_time=9.0)), small_capacity_map))
         assert 0 < in_contact < small_capacity_map.values.size

@@ -25,67 +25,65 @@ def spacelike_scenario():
 
 
 class TestC1Factor:
-    def test_zero_coupling(self, kernel_bank):
-        assert c1_factor(0.0, R, kernel_bank) == 1.0
+    def test_zero_coupling(self):
+        assert c1_factor(0.0, R) == 1.0
 
-    def test_strong_coupling_limit(self, kernel_bank):
-        assert c1_factor(50.0, R, kernel_bank) < 1e-100
+    def test_strong_coupling_limit(self):
+        assert c1_factor(50.0, R) < 1e-100
 
-    def test_monotone_decreasing(self, kernel_bank):
-        vals = [c1_factor(lb, R, kernel_bank) for lb in (0.0, 0.5, 1.0, 2.0, 4.0)]
+    def test_monotone_decreasing(self):
+        vals = [c1_factor(lb, R) for lb in (0.0, 0.5, 1.0, 2.0, 4.0)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
-    def test_explicit_value(self, kernel_bank):
+    def test_explicit_value(self):
         # C1 = exp(-2 lambda^2 nu); nu(1/2) = 1/16 from the kernels oracle
-        assert c1_factor(2.0, R, kernel_bank) == pytest.approx(math.exp(-0.5),
-                                                               rel=1e-9)
+        assert c1_factor(2.0, R) == pytest.approx(math.exp(-0.5), rel=1e-9)
 
 
 class TestExcitationProbability:
-    def test_no_interaction_at_all(self, kernel_bank):
+    def test_no_interaction_at_all(self):
         scn = spacelike_scenario()
         silent = scn.with_receiver(scn.receiver.with_strength(0.0))
-        assert excitation_probability(silent, couple=False, bank=kernel_bank) == 0.0
+        assert excitation_probability(silent, couple=False) == 0.0
 
-    def test_spacelike_receiver_sees_only_noise(self, kernel_bank):
+    def test_spacelike_receiver_sees_only_noise(self):
         scn = spacelike_scenario()
-        p = excitation_probability(scn, couple=True, bank=kernel_bank)
-        q = excitation_probability(scn, couple=False, bank=kernel_bank)
+        p = excitation_probability(scn, couple=True)
+        q = excitation_probability(scn, couple=False)
         assert p == pytest.approx(q, abs=1e-12)
-        assert q == pytest.approx(0.5 * (1 - c1_factor(2.0, R, kernel_bank)),
-                                  rel=1e-12)
+        assert q == pytest.approx(0.5 * (1 - c1_factor(2.0, R)), rel=1e-12)
 
-    def test_receiver_not_yet_coupled(self, kernel_bank):
+    def test_receiver_not_yet_coupled(self):
         scn = spacelike_scenario()
         early = Scenario(scn.emitters, scn.receiver, scn.emitter_state, 7.0)
         with pytest.warns(ReceiverNotCoupledWarning):
-            assert excitation_probability(early, couple=True, bank=kernel_bank) == 0.0
+            assert excitation_probability(early, couple=True) == 0.0
 
-    def test_in_contact_signal(self, kernel_bank):
+    def test_in_contact_signal(self):
         scn = load_scenario(three_emitter_config(evaluation_time=9.0))
-        p = excitation_probability(scn, couple=True, bank=kernel_bank)
-        q = excitation_probability(scn, couple=False, bank=kernel_bank)
+        p = excitation_probability(scn, couple=True)
+        q = excitation_probability(scn, couple=False)
         assert 0.0 < q < 0.5
         assert p != pytest.approx(q, abs=1e-9)
 
-    def test_emitter_after_receiver_gated_out(self, kernel_bank):
+    def test_emitter_after_receiver_gated_out(self):
         # an emitter firing after the receiver cannot contribute signal
         emitters = (Detector((2.0, 0.0, 0.0), 10.0, 1.0),)
         receiver = Detector((0.0, 0.0, 0.0), 8.0, 2.0)
         scn = Scenario(emitters, receiver, w_state(1, [0.0]), 12.0)
-        p = excitation_probability(scn, couple=True, bank=kernel_bank)
-        q = excitation_probability(scn, couple=False, bank=kernel_bank)
+        p = excitation_probability(scn, couple=True)
+        q = excitation_probability(scn, couple=False)
         assert p == q
 
-    def test_probability_bounds(self, kernel_bank):
+    def test_probability_bounds(self):
         scn = load_scenario(three_emitter_config(evaluation_time=9.0))
         for couple in (True, False):
-            p = excitation_probability(scn, couple, bank=kernel_bank)
+            p = excitation_probability(scn, couple)
             assert 0.0 <= p <= 1.0
 
     @given(data=st.data())
     @hsettings(max_examples=40, deadline=None)
-    def test_probability_within_vacuum_noise_band(self, kernel_bank, data):
+    def test_probability_within_vacuum_noise_band(self, data):
         # |E| <= 1 pins p to [(1 - C1)/2, (1 + C1)/2] for any emitter state
         n = data.draw(st.integers(1, 4))
         coord = st.floats(-3.0, 3.0)
@@ -107,8 +105,8 @@ class TestExcitationProbability:
         receiver = Detector((data.draw(coord), data.draw(coord), data.draw(coord)),
                             t_b, data.draw(st.floats(0.0, 4.0)))
         scn = Scenario(emitters, receiver, state, t_b + 1.0)
-        c1 = c1_factor(receiver.coupling_strength, R, kernel_bank)
-        p = excitation_probability(scn, couple=True, bank=kernel_bank)
+        c1 = c1_factor(receiver.coupling_strength, R)
+        p = excitation_probability(scn, couple=True)
         assert 0.5 * (1.0 - c1) <= p <= 0.5 * (1.0 + c1)
 
 
@@ -149,15 +147,14 @@ class TestDisconnectedReceiver:
     @pytest.mark.parametrize("receiver_kind", sorted(DISCONNECTED_RECEIVERS))
     @pytest.mark.parametrize("state_kind", sorted(DISCONNECTED_STATES))
     def test_noise_only_and_no_commutator_call(self, state_kind, receiver_kind,
-                                               commutator_calls, kernel_bank):
+                                               commutator_calls):
         scn = disconnected_scenario(state_kind, receiver_kind)
-        point = channel_point(scn, kernel_bank)
+        point = channel_point(scn)
         assert commutator_calls == []
         assert point.p == point.q
-        assert point.q == 0.5 * (1.0 - c1_factor(2.0, R, kernel_bank))
+        assert point.q == 0.5 * (1.0 - c1_factor(2.0, R))
         assert channel_capacity(point) == 0.0
-        assert (excitation_probability(scn, True, kernel_bank)
-                == excitation_probability(scn, False, kernel_bank))
+        assert excitation_probability(scn, True) == excitation_probability(scn, False)
         assert commutator_calls == []
 
 
@@ -301,31 +298,31 @@ class TestChannelCapacity:
         # boundary dust within 1e-12 is clamped, not fatal
         assert channel_capacity(p=1.0 + 1e-13, q=0.0) == 1.0
 
-    def test_channel_point_invariants(self, kernel_bank):
+    def test_channel_point_invariants(self):
         scn = load_scenario(three_emitter_config(evaluation_time=9.0))
-        cp = channel_point(scn, kernel_bank)
+        cp = channel_point(scn)
         assert 0.0 <= cp.p <= 1.0
         assert cp.q < 0.5  # strictly below one half at finite coupling
 
 
 class TestMonotoneNoise:
-    def test_noise_increases_and_capacity_dies(self, kernel_bank):
+    def test_noise_increases_and_capacity_dies(self):
         scn = load_scenario(three_emitter_config(evaluation_time=9.0))
         qs, caps = [], []
         for lb in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0):
             strong = scn.with_receiver(scn.receiver.with_strength(lb))
-            p = excitation_probability(strong, True, kernel_bank)
-            q = excitation_probability(strong, False, kernel_bank)
+            p = excitation_probability(strong, True)
+            q = excitation_probability(strong, False)
             qs.append(q)
             caps.append(channel_capacity(p=p, q=q))
         assert all(a < b for a, b in zip(qs, qs[1:]))          # q strictly rises
         assert qs[-1] == pytest.approx(0.5, abs=1e-6)
         assert caps[-1] < 1e-10                                 # capacity dies
 
-    def test_large_coupling_probability_half(self, kernel_bank):
+    def test_large_coupling_probability_half(self):
         scn = load_scenario(three_emitter_config(evaluation_time=9.0))
         strong = scn.with_receiver(scn.receiver.with_strength(50.0))
-        p = excitation_probability(strong, True, kernel_bank)
-        q = excitation_probability(strong, False, kernel_bank)
+        p = excitation_probability(strong, True)
+        q = excitation_probability(strong, False)
         assert abs(p - 0.5) < 1e-3
         assert channel_capacity(p=p, q=q) < 1e-6
