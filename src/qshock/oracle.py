@@ -3,10 +3,10 @@
 The continuum field is replaced by a finite set of discrete modes.  On
 that mode set two entirely different routes compute the same numbers:
 
-  * exact_*: build each detector's unitary as the dense matrix
-    exponential of its delta-coupling generator (qubit (x) joint-mode
-    displacement), apply them in coupling-time order, and read the
-    observable off the evolved state vector;
+  * exact_*: evolve the state vector of qubits (x) truncated modes
+    through each detector's delta-coupling unitary
+    exp(-i lam mu (x) Phi), in coupling-time order, and read the
+    observable off the evolved state;
 
   * discrete_*: the closed-form pipeline expressions with every momentum
     integral replaced by the same discrete mode sums.
@@ -17,8 +17,18 @@ energy-density cross terms, through the pipeline's own quadratic form)
 in complete isolation from kernel accuracy, which the tests check
 against the kernels' closed forms.  The oracle never integrates.
 
-scipy.linalg is imported inside expm, on the first exact evolution, so
-importing the package does not load it.
+The evolution is factorised; no operator of the full Hilbert dimension
+is built.  The state is an array with one axis per qubit and per mode.
+mu^2 = 1 gives exp(-i lam mu (x) Phi) = P+ (x) e^{-i lam Phi}
++ P- (x) e^{+i lam Phi} with P+- = (1 +- mu)/2, and the per-mode terms of
+Phi = sum_j (beta_j a_j^+ + conj(beta_j) a_j) act on different axes, so
+they commute exactly even after truncation and e^{-i lam Phi} is one
+cutoff x cutoff exponential per mode (docs/derivations.md section 9).
+The split uses only mu^2 = 1 and the mode structure, never the kernels
+or the reduction to the signal angles g_i.
+
+Every exponential goes through the module-level expm, a Hermitian
+eigendecomposition in numpy; the oracle loads no scipy module.
 """
 
 from __future__ import annotations
@@ -126,48 +136,19 @@ def derivative_amplitudes(modes: ModeSet, position, time: float, j: int) -> np.n
 
 
 # ----------------------------------------------------------------------
-# dense operator construction
+# factorised evolution on a (2,)*n_qubits + (cutoff,)*n_modes state array
 # ----------------------------------------------------------------------
 
-def _kron_all(mats) -> np.ndarray:
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
-
-
-def _mode_annihilators(modes: ModeSet) -> list[np.ndarray]:
-    cut = modes.cutoff
-    a = np.diag(np.sqrt(np.arange(1, cut, dtype=float)), 1)
-    eye = np.eye(cut)
-    ops = []
-    for j in range(modes.n_modes):
-        mats = [eye] * modes.n_modes
-        mats[j] = a
-        ops.append(_kron_all(mats))
-    return ops
-
-
-def _monopole_matrix(n_qubits: int, index: int, omega_t: float) -> np.ndarray:
-    raise_op = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |e><g|, basis (g, e)
-    mu = raise_op * np.exp(1j * omega_t) + raise_op.conj().T * np.exp(-1j * omega_t)
-    mats = [np.eye(2, dtype=complex)] * n_qubits
-    mats[index] = mu
-    return _kron_all(mats)
-
-
-def _field_displacement_generator(betas: np.ndarray, ann: list[np.ndarray]) -> np.ndarray:
-    dim = ann[0].shape[0]
-    phi = np.zeros((dim, dim), dtype=complex)
-    for b, a in zip(betas, ann):
-        phi += b * a.conj().T + np.conj(b) * a
-    return phi
-
-
 def expm(a: np.ndarray) -> np.ndarray:
-    """Dense matrix exponential, scipy.linalg.expm imported on first use."""
-    from scipy.linalg import expm as dense_expm
-    return dense_expm(a)
+    """exp(a) of an anti-Hermitian a, as every generator -i lam Phi here is.
+
+    V diag(e^{-i w}) V^+ from numpy's eigh of the Hermitian i a, on the
+    calling thread.  scipy.linalg.expm's threaded getrs woke or kept
+    spinning a second BLAS thread on each tiny call, so its cost swung
+    with machine load (about 1 ms per call when that thread slept).
+    """
+    w, v = np.linalg.eigh(1j * a)
+    return (v * np.exp(-1j * w)) @ v.conj().T
 
 
 def _check_budget(n_qubits: int, modes: ModeSet, budget: int) -> int:
@@ -177,31 +158,56 @@ def _check_budget(n_qubits: int, modes: ModeSet, budget: int) -> int:
     return dim
 
 
+def _annihilator(cutoff: int) -> np.ndarray:
+    return np.diag(np.sqrt(np.arange(1, cutoff, dtype=float)), 1)
+
+
+def _mode_generator(amplitude: complex, a: np.ndarray) -> np.ndarray:
+    """amplitude a^+ + conj(amplitude) a on one mode, cutoff x cutoff."""
+    return amplitude * a.conj().T + np.conj(amplitude) * a
+
+
+def _apply(op: np.ndarray, psi: np.ndarray, axis: int) -> np.ndarray:
+    """op acting on the single tensor factor `axis` of the state array."""
+    return np.moveaxis(np.tensordot(op, psi, axes=(1, axis)), 0, axis)
+
+
+def _vacuum_state(register: np.ndarray, n_qubits: int, modes: ModeSet) -> np.ndarray:
+    """Qubit register (x) mode vacuum, one array axis per qubit and mode."""
+    psi = np.zeros((2,) * n_qubits + (modes.cutoff,) * modes.n_modes, dtype=complex)
+    psi[(Ellipsis,) + (0,) * modes.n_modes] = register.reshape((2,) * n_qubits)
+    return psi
+
+
 def _evolve(detectors, qubit_indices, n_qubits, modes: ModeSet,
             psi: np.ndarray) -> np.ndarray:
-    """Apply each detector's unitary in coupling-time order (stable on ties)."""
-    ann = _mode_annihilators(modes)
+    """Apply each detector's unitary in coupling-time order (stable on ties).
+
+    Each unitary is P+ (x) prod_j e^{-i lam Phi_j} + P- (x) prod_j
+    e^{+i lam Phi_j}: two 2 x 2 projectors on the detector's qubit axis and
+    one cutoff x cutoff exponential per mode axis (module docstring).
+    """
+    a = _annihilator(modes.cutoff)
+    eye = np.eye(2)
     order = sorted(range(len(detectors)), key=lambda i: detectors[i].coupling_time)
     for i in order:
         det = detectors[i]
         betas = mode_amplitudes(modes, det.position, det.coupling_time,
                                 det.smearing_radius)
-        mu = _monopole_matrix(n_qubits, qubit_indices[i],
-                              det.gap * det.coupling_time)
-        gen = np.kron(mu, _field_displacement_generator(betas, ann))
-        u = expm(-1j * det.coupling_strength * gen)
-        psi = u @ psi
+        kicks = [expm(-1j * det.coupling_strength * _mode_generator(b, a))
+                 for b in betas]
+        phase = np.exp(1j * det.gap * det.coupling_time)
+        mu = np.array([[0.0, np.conj(phase)], [phase, 0.0]])  # basis (g, e)
+        plus = _apply(0.5 * (eye + mu), psi, qubit_indices[i])
+        minus = _apply(0.5 * (eye - mu), psi, qubit_indices[i])
+        for m, u in enumerate(kicks):
+            plus = _apply(u, plus, n_qubits + m)
+            minus = _apply(u.conj().T, minus, n_qubits + m)
+        psi = plus + minus
         norm = np.linalg.norm(psi)
         if abs(norm - 1.0) > 1e-10:
             raise FloatingPointError(f"evolution lost unitarity: |psi| = {norm!r}")
     return psi
-
-
-def _emitter_register_vacuum(scenario: Scenario, modes: ModeSet):
-    """Initial states: (weight, emitter register (x) mode vacuum)."""
-    vac = np.zeros(modes.fock_dimension(), dtype=complex)
-    vac[0] = 1.0
-    return [(w, np.kron(vec, vac)) for w, vec in scenario.emitter_state.vectors()]
 
 
 def exact_probability(modes: ModeSet, scenario: Scenario, couple: bool,
@@ -227,21 +233,17 @@ def exact_probability(modes: ModeSet, scenario: Scenario, couple: bool,
                 qubit_indices.append(i)
     detectors.append(rec)
     qubit_indices.append(n)  # receiver is the last qubit
-    fock_dim = modes.fock_dimension()
-    q_b = _kron_all([np.eye(2, dtype=complex)] * n + [np.diag([0.0, 1.0]).astype(complex)])
-    projector = np.kron(q_b, np.eye(fock_dim, dtype=complex))
-    vac = np.zeros(fock_dim, dtype=complex)
-    vac[0] = 1.0
     ground = np.array([1.0, 0.0], dtype=complex)
     if couple:
-        initial = [(w, np.kron(np.kron(vec, ground), vac))
-                   for w, vec in scenario.emitter_state.vectors()]
+        initial = [(w, np.kron(vec, ground)) for w, vec in scenario.emitter_state.vectors()]
     else:
-        initial = [(1.0, np.kron(ground, vac))]
+        initial = [(1.0, ground)]
     prob = 0.0
-    for w, psi in initial:
-        fin = _evolve(detectors, qubit_indices, n_qubits, modes, psi)
-        prob += w * float(np.real(np.vdot(fin, projector @ fin)))
+    for w, register in initial:
+        fin = _evolve(detectors, qubit_indices, n_qubits, modes,
+                      _vacuum_state(register, n_qubits, modes))
+        excited = fin[(slice(None),) * n + (1,)]  # receiver projector |e><e|
+        prob += w * float(np.real(np.vdot(excited, excited)))
     return prob
 
 
@@ -255,20 +257,17 @@ def exact_energy(modes: ModeSet, scenario: Scenario, x, t: float,
         if e.coupling_time <= t and e.coupling_strength != 0.0:
             detectors.append(e)
             qubit_indices.append(i)
-    ann = _mode_annihilators(modes)
-    qubit_dim = 2**n
+    a = _annihilator(modes.cutoff)
     total = 0.0
-    evolved = []
-    for w, psi in _emitter_register_vacuum(scenario, modes):
-        fin = _evolve(detectors, qubit_indices, n, modes, psi) if detectors else psi
-        evolved.append((w, fin))
+    evolved = [(w, _evolve(detectors, qubit_indices, n, modes,
+                           _vacuum_state(vec, n, modes)))
+               for w, vec in scenario.emitter_state.vectors()]
     for j in range(4):
         deltas = derivative_amplitudes(modes, x, t, j)
-        deriv = _field_displacement_generator(deltas, ann)
-        deriv_full = np.kron(np.eye(qubit_dim, dtype=complex), deriv)
+        derivs = [_mode_generator(d, a) for d in deltas]
         vacuum_piece = float(np.sum(np.abs(deltas) ** 2))
         for w, fin in evolved:
-            dfin = deriv_full @ fin
+            dfin = sum(_apply(op, fin, n + m) for m, op in enumerate(derivs))
             total += w * (float(np.real(np.vdot(dfin, dfin))) - vacuum_piece)
     return total
 

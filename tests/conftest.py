@@ -1,7 +1,8 @@
 """Shared test oracles, deliberately independent of the package internals.
 
 Each helper recomputes a quantity by a different route than the code
-under test: dense matrix algebra for the emitter register, closed-form
+under test: dense matrix algebra for the emitter register and for the
+truncated-Fock evolution (one full-dimension expm per detector), closed-form
 retarded fields for the radiation kernels, interval-doubled summation
 for the variance integral, and Blahut-Arimoto iteration for capacities.
 """
@@ -51,6 +52,83 @@ def dense_product_expectation(state, g, phases) -> float:
     for w, vec in state.vectors():
         total += w * np.real(np.vdot(vec, op @ vec))
     return float(total)
+
+
+# ----------------------------------------------------------------------
+# dense truncated-Fock evolution: full-dimension kron generators + expm
+# ----------------------------------------------------------------------
+
+def dense_field_operator(amplitudes, cutoff: int) -> np.ndarray:
+    """sum_j (amp_j a_j^+ + conj(amp_j) a_j) over the joint mode space."""
+    a = np.diag(np.sqrt(np.arange(1, cutoff, dtype=float)), 1)
+    eye = np.eye(cutoff)
+    n_modes = len(amplitudes)
+    out = np.zeros((cutoff**n_modes,) * 2, dtype=complex)
+    for j, amp in enumerate(amplitudes):
+        mats = [eye] * n_modes
+        mats[j] = amp * a.conj().T + np.conj(amp) * a
+        out += kron_chain(mats)
+    return out
+
+
+def dense_evolve(detectors, qubits, n_qubits, modes, psi) -> np.ndarray:
+    """Each detector's exp(-i lam mu (x) Phi) as one dense expm, time-ordered."""
+    from scipy.linalg import expm
+
+    from qshock.oracle import mode_amplitudes
+    order = sorted(range(len(detectors)), key=lambda i: detectors[i].coupling_time)
+    for i in order:
+        det = detectors[i]
+        betas = mode_amplitudes(modes, det.position, det.coupling_time,
+                                det.smearing_radius)
+        mu = dense_monopole(n_qubits, qubits[i] + 1, det.gap * det.coupling_time)
+        gen = np.kron(mu, dense_field_operator(betas, modes.cutoff))
+        psi = expm(-1j * det.coupling_strength * gen) @ psi
+    return psi
+
+
+def dense_exact_probability(modes, scenario, couple: bool) -> float:
+    """Receiver excitation from dense evolution; the receiver is the last qubit."""
+    rec = scenario.receiver
+    n = scenario.n_emitters if couple else 0
+    emitters = [(e, i) for i, e in enumerate(scenario.emitters)
+                if couple and e.coupling_time <= scenario.evaluation_time]
+    detectors = [e for e, _ in emitters] + [rec]
+    qubits = [i for _, i in emitters] + [n]
+    vac = np.zeros(modes.fock_dimension(), dtype=complex)
+    vac[0] = 1.0
+    ground = np.array([1.0, 0.0], dtype=complex)
+    vectors = scenario.emitter_state.vectors() if couple else [(1.0, np.ones(1))]
+    projector = np.kron(np.kron(np.eye(2**n), np.diag([0.0, 1.0])),
+                        np.eye(modes.fock_dimension()))
+    prob = 0.0
+    for w, vec in vectors:
+        fin = dense_evolve(detectors, qubits, n + 1, modes,
+                           np.kron(np.kron(vec, ground), vac))
+        prob += w * float(np.real(np.vdot(fin, projector @ fin)))
+    return prob
+
+
+def dense_exact_energy(modes, scenario, x, t: float) -> float:
+    """Normal-ordered energy density at (x, t) from dense evolution."""
+    from qshock.oracle import derivative_amplitudes
+    n = scenario.n_emitters
+    emitters = [(e, i) for i, e in enumerate(scenario.emitters)
+                if e.coupling_time <= t and e.coupling_strength != 0.0]
+    vac = np.zeros(modes.fock_dimension(), dtype=complex)
+    vac[0] = 1.0
+    evolved = [(w, dense_evolve([e for e, _ in emitters], [i for _, i in emitters],
+                                n, modes, np.kron(vec, vac)))
+               for w, vec in scenario.emitter_state.vectors()]
+    total = 0.0
+    for j in range(4):
+        deltas = derivative_amplitudes(modes, x, t, j)
+        deriv = np.kron(np.eye(2**n), dense_field_operator(deltas, modes.cutoff))
+        for w, fin in evolved:
+            dfin = deriv @ fin
+            total += w * (float(np.real(np.vdot(dfin, dfin)))
+                          - float(np.sum(np.abs(deltas) ** 2)))
+    return total
 
 
 # ----------------------------------------------------------------------

@@ -210,7 +210,6 @@ def test_criterion_5_finite_optimal_coupling():
 # criterion 6: truncated-Fock oracle equivalence
 # ----------------------------------------------------------------------
 
-@pytest.mark.slow
 def test_criterion_6_oracle_equivalence():
     t0 = time.perf_counter()
     rows = run_standard_comparisons(tolerance=1e-6)

@@ -1,12 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from qshock.oracle import (ModeSet, OracleBudgetError, discrete_energy,
-                           discrete_probability, exact_energy, exact_probability,
-                           mode_amplitudes, run_standard_comparisons,
-                           standard_comparison_cases)
+from conftest import dense_exact_energy, dense_exact_probability
+from qshock.oracle import (ModeSet, OracleBudgetError, _case_modes, _case_scenario,
+                           discrete_energy, discrete_probability, exact_energy,
+                           exact_probability, mode_amplitudes,
+                           run_standard_comparisons, standard_comparison_cases)
 from qshock.scenario import Detector, EmitterState, Scenario, classical_mixture, \
     w_state
 
@@ -181,8 +183,57 @@ class TestStandardBattery:
         assert {c["couple"] for c in cases} == {True, False}
         assert {c["n_modes"] for c in cases} == {1, 2, 3, 4}
 
-    @pytest.mark.slow
     def test_full_battery_passes(self):
         rows = run_standard_comparisons(tolerance=1e-6)
         for row in rows:
             assert row.passed, f"{row.case}: |diff| {row.difference:.2e}"
+
+
+class TestDenseAnchor:
+    """Factorised evolution against one full-dimension expm per detector."""
+
+    @pytest.mark.parametrize("n, kind, couple, n_modes, cutoff", [
+        (2, "w", True, 3, 4),
+        (2, "product", False, 2, 6),
+    ])
+    def test_probability(self, n, kind, couple, n_modes, cutoff):
+        modes, scn = _case_modes(n_modes, cutoff), _case_scenario(n, kind)
+        assert exact_probability(modes, scn, couple) == pytest.approx(
+            dense_exact_probability(modes, scn, couple), abs=1e-12)
+
+    def test_energy(self):
+        modes, scn = _case_modes(2, 6), _case_scenario(2, "classical")
+        point, t_obs = (0.8, -0.4, 0.3), 2.6
+        assert exact_energy(modes, scn, point, t_obs) == pytest.approx(
+            dense_exact_energy(modes, scn, point, t_obs), abs=1e-12)
+
+
+class TestFourEmitters:
+    """n = 4 with fig2b's phases, outside the standard battery."""
+
+    @pytest.mark.parametrize("state", [w_state(4, [0.0, 0.0, math.pi, math.pi]),
+                                       classical_mixture(4)])
+    def test_converged_and_matches_pipeline(self, state):
+        scn = replace(_case_scenario(4, "w"), emitter_state=state)
+        modes = _case_modes(2, 5)
+        coarse = exact_probability(modes, scn, True)
+        fine = exact_probability(modes.with_cutoff(7), scn, True)
+        assert abs(fine - coarse) < 1e-7
+        assert abs(fine - discrete_probability(modes, scn, True)) < 1e-6
+
+
+def test_no_signalling_from_emitter_after_receiver():
+    # the receiver projector commutes with every later unitary, so an
+    # emitter coupling after the receiver is indistinguishable from silence
+    base = _case_scenario(2, "w")
+    first, second = base.emitters
+    assert base.receiver.coupling_time < 3.5 < base.evaluation_time
+    modes = _case_modes(2, 6)
+
+    def probability(strength):
+        late = replace(second, coupling_time=3.5, coupling_strength=strength)
+        scn = replace(base, emitters=(first, late))
+        return exact_probability(modes, scn, True)
+
+    assert probability(second.coupling_strength) == pytest.approx(
+        probability(0.0), abs=1e-15)
