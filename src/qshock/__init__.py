@@ -9,9 +9,7 @@ all exactly (no perturbative truncation), with an independent
 truncated-Fock oracle validating the operator algebra.
 """
 
-from .kernels import (KernelSet, KernelValue, QuadratureError, QuadratureSettings,
-                      commutator_kernel, radiation_kernel, sphere_form_factor,
-                      vacuum_variance)
+from .kernels import KernelSet, KernelValue, QuadratureError, sphere_form_factor
 from .scenario import (Detector, EmitterState, Scenario, SchemaError,
                        ValidationError, classical_mixture, load_scenario,
                        load_scenario_file, scenario_fingerprint, w_state)

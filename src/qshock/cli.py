@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -18,9 +19,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .kernels import (KernelSet, QuadratureError, QuadratureSettings,
-                      closed_form_commutator, closed_form_radiation,
-                      closed_form_variance)
+from .kernels import (KernelSet, QuadratureError, closed_form_commutator,
+                      closed_form_radiation, closed_form_variance)
 from .mapper import (DEFAULT_RESOLUTION, DEFAULT_WINDOW, capacity_map, coupling_sweep,
                      diff_map, energy_map, optimize_phases, read_grid_csv,
                      write_grid_csv, write_sweep_csv)
@@ -64,22 +64,28 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _numbers(text: str, flag: str, form: str, counts) -> list[float]:
+    """The comma-separated finite numbers given to flag, as many as counts allows."""
+    try:
+        parts = [float(v) for v in text.split(",")]
+    except ValueError:
+        parts = []
+    if len(parts) not in counts:
+        raise ValidationError(flag, f"expected {form}")
+    if not all(math.isfinite(v) for v in parts):
+        raise ValidationError(flag, f"values must be finite, got {text!r}")
+    return parts
+
+
 def _window_from(args):
     if args.window is None:
         return DEFAULT_WINDOW
-    parts = [float(v) for v in args.window.split(",")]
-    if len(parts) != 4:
-        raise ValidationError("--window", "expected xmin,xmax,ymin,ymax")
-    return tuple(parts)
+    return tuple(_numbers(args.window, "--window", "xmin,xmax,ymin,ymax", (4,)))
 
 
 def _point_from(text: str):
-    parts = [float(v) for v in text.split(",")]
-    if len(parts) == 2:
-        parts.append(0.0)
-    if len(parts) != 3:
-        raise ValidationError("--point", "expected x,y[,z]")
-    return tuple(parts)
+    parts = _numbers(text, "--point", "x,y[,z]", (2, 3))
+    return tuple(parts + [0.0] * (3 - len(parts)))
 
 
 def build_parser() -> _Parser:
@@ -133,14 +139,11 @@ def build_parser() -> _Parser:
     p.add_argument("--r", default="0.5,8,32", help="min,max,count for r (or d)")
     p.add_argument("--dt", default="5", help="time difference (single value)")
     p.add_argument("--out", required=True)
-    p.add_argument("--tolerance", type=float, default=1e-8,
-                   help="quadrature relative tolerance")
     p.add_argument("--cross-check", action="store_true",
                    help="add a closed_form column: the exact position-space "
                         "kernel, an independent check of the quadrature")
 
-    p = sub.add_parser("oracle", help="pipeline vs exact Fock comparison table")
-    p.add_argument("--tolerance", type=float, default=1e-6)
+    sub.add_parser("oracle", help="pipeline vs exact Fock comparison table")
 
     return parser
 
@@ -246,10 +249,12 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_kernels(args) -> int:
-    ks = KernelSet(args.radius, QuadratureSettings(rel_tol=args.tolerance))
-    lo, hi, count = (float(v) for v in args.r.split(","))
+    ks = KernelSet(args.radius)
+    lo, hi, count = _numbers(args.r, "--r", "min,max,count", (3,))
+    if count != int(count) or count < 1:
+        raise ValidationError("--r", f"count must be an integer >= 1, got {args.r!r}")
     rs = np.linspace(lo, hi, int(count))
-    dt = float(args.dt)
+    dt = _numbers(args.dt, "--dt", "one time difference", (1,))[0]
     header = "r,dt,value,err_estimate"
     if args.cross_check:
         header += ",closed_form"
@@ -278,14 +283,14 @@ def _cmd_kernels(args) -> int:
         fh.write("\n".join(lines) + "\n")
     manifest = RunManifest("kernels", None, [args.out],
                            {"kind": args.kind, "radius": args.radius,
-                            "dt": dt, "rel_tol": args.tolerance}, {})
+                            "dt": dt}, {})
     manifest.write(args.out)
     print(f"wrote {args.out} ({len(rs)} samples)")
     return EXIT_OK
 
 
 def _cmd_oracle(args) -> int:
-    rows = run_standard_comparisons(tolerance=args.tolerance)
+    rows = run_standard_comparisons()
     width = max(len(r.case) for r in rows)
     print(f"{'case':<{width}}  {'pipeline':>14}  {'exact':>14}  {'|diff|':>10}  "
           f"{'tol':>8}  result")

@@ -86,8 +86,8 @@ class GridMap:
         if v.shape != (y.size, x.size):
             raise ValueError(f"value matrix {v.shape} does not match axes "
                              f"({y.size}, {x.size})")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("grid values must be finite")
+        if not all(np.all(np.isfinite(a)) for a in (x, y, v)):
+            raise ValueError("grid axes and values must be finite")
         for arr in (x, y, v):
             arr.setflags(write=False)
         object.__setattr__(self, "x", x)
@@ -357,6 +357,8 @@ def write_grid_csv(grid: GridMap, path, sidecar: bool = True) -> None:
 def read_grid_csv(path) -> GridMap:
     with open(path, "r", encoding="utf-8") as fh:
         rows = [line.strip() for line in fh if line.strip()]
+    if not rows:
+        raise ValueError(f"{path}: empty grid CSV")
     header = rows[0].split(",")
     xs = np.array([float(v) for v in header[1:]])
     ys, values = [], []

@@ -29,6 +29,9 @@ or the reduction to the signal angles g_i.
 
 Every exponential goes through the module-level expm, a Hermitian
 eigendecomposition in numpy; the oracle loads no scipy module.
+
+The battery runs at one fixed setting, the module constants below;
+_check_budget holds every exact evolution to _DIMENSION_BUDGET.
 """
 
 from __future__ import annotations
@@ -57,16 +60,18 @@ __all__ = [
     "run_standard_comparisons",
 ]
 
-DEFAULT_DIMENSION_BUDGET = 4096
+_AGREEMENT_TOL = 1e-6       # |pipeline - exact| for a case to pass
+_CUTOFF_TOL = 1e-7          # |exact(cutoff + 2) - exact(cutoff)|
+_DIMENSION_BUDGET = 4096    # largest Hilbert dimension an exact evolution builds
 _SQRT_16PI3 = math.sqrt(16.0 * math.pi**3)
 
 
 class OracleBudgetError(RuntimeError):
-    """The requested Hilbert dimension exceeds the configured budget."""
+    """The requested Hilbert dimension exceeds the oracle's fixed budget."""
 
     def __init__(self, dimension: int, budget: int):
         super().__init__(f"Hilbert dimension {dimension} exceeds budget {budget}; "
-                         f"raise the budget or shrink modes/cutoff")
+                         f"shrink modes/cutoff")
         self.dimension = dimension
         self.budget = budget
 
@@ -151,10 +156,10 @@ def expm(a: np.ndarray) -> np.ndarray:
     return (v * np.exp(-1j * w)) @ v.conj().T
 
 
-def _check_budget(n_qubits: int, modes: ModeSet, budget: int) -> int:
+def _check_budget(n_qubits: int, modes: ModeSet) -> int:
     dim = 2**n_qubits * modes.fock_dimension()
-    if dim > budget:
-        raise OracleBudgetError(dim, budget)
+    if dim > _DIMENSION_BUDGET:
+        raise OracleBudgetError(dim, _DIMENSION_BUDGET)
     return dim
 
 
@@ -210,8 +215,7 @@ def _evolve(detectors, qubit_indices, n_qubits, modes: ModeSet,
     return psi
 
 
-def exact_probability(modes: ModeSet, scenario: Scenario, couple: bool,
-                      budget: int = DEFAULT_DIMENSION_BUDGET) -> float:
+def exact_probability(modes: ModeSet, scenario: Scenario, couple: bool) -> float:
     """Receiver excitation probability from exact evolution on the mode set.
 
     With couple=False no operator touches the emitter register, which
@@ -223,7 +227,7 @@ def exact_probability(modes: ModeSet, scenario: Scenario, couple: bool,
         return 0.0
     n = scenario.n_emitters if couple else 0
     n_qubits = n + 1
-    _check_budget(n_qubits, modes, budget)
+    _check_budget(n_qubits, modes)
     detectors: list[Detector] = []
     qubit_indices: list[int] = []
     if couple:
@@ -247,11 +251,10 @@ def exact_probability(modes: ModeSet, scenario: Scenario, couple: bool,
     return prob
 
 
-def exact_energy(modes: ModeSet, scenario: Scenario, x, t: float,
-                 budget: int = DEFAULT_DIMENSION_BUDGET) -> float:
+def exact_energy(modes: ModeSet, scenario: Scenario, x, t: float) -> float:
     """Normal-ordered discrete energy density at (x, t) from exact evolution."""
     n = scenario.n_emitters
-    _check_budget(n, modes, budget)
+    _check_budget(n, modes)
     detectors, qubit_indices = [], []
     for i, e in enumerate(scenario.emitters):
         if e.coupling_time <= t and e.coupling_strength != 0.0:
@@ -369,7 +372,7 @@ def standard_comparison_cases() -> list[dict]:
     """>= 12 cases spanning emitter count, state family, coupling, and modes.
 
     Per-case cutoffs keep every Hilbert space, including the cutoff+2
-    convergence run, inside the default dimension budget.
+    convergence run, inside _DIMENSION_BUDGET.
     """
     grid = [
         # (n, state, couple, n_modes, base_cutoff)
@@ -393,34 +396,30 @@ def standard_comparison_cases() -> list[dict]:
     return cases
 
 
-def run_standard_comparisons(tolerance: float = 1e-6,
-                             convergence_tol: float = 1e-7,
-                             budget: int = DEFAULT_DIMENSION_BUDGET,
-                             cases: list[dict] | None = None) -> list[ComparisonRow]:
+def run_standard_comparisons() -> list[ComparisonRow]:
     """Run the battery; each case first demonstrates Fock-cutoff convergence."""
     rows = []
-    for case in cases or standard_comparison_cases():
+    for case in standard_comparison_cases():
         n, kind = case["n"], case["state"]
         scenario = _case_scenario(n, kind)
         base_cut = case["cutoff"]
         modes = _case_modes(case["n_modes"], base_cut)
         if case["kind"] == "probability":
-            coarse = exact_probability(modes, scenario, case["couple"], budget)
+            coarse = exact_probability(modes, scenario, case["couple"])
             fine = exact_probability(modes.with_cutoff(base_cut + 2), scenario,
-                                     case["couple"], budget)
-            if abs(fine - coarse) > convergence_tol:
+                                     case["couple"])
+            if abs(fine - coarse) > _CUTOFF_TOL:
                 raise FloatingPointError(
                     f"{case['name']}: cutoff not converged ({abs(fine - coarse):.2e})")
             pipeline = discrete_probability(modes, scenario, case["couple"])
         else:
             point, t_obs = (0.8, -0.4, 0.3), 2.6
-            coarse = exact_energy(modes, scenario, point, t_obs, budget)
-            fine = exact_energy(modes.with_cutoff(base_cut + 2), scenario, point,
-                                t_obs, budget)
-            if abs(fine - coarse) > convergence_tol:
+            coarse = exact_energy(modes, scenario, point, t_obs)
+            fine = exact_energy(modes.with_cutoff(base_cut + 2), scenario, point, t_obs)
+            if abs(fine - coarse) > _CUTOFF_TOL:
                 raise FloatingPointError(
                     f"{case['name']}: cutoff not converged ({abs(fine - coarse):.2e})")
             pipeline = discrete_energy(modes, scenario, point, t_obs)
         rows.append(ComparisonRow(case["name"], pipeline, fine,
-                                  abs(pipeline - fine), tolerance))
+                                  abs(pipeline - fine), _AGREEMENT_TOL))
     return rows

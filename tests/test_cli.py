@@ -70,14 +70,24 @@ class TestUsageErrors:
             assert main([*argv, "--out", out]) == EXIT_OK
 
     def test_capacity_commands_have_no_tolerance(self, config_file, tmp_path):
-        # the tolerance knob is gone; only `kernels` still takes one
-        fig2a = str(SCENARIOS / "fig2a.cfg")
-        for argv in (["capacity-map", "--config", str(config_file), "--resolution", "3"],
-                     ["sweep", "--config", fig2a, "--samples", "5"],
-                     ["optimize", "--config", fig2a, "--objective", "capacity",
-                      "--point", "11,4.5", "--budget", "20"]):
-            out = str(tmp_path / f"{argv[0]}.csv")
-            assert main([*argv, "--out", out, "--tolerance", "1e-6"]) == EXIT_USAGE
+        # every numerical routine runs at one fixed setting: no subcommand
+        # takes a tolerance, the kernel dump and the oracle included
+        fig2a, out = str(SCENARIOS / "fig2a.cfg"), str(tmp_path / "out.csv")
+        commands = (["validate", "--config", fig2a],
+                    ["energy-map", "--config", str(config_file), "--out", out],
+                    ["capacity-map", "--config", str(config_file), "--resolution", "3",
+                     "--out", out],
+                    ["diff", "--a", out, "--b", out, "--out", out],
+                    ["sweep", "--config", fig2a, "--samples", "5", "--out", out],
+                    ["optimize", "--config", fig2a, "--objective", "capacity",
+                     "--point", "11,4.5", "--budget", "20", "--out", out],
+                    ["kernels", "--kind", "variance", "--out", out],
+                    ["oracle"])
+        assert {argv[0] for argv in commands} == set(
+            build_parser()._subparsers._group_actions[0].choices)
+        for argv in commands:
+            assert main([*argv, "--tolerance", "1e-6"]) == EXIT_USAGE, argv[0]
+        assert not (tmp_path / "out.csv").exists()
 
     def test_tolerance_environment_variable_is_ignored(self, tmp_path, monkeypatch):
         argv = ["sweep", "--config", str(SCENARIOS / "fig3.cfg"), "--samples", "20"]
@@ -144,6 +154,24 @@ class TestMapsAndDiff:
         assert "numerical failure: head quadrature did not converge" in (
             capsys.readouterr().err)
 
+    @pytest.mark.parametrize("text", ["", "\n  \n"])
+    def test_diff_of_empty_csv_fails(self, tmp_path, capsys, text):
+        empty = tmp_path / "empty.csv"
+        empty.write_text(text)
+        assert main(["diff", "--a", str(empty), "--b", str(empty),
+                     "--out", str(tmp_path / "d.csv")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "empty grid CSV" in err
+        assert not (tmp_path / "d.csv").exists()
+
+    def test_window_must_be_finite(self, config_file, tmp_path, capsys):
+        out = tmp_path / "m.csv"
+        for window in ("0,nan,0,16", "0,16,-inf,16", "0,16,0", "0,16,0,x"):
+            assert main(["capacity-map", "--config", str(config_file), "--out", str(out),
+                         "--resolution", "3", "--window", window]) == EXIT_VALIDATION
+            assert "--window" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_diff_axis_mismatch_fails(self, config_file, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         common = ["energy-map", "--config", str(config_file), "--window", "3,13,0,10"]
@@ -181,6 +209,17 @@ class TestSweepAndOptimize:
         assert lines[0].startswith("evaluation,value,theta_1")
         assert len(lines) > 10
 
+    @pytest.mark.parametrize("objective, point", [
+        ("capacity", "nan,4"), ("energy", "inf,4"), ("energy", "11,4.5,-inf"),
+        ("capacity", "11"), ("capacity", "1,2,3,4")])
+    def test_point_must_be_finite(self, tmp_path, capsys, objective, point):
+        out = tmp_path / "trace.csv"
+        assert main(["optimize", "--config", str(SCENARIOS / "fig2a.cfg"),
+                     "--objective", objective, "--point", point, "--budget", "20",
+                     "--out", str(out)]) == EXIT_VALIDATION
+        assert "--point" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestKernelsDump:
     def test_radiation_profile(self, tmp_path):
@@ -191,6 +230,26 @@ class TestKernelsDump:
         lines = out.read_text().splitlines()
         assert lines[0] == "r,dt,value,err_estimate"
         assert len(lines) == 10
+
+    def test_manifest_records_no_tolerance(self, tmp_path):
+        out = tmp_path / "nu.csv"
+        assert main(["kernels", "--kind", "variance", "--r", "1,2,2",
+                     "--out", str(out)]) == EXIT_OK
+        manifest = json.loads((tmp_path / "nu.manifest.json").read_text())
+        assert manifest["settings"] == {"kind": "variance", "radius": 0.5, "dt": 5.0}
+
+    @pytest.mark.parametrize("samples", ["0.5,8,2.9", "0.5,8,0", "0.5,8,-3",
+                                         "0.5,nan,4", "0.5,8", "0.5,8,inf"])
+    def test_sample_count_must_be_a_positive_integer(self, tmp_path, capsys, samples):
+        out = tmp_path / "k.csv"
+        assert main(["kernels", "--kind", "commutator", "--r", samples,
+                     "--out", str(out)]) == EXIT_VALIDATION
+        assert "--r" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_time_difference_must_be_finite(self, tmp_path):
+        assert main(["kernels", "--kind", "radiation-time", "--dt", "nan",
+                     "--out", str(tmp_path / "k.csv")]) == EXIT_VALIDATION
 
     def test_commutator_cross_check_columns(self, tmp_path):
         # every kind gets the closed-form column, not only the commutator

@@ -43,6 +43,13 @@ class TestGridMap:
         values[0, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
             GridMap(np.arange(2.0), np.arange(2.0), values, "energy", "f")
+        # non-finite axes too, as a window of nan would give
+        for bad in (np.nan, np.inf, -np.inf):
+            axis = np.array([0.0, bad])
+            with pytest.raises(ValueError, match="finite"):
+                GridMap(axis, np.arange(2.0), np.zeros((2, 2)), "energy", "f")
+            with pytest.raises(ValueError, match="finite"):
+                GridMap(np.arange(2.0), axis, np.zeros((2, 2)), "energy", "f")
 
 
 class TestEnergyMap:

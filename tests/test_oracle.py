@@ -46,9 +46,12 @@ class TestModeSet:
     def test_budget_refusal_reports_requirement(self):
         scn = one_alice_scenario()
         with pytest.raises(OracleBudgetError) as exc:
-            exact_probability(small_modes(cutoff=80), scn, True, budget=4096)
+            exact_probability(small_modes(cutoff=80), scn, True)
         assert exc.value.dimension == 4 * 80**2
         assert exc.value.budget == 4096
+        assert str(exc.value).endswith("exceeds budget 4096; shrink modes/cutoff")
+        with pytest.raises(OracleBudgetError):
+            exact_energy(small_modes(cutoff=80), scn, (0.8, -0.4, 0.3), 2.6)
 
 
 class TestExactProbability:
@@ -184,7 +187,8 @@ class TestStandardBattery:
         assert {c["n_modes"] for c in cases} == {1, 2, 3, 4}
 
     def test_full_battery_passes(self):
-        rows = run_standard_comparisons(tolerance=1e-6)
+        rows = run_standard_comparisons()
+        assert {row.tolerance for row in rows} == {1e-6}
         for row in rows:
             assert row.passed, f"{row.case}: |diff| {row.difference:.2e}"
 

@@ -1,15 +1,18 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qshock.scenario import (Detector, EmitterState, SchemaError,
                              ValidationError, classical_mixture, load_scenario,
                              scenario_fingerprint, w_state)
 
 from conftest import four_emitter_config, three_emitter_config
+
+SCHEMA_PATH = Path(__file__).resolve().parents[1] / "schemas" / "scenario.schema.json"
 
 
 class TestDetector:
@@ -231,3 +234,81 @@ class TestFingerprint:
         c = load_scenario(three_emitter_config(phases=(0.0, 0.0, 0.1)))
         assert scenario_fingerprint(a) == scenario_fingerprint(b)
         assert scenario_fingerprint(a) != scenario_fingerprint(c)
+
+
+# ----------------------------------------------------------------------
+# generated configurations: 0-4 emitters, every state form
+# ----------------------------------------------------------------------
+
+_coord = st.floats(-50.0, 50.0, allow_nan=False)
+
+
+@st.composite
+def _detector_configs(draw):
+    cfg = {"position": [draw(_coord) for _ in range(3)], "time": draw(_coord),
+           "lambda": draw(st.floats(0.0, 20.0))}
+    if draw(st.booleans()):
+        cfg["gap"] = draw(_coord)
+    if draw(st.booleans()):
+        cfg["radius"] = draw(st.floats(1e-3, 5.0))
+    return cfg
+
+
+@st.composite
+def _unit_amplitudes(draw, n):
+    parts = draw(st.lists(st.floats(-1.0, 1.0), min_size=2**(n + 1), max_size=2**(n + 1)))
+    norm = math.sqrt(sum(v * v for v in parts))
+    assume(norm > 1e-3)
+    return [[parts[2 * i] / norm, parts[2 * i + 1] / norm] for i in range(2**n)]
+
+
+@st.composite
+def _state_configs(draw, n):
+    forms = ["pure", "pure-components", "mixture"] + (["w", "classical"] if n else ["none"])
+    form = draw(st.sampled_from(forms))
+    if form == "none":
+        return None
+    if form == "w":
+        return {"type": "w", "phases": [draw(st.floats(-10.0, 10.0)) for _ in range(n)]}
+    if form == "classical":
+        return {"type": "classical"}
+    if form == "pure":
+        return {"type": "pure", "amplitudes": draw(_unit_amplitudes(n))}
+    count = 1 if form == "pure-components" else draw(st.integers(1, 3))
+    raw = [draw(st.floats(0.01, 1.0)) for _ in range(count)]
+    return {"type": "pure" if form == "pure-components" else "mixture",
+            "components": [{"weight": w / sum(raw), "amplitudes": draw(_unit_amplitudes(n))}
+                           for w in raw]}
+
+
+@st.composite
+def scenario_configs(draw):
+    n = draw(st.integers(0, 4))
+    cfg = {"emitters": [draw(_detector_configs()) for _ in range(n)],
+           "receiver": draw(_detector_configs()), "evaluation_time": draw(_coord)}
+    state = draw(_state_configs(n))
+    if state is not None:
+        cfg["state"] = state
+    return cfg
+
+
+class TestGeneratedRoundTrip:
+    @given(cfg=scenario_configs())
+    @settings(max_examples=150, deadline=None)
+    def test_serialized_form_reloads_equal(self, cfg):
+        scenario = load_scenario(json.dumps(cfg))
+        again = load_scenario(json.dumps(scenario.to_config_dict()))
+        assert again == scenario
+        assert scenario_fingerprint(again) == scenario_fingerprint(scenario)
+
+    @pytest.fixture(scope="class")
+    def validator(self):
+        jsonschema = pytest.importorskip("jsonschema")
+        schema = json.loads(SCHEMA_PATH.read_text())
+        return jsonschema.validators.validator_for(schema)(schema)
+
+    @given(cfg=scenario_configs())
+    @settings(max_examples=150, deadline=None)
+    def test_generated_and_serialized_forms_match_schema(self, validator, cfg):
+        validator.validate(cfg)
+        validator.validate(load_scenario(json.dumps(cfg)).to_config_dict())
