@@ -12,7 +12,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -105,9 +104,6 @@ def build_parser() -> _Parser:
                             ("capacity-map", "channel capacity vs receiver location")):
         p = sub.add_parser(name, help=help_text)
         add_common(p)
-        if name == "capacity-map":
-            p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                           help="parallel workers (results identical for any value)")
         p.add_argument("--window", default=None, help="xmin,xmax,ymin,ymax "
                                                       "(default 0,16,0,16)")
         p.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION)
@@ -176,11 +172,8 @@ def _cmd_map(args, quantity: str) -> int:
     scenario = load_scenario_file(args.config)
     window = _window_from(args)
     run_settings = {"window": list(window), "resolution": args.resolution}
-    if quantity == "energy":
-        grid = energy_map(scenario, window, args.resolution)
-    else:
-        grid = capacity_map(scenario, window, args.resolution, threads=args.threads)
-        run_settings.update(threads=args.threads)
+    grid = (energy_map if quantity == "energy" else capacity_map)(scenario, window,
+                                                                  args.resolution)
     write_grid_csv(grid, args.out)
     manifest = RunManifest(quantity + "-map", args.config, [args.out], run_settings,
                            {"scenario": scenario_fingerprint(scenario),
@@ -255,30 +248,20 @@ def _cmd_kernels(args) -> int:
         raise ValidationError("--r", f"count must be an integer >= 1, got {args.r!r}")
     rs = np.linspace(lo, hi, int(count))
     dt = _numbers(args.dt, "--dt", "one time difference", (1,))[0]
-    header = "r,dt,value,err_estimate"
-    if args.cross_check:
-        header += ",closed_form"
-        if args.kind == "commutator":
-            exact = closed_form_commutator(rs, dt, args.radius, args.radius)
-        elif args.kind == "variance":
-            exact = np.full(rs.shape, closed_form_variance(args.radius))
-        else:
-            exact = closed_form_radiation(rs, dt, args.radius)[
-                0 if args.kind == "radiation-time" else 1]
-    lines = [header]
-    for i, r in enumerate(rs):
-        if args.kind == "commutator":
-            kv = ks.commutator_value(r, dt)
-        elif args.kind == "radiation-time":
-            kv = ks.radiation_time_value(r, dt)
-        elif args.kind == "radiation-radial":
-            kv = ks.radiation_radial_value(r, dt)
-        else:
-            kv = ks.vacuum_variance_value()
-        line = f"{r:.8e},{dt:.8e},{kv.value:.8e},{kv.error:.8e}"
-        if args.cross_check:
-            line += f",{exact[i]:.8e}"
-        lines.append(line)
+    if args.kind == "variance":  # position independent: one quadrature for every row
+        kv = ks.vacuum_variance_value()
+        values, errors, exact = (np.full(rs.shape, v) for v in (
+            kv.value, kv.error, closed_form_variance(args.radius)))
+    else:
+        kv = getattr(ks, args.kind.replace("-", "_") + "_value")(rs, dt)  # one batch
+        values, errors = kv.value, kv.error
+        exact = (closed_form_commutator(rs, dt, args.radius, args.radius)
+                 if args.kind == "commutator" else closed_form_radiation(
+                     rs, dt, args.radius)[0 if args.kind == "radiation-time" else 1])
+    lines = ["r,dt,value,err_estimate" + (",closed_form" if args.cross_check else "")]
+    for r, value, error, check in zip(rs, values, errors, exact):
+        lines.append(f"{r:.8e},{dt:.8e},{value:.8e},{error:.8e}"
+                     + (f",{check:.8e}" if args.cross_check else ""))
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     manifest = RunManifest("kernels", None, [args.out],

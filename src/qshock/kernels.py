@@ -12,47 +12,40 @@ namely
     radiation kernels (time)      = (1/4pi^2) int k^2 S(k) sinc(kr)  cos(k dt) dk
                       (radial)    = (1/4pi^2) int k^2 S(k) sinc'(kr) sin(k dt) dk
 
-(the derivations note in docs/derivations.md records how the 3-D mode
-integrals collapse to these forms).  The radiation integrands decay only
-like 1/k with oscillation, so a plain adaptive quadrature cannot be
-trusted.  The evaluator splits each integral at a cut
-K0:  the head [0, K0] is integrated with panel-doubled Gauss-Legendre
-rules on the cancellation-free combined integrand, while on the tail
-the integrand is *identically* a finite sum of Fourier atoms
-trig(a k)/k^m whose tails have closed forms in the sine/cosine
-integrals, evaluated through the complex exponential integral.  The
-only truncation error is therefore the head-panel estimate.
+(docs/derivations.md records how the 3-D mode integrals collapse to these
+forms).  The radiation integrands decay only like 1/k with oscillation,
+so each integral is split at a cut K0: the head [0, K0] is integrated
+with panel-doubled Gauss-Legendre rules on the cancellation-free
+combined integrand, and on the tail the integrand is *identically* a
+finite sum of Fourier atoms trig(a k)/k^m, whose tails have closed forms
+through the complex exponential integral.  The only truncation error is
+the head-panel estimate.
 
 Each kernel also has an exact closed form in position space (the ball's
 retarded field, the two-ball overlap volume, nu = R^4), kept alongside
 as array functions.  The energy density evaluates the radiation kernels
 through theirs; the quadrature serves the commutator and nu, and the
-test suite and the `kernels --cross-check` CLI subcommand compare the two.
+tests and `qshock kernels --cross-check` compare the two.
 
 The commutator of balls with radii R_B and R_i vanishes exactly unless
 |d - |dt|| < R_B + R_i (the strong Huygens principle); _in_causal_contact
-states that support, together with the time ordering dt > 0 that lets an
-emitter signal a receiver.  Capacity maps, sweeps and phase searches run
-the commutator quadrature only at a receiver that at least one emitter
-is in causal contact with; everywhere else every Delta is exactly 0 and
-no quadrature runs.  Off that support the quadrature returns rounding
-noise instead of 0, and its reported error then covers that noise.
+states that support and the time ordering dt > 0, and capacity
+observables run the commutator quadrature only inside it.  Off the
+support the quadrature returns rounding noise instead of 0, and its
+reported error then covers that noise.
 
-Every quadrature runs with one fixed setting (_REL_TOL, _ABS_FLOOR,
-_MAX_DOUBLINGS, the 12-point Gauss-Legendre panel rule); no caller
-varies it.  KernelSet(radius) is the one entry point to the quadrature.
-It keeps no state between calls: every call runs its quadrature,
-so each value is a pure function of its arguments, whatever was
-evaluated before.  Callers that need a kernel at many points evaluate
-each distinct argument once themselves (observables._receiver_kernels).
-
-scipy.special (exp1, for the quadrature tails) is imported inside
-_tail_sum, once per kernel evaluation, so the closed forms and the
-import of this module do not load scipy.
+Every quadrature runs at one fixed setting.  KernelSet(radius), the one
+entry point, integrates arrays of arguments as one batch, with the
+operations, in the order, of each argument alone: every value is a pure
+function of its own arguments, bit for bit, whatever was evaluated
+before or with it.  scipy.special (exp1) is imported inside _tail_sum,
+so the closed forms and the import of this module do not load scipy.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -86,6 +79,10 @@ _R_FLOOR = 1e-6
 _REL_TOL = 1e-8
 _ABS_FLOOR = 1e-13
 _MAX_DOUBLINGS = 12
+# A batch of arguments is worked through in blocks whose (arguments x nodes)
+# and (arguments x terms) arrays hold at most this many elements, which
+# bounds the working memory of a large batch.
+_BLOCK = 1 << 14
 # 12-point Gauss-Legendre rule on [-1, 1], applied on every head panel
 _GL_NODES, _GL_WEIGHTS = leggauss(12)
 
@@ -110,16 +107,16 @@ class QuadratureError(RuntimeError):
         self.achieved = achieved
         self.requested = requested
 
-    def __reduce__(self):  # rebuilt from its own arguments when a worker raises it
+    def __reduce__(self):  # pickles: rebuilt from its own three arguments
         return type(self), (self.message, self.achieved, self.requested)
 
 
 @dataclass(frozen=True)
 class KernelValue:
-    """A kernel value with its achieved error estimate."""
+    """A kernel value with its achieved error estimate (arrays for array arguments)."""
 
-    value: float
-    error: float
+    value: float | np.ndarray
+    error: float | np.ndarray
 
 
 # ----------------------------------------------------------------------
@@ -176,190 +173,251 @@ def sphere_form_factor(k, radius: float):
 #   T_m(a, K) = int_K^inf e^{iak} k^-m dk
 #
 # with T_1 = E1(-iaK) and the upward recursion
-# T_{m} = e^{iaK} / ((m-1) K^{m-1}) + ia T_{m-1} / (m-1).
+# T_{m} = e^{iaK} / ((m-1) K^{m-1}) + ia T_{m-1} / (m-1).  The pieces of a
+# kernel share their factors' frequencies (only sin/cos differ), hence the
+# atoms and T_m.  Every atom coefficient is purely real or imaginary, so
+# numpy's fused complex products round as Python's do.
 
-def _expand_trig_product(coeff: float, factors) -> list[tuple[complex, float, complex]]:
-    """Expand coeff * prod trig(a_j k) into [(c, a, s)] with the piece = Re sum c e^{iak}.
+def _pow(x: np.ndarray, n: int) -> np.ndarray:
+    """x**n elementwise by Python's float power; numpy's power differs in the last bit."""
+    return np.array([v ** n for v in x.tolist()])
 
-    Atoms merge at frequencies rounded to 12 decimals; s = sum c_j (a_j - a).
+
+def _expansion(kinds: str) -> tuple[np.ndarray, np.ndarray]:
+    """Sign table (terms, factors) and exact factor of each term of a trig product.
+
+    Each factor ("s" sin, "c" cos) splits every term into its f + a and
+    f - a branch, in that order, times 1/2 (cos) or +-1/(2i) (sin).
     """
-    terms: list[tuple[complex, float]] = [(complex(coeff), 0.0)]
-    for kind, a in factors:
-        nxt: list[tuple[complex, float]] = []
-        for c, f in terms:
-            if kind == "cos":
-                nxt += [(c / 2.0, f + a), (c / 2.0, f - a)]
-            else:
-                nxt += [(c / 2.0j, f + a), (-c / 2.0j, f - a)]
-        terms = nxt
-    merged: dict[float, complex] = {}
-    shifts: dict[float, complex] = {}
-    for c, f in terms:
-        key = round(f, 12)
-        merged[key] = merged.get(key, 0.0j) + c
-        shifts[key] = shifts.get(key, 0.0j) + c * (f - key)
-    return [(c, f, shifts[f]) for f, c in merged.items() if abs(c) > 0.0]
+    units = [1.0 + 0.0j]
+    for kind in kinds:
+        units = [u for c in units
+                 for u in ((c / 2.0, c / 2.0) if kind == "c" else (c / 2.0j, -c / 2.0j))]
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=len(kinds))))
+    return signs, np.array(units)
 
 
-def _tail_T(m: int, a: float, cut: float, exp1) -> tuple[complex, float]:
-    """T_m(a, K) and its slope |dT_m/da| = |T_{m-1}(a, K)|, T_0 = -e^{iaK}/(ia).
+def _round12(f: np.ndarray) -> np.ndarray:
+    """round(f, 12) elementwise, bit for bit.
 
-    exp1 is scipy.special.exp1, passed in by the caller (see _tail_sum).
+    Below 2**45, f * 1e12 is within 2**-9 of the exact product, so away from
+    a half rint picks the N that round picks, and N / 1e12 is its double.
     """
-    z = 1j * a
-    if abs(z) * cut < 1e-14:
-        if m == 1:
-            raise ValueError("divergent zero-frequency tail of power 1")
-        # T_1 diverges like log|a| at a = 0: take it at this branch's threshold
+    scaled = f * 1e12
+    keys = np.rint(scaled) / 1e12
+    near = (np.abs(scaled - np.floor(scaled) - 0.5) < 1e-2) | (np.abs(scaled) >= 2.0**45)
+    keys[near] = [round(v, 12) for v in f[near].tolist()]
+    return keys
+
+
+def _tail_T(a: np.ndarray, cut: float, powers, exp1) -> dict:
+    """{m: (T_m(a, K), |dT_m/da| = |T_{m-1}|)} for m in powers, from one recursion.
+
+    T_0 = -e^{iaK}/(ia).  At a = 0, T_m = 1/((m-1) K^{m-1}) for m >= 2; T_1
+    diverges like log|a| there, so T_2's slope |T_1| is taken at aK = 1e-14.
+    """
+    zero = np.abs(a) * cut < 1e-14
+    a = np.where(zero, 1.0, a)
+    terms = [None, exp1(-1j * (a * cut))]
+    phase = np.exp(1j * (a * cut))  # the same factor at every step
+    for mm in range(2, max(powers) + 1):
+        terms.append(phase / ((mm - 1) * cut ** (mm - 1)) + 1j * a * terms[-1] / (mm - 1))
+    out = {1: (terms[1], 1.0 / np.abs(a))}
+    for m in set(powers) - {1}:
         slope = 1.0 / ((m - 2) * cut ** (m - 2)) if m > 2 else abs(exp1(-1e-14j))
-        return complex(1.0 / ((m - 1) * cut ** (m - 1))), slope
-    t = prev = exp1(-z * cut)
-    phase = np.exp(z * cut)  # hoisted: the same factor at every step
-    for mm in range(2, m + 1):
-        prev, t = t, phase / ((mm - 1) * cut ** (mm - 1)) + z * t / (mm - 1)
-    return complex(t), (abs(prev) if m > 1 else 1.0 / abs(a))
+        out[m] = (np.where(zero, 1.0 / ((m - 1) * cut ** (m - 1)), terms[m]),
+                  np.where(zero, slope, np.hypot(terms[m - 1].real, terms[m - 1].imag)))
+    return out
 
 
-def _tail_sum(pieces, cut: float) -> tuple[float, float]:
-    """Tail integral and its error bound, the sum of eps |c T_m| + |s dT_m/da|.
+def _tail_sum(freqs, pieces, cut: float) -> tuple[np.ndarray, np.ndarray]:
+    """Tail integral and its error bound per argument, the sum of eps |c T_m| + |s dT_m/da|.
 
-    scipy.special is imported here, once per kernel evaluation, so that
-    importing the package (and every closed-form path) does not load scipy.
+    freqs are the factors' frequencies, one array (arguments,) each; pieces
+    are (coeff (arguments,), kinds, power).  Terms merge into atoms at
+    frequencies rounded to 12 decimals, each at its first term;
+    s = sum c_j (a_j - a).  scipy.special is imported here, not on import.
     """
     from scipy.special import exp1
 
-    total, bound, eps = 0.0j, 0.0, float(np.finfo(float).eps)
-    for coeff, factors, power in pieces:
-        for c, a, shift in _expand_trig_product(coeff, factors):
-            if power == 1 and abs(a) < 1e-12:
-                # sin-type expansions leave zero coefficient here; anything
-                # else would be a genuinely divergent integral.
-                if abs(c) > 1e-10 * abs(coeff):
-                    raise ValueError("non-vanishing zero-frequency 1/k atom")
-                continue
-            t, slope = _tail_T(power, a, cut, exp1)
-            total += c * t
-            bound += eps * abs(c * t) + abs(shift) * slope
-    return float(total.real), float(bound)
+    f = 0.0
+    for a, signs in zip(freqs, _expansion(pieces[0][1])[0].T):  # factor by factor
+        f = f + a[:, None] * signs
+    keys = _round12(f)
+    offsets = f - keys
+    first = np.argmax(keys[:, :, None] == keys[:, None, :], axis=1)  # of each frequency
+    lead = first == np.arange(f.shape[1])
+    repeats = [(t, np.flatnonzero(~lead[:, t])) for t in np.flatnonzero(~lead.all(axis=0))]
+    tails = _tail_T(keys[lead], cut, {p for *_, p in pieces}, exp1)
+    values, errors = [np.zeros((len(f), 1))], [np.zeros((len(f), 1))]
+    for coeff, kinds, power in pieces:
+        parts = coeff[:, None] * _expansion(kinds)[1]
+        shifts = parts * offsets
+        c, s = np.where(lead, parts, 0.0), np.where(lead, shifts, 0.0)
+        for t, rows in repeats:  # into the atom of the first term, in term order
+            c[rows, first[rows, t]] += parts[rows, t]
+            s[rows, first[rows, t]] += shifts[rows, t]
+        keep = lead & (c != 0.0)
+        if power == 1:
+            # sin-type expansions leave zero coefficient at zero frequency;
+            # anything else would be a genuinely divergent integral
+            at_zero = keep & (np.abs(keys) < 1e-12)
+            if np.any(at_zero & (np.abs(c) > 1e-10 * np.abs(coeff)[:, None])):
+                raise ValueError("non-vanishing zero-frequency 1/k atom")
+            keep &= ~at_zero
+        t_m, slope = np.zeros(f.shape, dtype=complex), np.zeros(f.shape)
+        t_m[lead], slope[lead] = tails[power]
+        atom = c * t_m
+        values.append(np.where(keep, atom.real, 0.0))
+        errors.append(np.where(keep, np.finfo(float).eps * np.hypot(atom.real, atom.imag)
+                               + np.hypot(s.real, s.imag) * slope, 0.0))
+    # running sums from 0 over the atoms in order, as one argument alone adds
+    # them; take copies the last column, so the block's sums can be freed
+    return tuple(np.add.accumulate(np.hstack(v), axis=1).take(-1, axis=1)
+                 for v in (values, errors))
 
 
 # ----------------------------------------------------------------------
 # head quadrature
 # ----------------------------------------------------------------------
 
-def _head_quad(f, cut: float, freq: float) -> tuple[float, float]:
-    """Panel-doubled composite Gauss-Legendre on [0, cut]; returns (value, error)."""
-    panels = max(4, int(math.ceil(cut * (freq + 1.0) / 3.0)))
-    prev = None
-    cur = 0.0
-    err = math.inf
+@functools.lru_cache(maxsize=256)
+def _panel_rule(cut: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights of the 12-point rule on `panels` panels of [0, cut]."""
+    edges = np.linspace(0.0, cut, panels + 1)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
+    weights = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def _head_quad(head, cut: float, band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Panel-doubled composite Gauss-Legendre on [0, cut] per argument; (value, error).
+
+    head(k, rows) is the integrand of the arguments `rows` at nodes k, shape
+    (rows, nodes).  Arguments with the same panel count share each rule; each
+    row is reduced by its own dot product, and doubles until it converges.
+    """
+    panels = np.maximum(4, np.ceil(cut * (band + 1.0) / 3.0)).astype(int)
+    value, error, cur = np.empty(band.shape), np.empty(band.shape), np.empty(band.shape)
+    pending, prev, err = np.arange(band.size), None, np.full(band.shape, math.inf)
     for _ in range(_MAX_DOUBLINGS):
-        edges = np.linspace(0.0, cut, panels + 1)
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-        weights = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-        cur = float(f(nodes) @ weights)
+        for count in np.unique(panels[pending]).tolist():
+            rows = pending[panels[pending] == count]
+            nodes, weights = _panel_rule(cut, count)
+            step = max(1, _BLOCK // nodes.size)
+            cur[rows] = [row @ weights for i in range(0, rows.size, step)
+                         for row in head(nodes, rows[i:i + step])]
         if prev is not None:
-            err = abs(cur - prev)
-            if err <= _REL_TOL * max(abs(cur), 1.0) + _ABS_FLOOR:
-                return cur, err
-        prev = cur
-        panels *= 2
-    raise QuadratureError("head quadrature did not converge", err, _REL_TOL)
+            err = np.abs(cur[pending] - prev)
+            done = err <= _REL_TOL * np.maximum(np.abs(cur[pending]), 1.0) + _ABS_FLOOR
+            value[pending[done]], error[pending[done]] = cur[pending[done]], err[done]
+            pending, err = pending[~done], err[~done]
+            if not pending.size:
+                return value, error
+        prev = cur[pending]
+        panels[pending] *= 2
+    raise QuadratureError("head quadrature did not converge", float(err[0]), _REL_TOL)
 
 
 # ----------------------------------------------------------------------
-# integrand definitions (head callable + tail atoms, valid for k >= K0)
+# integrands over 1-D arrays of arguments: head, tail frequencies, pieces
 # ----------------------------------------------------------------------
 
 def _variance_parts(radius: float):
-    r3 = radius**3
+    r3, one = radius**3, np.ones(1)
 
-    def head(k):
-        return k * (_FOUR_PI * r3 * _ball_g(k * radius)) ** 2
+    def head(k, rows):
+        return np.tile(k * (_FOUR_PI * r3 * _ball_g(k * radius)) ** 2, (rows.size, 1))
 
-    pieces = [
-        (16 * math.pi**2, (("sin", radius), ("sin", radius)), 5),
-        (-32 * math.pi**2 * radius, (("sin", radius), ("cos", radius)), 4),
-        (16 * math.pi**2 * radius**2, (("cos", radius), ("cos", radius)), 3),
-    ]
-    return head, pieces, 2 * radius
+    pieces = [(16 * math.pi**2 * one, "ss", 5), (-32 * math.pi**2 * radius * one, "sc", 4),
+              (16 * math.pi**2 * radius**2 * one, "cc", 3)]
+    return head, (radius * one, radius * one), pieces
 
 
-def _commutator_parts(d: float, dt: float, ra: float, rb: float):
-    """k S_a S_b sinc(kd) sin(k dt); two radii supported for mixed detectors."""
-    pa, pb = _FOUR_PI * ra**3, _FOUR_PI * rb**3
+def _commutator_parts(d, dt, ra: float, rb):
+    """k S_a S_b sinc(kd) sin(k dt), dt > 0; per-argument radii rb for mixed detectors."""
+    pa, pb = _FOUR_PI * ra**3, _FOUR_PI * _pow(rb, 3)
+    radii, which = np.unique(rb, return_inverse=True)  # one S_b per distinct radius
 
-    def head(k):
-        return (k * pa * _ball_g(k * ra) * pb * _ball_g(k * rb)
-                * _sinc(k * d) * np.sin(k * dt))
+    def head(k, rows):
+        k = k[None, :]
+        return (k * pa * _ball_g(k * ra) * pb[rows, None]
+                * _ball_g(k * radii[:, None])[which.reshape(-1)[rows]]
+                * _sinc(k * d[rows, None]) * np.sin(k * dt[rows, None]))
 
     c0 = 16 * math.pi**2 / d
-    pieces = [
-        (c0, (("sin", ra), ("sin", rb), ("sin", d), ("sin", dt)), 6),
-        (-c0 * rb, (("sin", ra), ("cos", rb), ("sin", d), ("sin", dt)), 5),
-        (-c0 * ra, (("cos", ra), ("sin", rb), ("sin", d), ("sin", dt)), 5),
-        (c0 * ra * rb, (("cos", ra), ("cos", rb), ("sin", d), ("sin", dt)), 4),
-    ]
-    return head, pieces, ra + rb + d + abs(dt)
+    pieces = [(c0, "ssss", 6), (-c0 * rb, "scss", 5), (-c0 * ra, "csss", 5),
+              (c0 * ra * rb, "ccss", 4)]
+    return head, (np.full(d.shape, ra), rb, d, dt), pieces
 
 
-def _radiation_time_parts(r: float, dt: float, radius: float):
+def _radiation_parts(r, dt, radius: float, radial: bool):
+    """k^2 S sinc(kr) cos(k dt) (time) or k^2 S sinc'(kr) sin(k dt) (radial), dt > 0."""
     r3 = radius**3
+    of_r, of_dt = (_dsinc, np.sin) if radial else (_sinc, np.cos)
 
-    def head(k):
-        return k * k * _FOUR_PI * r3 * _ball_g(k * radius) * _sinc(k * r) * np.cos(k * dt)
+    def head(k, rows):
+        k = k[None, :]
+        return (k * k * _FOUR_PI * r3 * _ball_g(k * radius) * of_r(k * r[rows, None])
+                * of_dt(k * dt[rows, None]))
 
-    pieces = [
-        (_FOUR_PI / r, (("sin", radius), ("sin", r), ("cos", dt)), 2),
-        (-_FOUR_PI * radius / r, (("cos", radius), ("sin", r), ("cos", dt)), 1),
-    ]
-    return head, pieces, radius + r + abs(dt)
-
-
-def _radiation_radial_parts(r: float, dt: float, radius: float):
-    r3 = radius**3
-
-    def head(k):
-        return k * k * _FOUR_PI * r3 * _ball_g(k * radius) * _dsinc(k * r) * np.sin(k * dt)
-
-    pieces = [
-        (_FOUR_PI / r, (("sin", radius), ("cos", r), ("sin", dt)), 2),
-        (-_FOUR_PI / r**2, (("sin", radius), ("sin", r), ("sin", dt)), 3),
-        (-_FOUR_PI * radius / r, (("cos", radius), ("cos", r), ("sin", dt)), 1),
-        (_FOUR_PI * radius / r**2, (("cos", radius), ("sin", r), ("sin", dt)), 2),
-    ]
-    return head, pieces, radius + r + abs(dt)
+    r2 = _pow(r, 2)
+    pieces = ([(_FOUR_PI / r, "scs", 2), (-_FOUR_PI / r2, "sss", 3),
+               (-_FOUR_PI * radius / r, "ccs", 1), (_FOUR_PI * radius / r2, "css", 2)]
+              if radial else [(_FOUR_PI / r, "ssc", 2), (-_FOUR_PI * radius / r, "csc", 1)])
+    return head, (np.full(r.shape, radius), r, dt), pieces
 
 
 # ----------------------------------------------------------------------
 # public kernel set
 # ----------------------------------------------------------------------
 
+def _arguments(*values) -> tuple[tuple, list[np.ndarray]]:
+    """The broadcast shape of the arguments and each of them flattened to 1-D."""
+    arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in values))
+    return arrays[0].shape, [a.ravel() for a in arrays]
+
+
+def _kernel_value(shape: tuple, value: np.ndarray, error: np.ndarray) -> KernelValue:
+    """Floats for scalar arguments, else arrays of their broadcast shape."""
+    return KernelValue(*(float(v[0]) if shape == () else v.reshape(shape)
+                         for v in (value, error)))
+
+
 class KernelSet:
-    """Kernel evaluations for one smearing radius; each call runs its quadrature."""
+    """Kernel evaluations for one smearing radius; each call runs its quadrature.
+
+    Arrays of arguments are integrated as one batch; scalars give floats.
+    """
 
     def __init__(self, radius: float):
         if not 0 < radius < math.inf:
             raise ValueError("smearing radius must be finite and > 0")
         self.radius = float(radius)
 
-    def _evaluate(self, parts, prefactor: float) -> KernelValue:
-        """prefactor * (head + Fourier tail), split at K0 = max(6, 3/R)."""
-        head_f, pieces, freq = parts
-        cut = max(6.0, 3.0 / self.radius)
-        head, head_err = _head_quad(head_f, cut, freq)
-        tail, tail_err = _tail_sum(pieces, cut)
-        value = prefactor * (head + tail)
-        error = (max(abs(prefactor) * head_err, 1e-15 * abs(value), 1e-16)
-                 + abs(prefactor) * tail_err)
-        return KernelValue(value, error)
+    def _evaluate(self, parts, prefactor: float) -> tuple[np.ndarray, np.ndarray]:
+        """prefactor * (head + Fourier tail) per argument, split at K0 = max(6, 3/R).
 
-    # -- kernels --------------------------------------------------------
+        A head starts from max(4, ceil(K0 (F + 1)/3)) panels, F the sum of its
+        frequencies; a tail block, with a dozen arrays live, holds _BLOCK / 8 terms.
+        """
+        head_f, freqs, pieces = parts
+        cut = max(6.0, 3.0 / self.radius)
+        head, head_err = _head_quad(head_f, cut, sum(freqs))
+        step = max(1, _BLOCK >> (len(freqs) + 3))
+        tail, tail_err = (np.concatenate(column) for column in zip(*(
+            _tail_sum([a[i:i + step] for a in freqs],
+                      [(c[i:i + step], kinds, p) for c, kinds, p in pieces], cut)
+            for i in range(0, max(len(freqs[0]), 1), step))))
+        value, scale = prefactor * (head + tail), abs(prefactor)
+        floor = np.maximum(1e-15 * np.abs(value), 1e-16)
+        return value, np.maximum(scale * head_err, floor) + scale * tail_err
 
     def vacuum_variance_value(self) -> KernelValue:
-        return self._evaluate(_variance_parts(self.radius), _INV_4PI2)
+        return _kernel_value((), *self._evaluate(_variance_parts(self.radius), _INV_4PI2))
 
     def vacuum_variance(self) -> float:
         """Smeared-field vacuum variance; position/time independent, > 0."""
@@ -368,56 +426,54 @@ class KernelSet:
             raise QuadratureError("vacuum variance must be positive", val.error, _REL_TOL)
         return val.value
 
-    def commutator_value(self, d: float, dt: float,
-                         other_radius: float | None = None) -> KernelValue:
+    def commutator_value(self, d, dt, other_radius=None) -> KernelValue:
         """Delta(d, dt) and its error; off the support the error covers |value|.
 
-        There the exact kernel is 0 and the quadrature returns only rounding
+        d, dt and other_radius (the second ball's radius, default this one's)
+        broadcast; dt = 0 gives exactly 0 without a quadrature.  Off the
+        support the exact kernel is 0 and the quadrature returns rounding
         noise, which the head-panel estimate does not bound.
         """
-        if d < 0:
+        shape, (d, dt, rb) = _arguments(d, dt, self.radius if other_radius is None
+                                        else other_radius)
+        if np.any(d < 0):
             raise ValueError("separation distance must be >= 0")
-        rb = self.radius if other_radius is None else float(other_radius)
-        if dt == 0.0:
-            return KernelValue(0.0, 0.0)
-        sign = 1.0 if dt > 0 else -1.0
-        d_eff = max(d, _R_FLOOR)
-        base = self._evaluate(_commutator_parts(d_eff, abs(dt), self.radius, rb),
-                              -_INV_2PI2)
-        error = base.error
-        if abs(d_eff - abs(dt)) >= self.radius + rb:
-            error = max(error, abs(base.value))
-        return KernelValue(sign * base.value, error)
+        value, error = np.zeros(d.shape), np.zeros(d.shape)
+        live = dt != 0.0
+        if live.any():
+            d_eff, dt_abs, rb = np.maximum(d[live], _R_FLOOR), np.abs(dt[live]), rb[live]
+            base, err = self._evaluate(_commutator_parts(d_eff, dt_abs, self.radius, rb),
+                                       -_INV_2PI2)
+            off = np.abs(d_eff - dt_abs) >= self.radius + rb
+            value[live] = np.where(dt[live] > 0, 1.0, -1.0) * base
+            error[live] = np.where(off, np.maximum(err, np.abs(base)), err)
+        return _kernel_value(shape, value, error)
 
-    def commutator(self, d: float, dt: float, other_radius: float | None = None) -> float:
+    def commutator(self, d, dt, other_radius=None):
         """Smeared field commutator kernel Delta(d, dt); odd in dt, causal in d."""
         return self.commutator_value(d, dt, other_radius).value
 
-    def radiation_time_value(self, r: float, dt: float) -> KernelValue:
-        self._check_radiation_args(r, dt)
-        return self._evaluate(_radiation_time_parts(max(r, _R_FLOOR), dt, self.radius),
-                              _INV_4PI2)
-
-    def radiation_radial_value(self, r: float, dt: float) -> KernelValue:
-        self._check_radiation_args(r, dt)
-        return self._evaluate(_radiation_radial_parts(max(r, _R_FLOOR), dt, self.radius),
-                              _INV_4PI2)
-
-    def radiation_time(self, r: float, dt: float) -> float:
+    def radiation_time(self, r, dt):
         """Time component of the emission kernel (Im of the 0-derivative overlap)."""
         return self.radiation_time_value(r, dt).value
 
-    def radiation_radial(self, r: float, dt: float) -> float:
+    def radiation_radial(self, r, dt):
         """Radial scalar of the spatial emission kernel; caller applies r-hat."""
         return self.radiation_radial_value(r, dt).value
 
-    @staticmethod
-    def _check_radiation_args(r: float, dt: float) -> None:
-        if r < 0:
+    def _radiation_value(self, r, dt, radial: bool) -> KernelValue:
+        """The radial (radial=True) or time emission kernel and its error."""
+        shape, (r, dt) = _arguments(r, dt)
+        if np.any(r < 0):
             raise ValueError("distance from emitter centre must be >= 0")
-        if dt <= 0:
+        if np.any(dt <= 0):
             raise ValueError("radiation kernels require dt > 0; callers gate on the "
                              "switching step function")
+        return _kernel_value(shape, *self._evaluate(
+            _radiation_parts(np.maximum(r, _R_FLOOR), dt, self.radius, radial), _INV_4PI2))
+
+    radiation_time_value = functools.partialmethod(_radiation_value, radial=False)
+    radiation_radial_value = functools.partialmethod(_radiation_value, radial=True)
 
 
 # ----------------------------------------------------------------------

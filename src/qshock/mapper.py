@@ -7,17 +7,15 @@ energy_density call per y row.
 
 Capacity maps, sweeps and phase searches share one path.  The receiver
 geometry (observables._receiver_kernels) yields nu, the gated Delta_i
-and the contact mask, once per call, for every receiver position at
-once: the grid's cells for a map, one position for a sweep or a phase
-search.  _capacities then runs only the emitter-register algebra, all
-signalling receivers and all couplings in one product_expectation batch.
-A capacity map is a sweep over positions at one coupling.  Each distinct
-commutator argument is integrated once, matched exactly, so every cell
-is a pure function of its own position; a map's threads only spread
-those quadratures over processes.  A receiver that no emitter is in
-causal contact with (kernels._in_causal_contact) runs no quadrature and
-no algebra, and its capacity is exactly 0; the map's sidecar counts the
-others as cells_in_contact.
+and the contact mask once, for every receiver position (the grid's cells
+for a map, one position otherwise), integrating the distinct commutator
+arguments as one batch.  _capacities then runs only the emitter-register
+algebra, all signalling receivers and couplings in one
+product_expectation batch, so every cell is a pure function of its own
+position.  A receiver that no emitter is in causal contact with
+(kernels._in_causal_contact) runs no quadrature and no algebra, and its
+capacity is exactly 0; the map's sidecar counts the others as
+cells_in_contact.
 
 CSV layout: first row is the x axis (blank corner cell), each following
 row starts with its y value; numbers are printed with 9 significant
@@ -157,16 +155,12 @@ def energy_map(scenario: Scenario, window: Window = DEFAULT_WINDOW,
 
 
 def capacity_map(scenario: Scenario, window: Window = DEFAULT_WINDOW,
-                 resolution=DEFAULT_RESOLUTION, threads: int = 1) -> GridMap:
-    """Channel capacity as a function of the receiver location over the window.
-
-    threads > 1 runs the commutator quadratures in that many processes;
-    the values do not depend on it.
-    """
+                 resolution=DEFAULT_RESOLUTION) -> GridMap:
+    """Channel capacity as a function of the receiver location over the window."""
     xs, ys = _axes(window, resolution)
     t0 = time.perf_counter()
     cells = np.stack([*np.meshgrid(xs, ys), np.zeros((ys.size, xs.size))], axis=-1)
-    kernels = _receiver_kernels(scenario, cells.reshape(-1, 3), threads)
+    kernels = _receiver_kernels(scenario, cells.reshape(-1, 3))
     values, in_contact = np.zeros((ys.size, xs.size)), 0
     if kernels is not None:
         nu, deltas, contact = kernels
@@ -282,6 +276,8 @@ def optimize_phases(scenario: Scenario, objective: str, point,
         raise ValueError("objective must be 'energy' or 'capacity'")
     if restarts < 1:
         raise ValueError("needs at least one restart")
+    if budget < 1:
+        raise ValueError("budget must be at least one evaluation")
     point = tuple(float(c) for c in point)
     value_of = _phase_objective(scenario, objective, point)
 

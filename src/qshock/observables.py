@@ -32,16 +32,12 @@ the kernel integrals plus emitter-register algebra:
 Each observable splits into its geometry, the kernel values at the
 receivers or the points (_receiver_kernels, _emission_kernels), and its
 algebra over the emitter register (_vacuum_factor, _signal_angles,
-_receiver_probability, _emission_energy).  _receiver_kernels is the one
-receiver geometry of every capacity observable: it takes an array of
-receiver positions (one for channel_point, a sweep or a phase search,
-the whole grid for a capacity map), integrates nu once and each distinct
-(d, dt, R_i) commutator argument once, matched by exact equality, so
-every receiver's Delta_i is a pure function of its own position.  The
-mapper then repeats only the algebra, batched over receivers and
-couplings.  nu and Delta come from the kernel quadrature, the radiation
-kernels from their closed form; docs/derivations.md holds the full
-reductions.
+_receiver_probability, _emission_energy).  _receiver_kernels, the one
+receiver geometry of every capacity observable, integrates nu once and
+the distinct commutator arguments of all its receivers as one batch;
+the mapper repeats only the algebra.  nu and Delta come from the kernel
+quadrature, the radiation kernels from their closed form
+(docs/derivations.md).
 
 A receiver that no emitter is in causal contact with (time-ordered and
 inside the commutator's support, kernels._in_causal_contact) gets every
@@ -54,7 +50,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -114,7 +109,7 @@ def c1_factor(lambda_b: float, radius: float) -> float:
 
 # -- receiver probability: geometry (kernel calls), then algebra ---------
 
-def _receiver_kernels(scenario: Scenario, positions=None, threads: int = 1):
+def _receiver_kernels(scenario: Scenario, positions=None):
     """nu, the gated Delta (receivers, n) and the contact mask (receivers, n).
 
     positions (receivers, 3) default to the scenario's receiver; the
@@ -122,14 +117,11 @@ def _receiver_kernels(scenario: Scenario, positions=None, threads: int = 1):
     whether emitter i is in causal contact with receiver r
     (kernels._in_causal_contact).  Delta[r, i] = Delta(|x_i - x_r|, t_B - t_i)
     at a receiver in contact with at least one emitter, for every emitter
-    that fired before t_B; every other Delta is exactly 0 and runs no
-    quadrature.  The gate is per receiver, not per emitter: in contact,
-    every time-ordered Delta comes from the quadrature, including an
-    off-support emitter's rounding noise.  Each distinct (d, dt, R_i) is
-    integrated once, by exact equality of the arguments, so threads > 1
-    (a process pool over those quadratures) cannot change a value.  None,
-    with a ReceiverNotCoupledWarning, when the evaluation time does not
-    exceed the receiver's coupling instant: the probability is then 0.
+    that fired before t_B (an off-support one's as rounding noise); every
+    other Delta is exactly 0.  The distinct (d, dt, R_i), by exact
+    equality, go to the quadrature as one batch.  None, with a
+    ReceiverNotCoupledWarning, when the evaluation time does not exceed
+    the receiver's coupling instant: the probability is then 0.
     """
     rec = scenario.receiver
     if scenario.evaluation_time <= rec.coupling_time:
@@ -150,39 +142,12 @@ def _receiver_kernels(scenario: Scenario, positions=None, threads: int = 1):
     radii = np.array([e.smearing_radius for e in emitters])
     contact = _in_causal_contact(ds, dts, rec.smearing_radius, radii)
     rows, cols = np.nonzero(contact.any(axis=-1)[:, None] & (dts > 0.0))
-    args = list(zip(ds[rows, cols].tolist(), dts[cols].tolist(), radii[cols].tolist()))
-    distinct = list(dict.fromkeys(args))
-    values = dict(zip(distinct, _commutators(rec.smearing_radius, distinct, threads)))
-    deltas = np.zeros(ds.shape)
-    deltas[rows, cols] = [values[a] for a in args]
-    return KernelSet(rec.smearing_radius).vacuum_variance(), deltas, contact
-
-
-def _commutators(radius: float, args: list, threads: int = 1) -> list[float]:
-    """KernelSet(radius).commutator(d, dt, R_i) for each (d, dt, R_i) in args.
-
-    threads > 1 runs them in that many processes, a few strided chunks per
-    worker, so that arguments of similar cost spread over all workers.
-    concurrent.futures is imported only then.
-    """
-    if threads <= 1 or not args:
-        return _commutator_chunk(radius, args)
-    from concurrent.futures import ProcessPoolExecutor
-
-    stride = 4 * threads
-    values = [0.0] * len(args)
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        chunks = pool.map(partial(_commutator_chunk, radius),
-                          [args[i::stride] for i in range(stride)])
-        for i, chunk in enumerate(chunks):
-            values[i::stride] = chunk
-    return values
-
-
-def _commutator_chunk(radius: float, args: list) -> list[float]:
-    """Module level, so a process pool can pickle it under any start method."""
-    ks = KernelSet(radius)
-    return [ks.commutator(d, dt, other_radius=r) for d, dt, r in args]
+    ks, deltas = KernelSet(rec.smearing_radius), np.zeros(ds.shape)
+    if rows.size:
+        args = np.column_stack((ds[rows, cols], dts[cols], radii[cols]))
+        distinct, inverse = np.unique(args, axis=0, return_inverse=True)
+        deltas[rows, cols] = ks.commutator(*distinct.T)[inverse.reshape(-1)]
+    return ks.vacuum_variance(), deltas, contact
 
 
 def _vacuum_factor(lambda_b, nu: float):

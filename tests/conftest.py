@@ -262,38 +262,39 @@ def four_emitter_config(phases=(0.0, 0.0, 0.0, 0.0), state_type="w",
 
 
 @pytest.fixture
-def quadrature_fails_in_workers(monkeypatch):
-    """Every kernel quadrature run outside this process raises QuadratureError.
+def one_argument_diverges(monkeypatch):
+    """The head quadrature of the first commutator argument of every batch never converges.
 
-    Forked pool workers inherit the patch, so a failure there has to cross
-    the process boundary to reach the caller.  Skips where pools spawn
-    fresh interpreters instead.
+    Its head integrand gains a term proportional to the node count, so each
+    panel doubling moves its estimate further; the batch's other arguments
+    are untouched.
     """
-    import multiprocessing
-    import os
-
     from qshock import kernels
-    if multiprocessing.get_start_method() != "fork":
-        pytest.skip("pool workers inherit the patch only under the fork start method")
-    parent, original = os.getpid(), kernels._head_quad
+    original = kernels._commutator_parts
 
-    def head_quad(*args, **kwargs):
-        if os.getpid() != parent:
-            raise kernels.QuadratureError("head quadrature did not converge", 1.0, 1e-8)
-        return original(*args, **kwargs)
+    def parts(*args):
+        head, *rest = original(*args)
 
-    monkeypatch.setattr(kernels, "_head_quad", head_quad)
+        def diverging(k, rows):
+            values = head(k, rows)
+            values[rows == 0] += k.size
+            return values
+
+        return (diverging, *rest)
+
+    monkeypatch.setattr(kernels, "_commutator_parts", parts)
 
 
 @pytest.fixture
 def commutator_calls(monkeypatch):
-    """Every KernelSet.commutator call made during the test, as (d, dt) pairs."""
+    """Every KernelSet.commutator call made during the test, as a list of (d, dt) pairs."""
     from qshock.kernels import KernelSet
     calls = []
     original = KernelSet.commutator
 
     def counted(self, d, dt, *args, **kwargs):
-        calls.append((d, dt))
+        ds, dts = np.broadcast_arrays(d, dt)
+        calls.append(list(zip(ds.ravel().tolist(), dts.ravel().tolist())))
         return original(self, d, dt, *args, **kwargs)
 
     monkeypatch.setattr(KernelSet, "commutator", counted)

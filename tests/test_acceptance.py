@@ -7,7 +7,6 @@ independent oracles at their stated tolerances.
 """
 
 import math
-import os
 import time
 
 import numpy as np
@@ -24,7 +23,6 @@ from qshock.scenario import Detector, Scenario, load_scenario, w_state
 from conftest import blahut_arimoto_grid, four_emitter_config, three_emitter_config
 
 R = 0.5
-THREADS = min(2, os.cpu_count() or 1)
 
 
 def report(criterion: str, detail: str, elapsed: float, limit: float | None = None):
@@ -159,16 +157,15 @@ def test_criterion_3_energy_map_structure(fig1_maps):
 # criterion 4: four-emitter capacity maps and quantum enhancement
 # ----------------------------------------------------------------------
 
-@pytest.mark.slow
 def test_criterion_4_capacity_peaks_and_enhancement():
     t0 = time.perf_counter()
     window, resolution = (0.0, 16.0, 0.0, 16.0), 160
     scn_0 = load_scenario(four_emitter_config((0.0, 0.0, 0.0, 0.0)))
     scn_pi = load_scenario(four_emitter_config((0.0, 0.0, math.pi, math.pi)))
     scn_cl = load_scenario(four_emitter_config(state_type="classical"))
-    grid_0 = capacity_map(scn_0, window, resolution, threads=THREADS)
-    grid_pi = capacity_map(scn_pi, window, resolution, threads=THREADS)
-    grid_cl = capacity_map(scn_cl, window, resolution, threads=THREADS)
+    grid_0 = capacity_map(scn_0, window, resolution)
+    grid_pi = capacity_map(scn_pi, window, resolution)
+    grid_cl = capacity_map(scn_cl, window, resolution)
     peak_0, peak_pi = grid_0.values.max(), grid_pi.values.max()
     delta = diff_map(grid_pi, grid_cl)
     elapsed = time.perf_counter() - t0

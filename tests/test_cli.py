@@ -69,6 +69,16 @@ class TestUsageErrors:
             assert main([*argv, "--out", out, "--threads", "2"]) == EXIT_USAGE
             assert main([*argv, "--out", out]) == EXIT_OK
 
+    def test_capacity_map_has_no_threads(self, tmp_path):
+        # the map integrates its commutators as one batch in this process
+        argv = ["capacity-map", "--config", str(SCENARIOS / "fig3.cfg"),
+                "--resolution", "3", "--out", str(tmp_path / "m.csv")]
+        for threads in ("2", "0", "-2"):
+            assert main([*argv, "--threads", threads]) == EXIT_USAGE
+        assert main(argv) == EXIT_OK
+        manifest = json.loads((tmp_path / "m.manifest.json").read_text())
+        assert manifest["settings"] == {"window": [0.0, 16.0, 0.0, 16.0], "resolution": 3}
+
     def test_capacity_commands_have_no_tolerance(self, config_file, tmp_path):
         # every numerical routine runs at one fixed setting: no subcommand
         # takes a tolerance, the kernel dump and the oracle included
@@ -146,11 +156,11 @@ class TestMapsAndDiff:
         side = json.loads((tmp_path / "d.json").read_text())
         assert side["quantity"] == "delta"
 
-    def test_worker_quadrature_failure_exits_two(self, config_file, tmp_path, capsys,
-                                                 quadrature_fails_in_workers):
+    def test_quadrature_failure_exits_two(self, config_file, tmp_path, capsys,
+                                          one_argument_diverges):
         assert main(["capacity-map", "--config", str(config_file),
                      "--out", str(tmp_path / "m.csv"), "--window", "8,12,2,6",
-                     "--resolution", "4", "--threads", "2"]) == EXIT_NUMERICAL
+                     "--resolution", "4"]) == EXIT_NUMERICAL
         assert "numerical failure: head quadrature did not converge" in (
             capsys.readouterr().err)
 
@@ -208,6 +218,15 @@ class TestSweepAndOptimize:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("evaluation,value,theta_1")
         assert len(lines) > 10
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_budget_below_one_exits_one(self, tmp_path, capsys, budget):
+        out = tmp_path / "trace.csv"
+        assert main(["optimize", "--config", str(SCENARIOS / "fig2a.cfg"),
+                     "--objective", "capacity", "--point", "11,4.5", "--budget", budget,
+                     "--out", str(out)]) == EXIT_VALIDATION
+        assert "budget" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("objective, point", [
         ("capacity", "nan,4"), ("energy", "inf,4"), ("energy", "11,4.5,-inf"),
@@ -316,20 +335,21 @@ class TestSharedParser:
         assert main(["sweep", "--config", "c", "--out", "s", "--samples", "9"]) == EXIT_OK
         assert main([*opt, "--objective", "capacity"]) == EXIT_OK
         assert main(["capacity-map", "--config", "c", "--out", "m",
-                     "--threads", "1", "--resolution", "5"]) == EXIT_OK
+                     "--resolution", "5"]) == EXIT_OK
         assert main(["capacity-map", "--config", "c", "--out", "m"]) == EXIT_OK
-        first, sweep, second, threaded, default = recorded
+        first, sweep, second, sized, default = recorded
         assert (first["seed"], first["budget"], first["restarts"]) == (5, 7, 2)
         assert (second["seed"], second["budget"], second["restarts"]) == (0, 800, 4)
         assert second["objective"] == "capacity"
         assert sweep == {"subcommand": "sweep", "config": "c", "out": "s",
                          "lambda_min": 0.0, "lambda_max": 8.0, "samples": 9}
-        assert (threaded["threads"], threaded["resolution"]) == (1, 5)
-        assert default["threads"] == (os.cpu_count() or 1)
+        assert sized["resolution"] == 5
+        assert "threads" not in sized
         assert default["resolution"] == cli.DEFAULT_RESOLUTION
 
     def test_usage_errors_exit_64_between_commands(self, recorded, capsys):
         bad = (["energy-map", "--config", "c", "--out", "e", "--threads", "2"],
+               ["capacity-map", "--config", "c", "--out", "m", "--threads", "0"],
                ["frobnicate"], ["validate"], ["sweep", "--config", "c", "--out", "s",
                                               "--samples", "many"], [])
         for argv in bad:

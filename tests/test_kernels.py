@@ -232,6 +232,41 @@ class TestRadiationKernels:
 # purity and stability
 # ----------------------------------------------------------------------
 
+# (d, dt, R_i, Delta) at R = 0.5: on and off the support, on its edges
+# |d - dt| = R + R_i, at d = dt, below the distance floor and near d = 0
+GOLDEN_COMMUTATOR = [
+    (3.0, 3.0, 0.5, "-0x1.1df46a2529d3dp-7"),
+    (3.0, 2.0, 0.5, "-0x1.9f9e973e7942bp-55"),
+    (3.0, 4.0, 0.5, "0x1.af1f2390200bbp-54"),
+    (2.0, 3.0, 0.5, "-0x1.39b0bd0ad4983p-54"),
+    (3.0, 1.95, 0.5, "0x1.9f02f6222c720p-57"),
+    (3.0, 2.05, 0.5, "-0x1.5be76b4489099p-18"),
+    (3.0, 3.95, 0.5, "-0x1.5be76b44a1a55p-18"),
+    (3.0, -3.0, 0.5, "0x1.1df46a2529d3dp-7"),
+    (0.0, 0.5, 0.5, "-0x1.4f1a6c638ac9dp-4"),
+    (1e-09, 0.7, 0.5, "-0x1.6cce88305b622p-5"),
+    (1.26e-06, 0.698, 0.5, "-0x1.705b963503c4bp-5"),
+    (0.6000000001, 0.7, 0.5, "-0x1.555adadadce4bp-5"),
+    (0.3, 0.2, 0.5, "-0x1.b4f7aa7ead681p-5"),
+    (5.3, 5.0, 0.5, "-0x1.b9ed241b5a0cbp-9"),
+    (10.0, 10.0, 0.5, "-0x1.57254c2c9ebc6p-9"),
+    (12.5, 12.9, 0.5, "-0x1.17e007bbee54dp-10"),
+    (16.06, 11.58, 0.5, "0x1.6604414c35cdep-49"),
+    (7.2, 7.0, 0.7, "-0x1.dc975b9345ba7p-8"),
+    (4.0, 4.75, 0.25, "0x1.1a346f8674e0fp-51"),
+    (6.5, 6.0, 1.1, "-0x1.2c40a2a70579fp-6"),
+    (8.0, 8.9, 0.5, "-0x1.ef3a555b38116p-17"),
+    (0.05, 0.9, 0.5, "-0x1.da6b9d3c5000ep-8"),
+]
+# (r, dt, time kernel, radial kernel) at R = 0.5
+GOLDEN_RADIATION = [
+    (5.3, 5.0, "0x1.cfb2b78c1351ep-7", "-0x1.e70761c9dd8cap-7"),
+    (4.8, 5.0, "-0x1.5555555555555p-7", "0x1.3000000000005p-7"),
+    (0.05, 0.3, "0x1.0000000000002p-1", "0x1.0023d3e9176e6p-50"),
+    (5.5, 5.0, "0x1.745d1745d1745p-7", "-0x1.745d1745d1746p-7"),
+]
+
+
 class TestKernelSet:
     def test_repeated_calls_return_identical_values(self):
         ks = KernelSet(R)
@@ -246,6 +281,59 @@ class TestKernelSet:
         assert second == KernelSet(R).commutator(0.6000000004, 0.7)
         assert first == KernelSet(R).commutator(0.6000000001, 0.7)
         assert first != second
+        # ... and whatever shares their batch: neighbours, repeats, other
+        # panel counts, radii and signs, in any order
+        together = ks.commutator([9.0, 0.6000000004, 0.6000000001, 3.0, 0.6000000001],
+                                 [8.7, 0.7, 0.7, -3.0, 0.7], [1.1, 0.5, 0.5, 0.7, 0.5])
+        assert together.tolist()[1:3] == [second, first]
+        assert together[4] == first
+        assert together[0] == ks.commutator(9.0, 8.7, 1.1)
+        assert together[3] == ks.commutator(3.0, -3.0, 0.7)
+        assert ks.commutator([0.6000000001] * 3, 0.7).tolist() == [first] * 3
+
+    @given(args=st.lists(st.tuples(
+               st.one_of(st.floats(0.0, 12.0), st.floats(0.0, 2e-6)),
+               st.one_of(st.floats(-12.0, 12.0), st.just(0.0)),
+               st.sampled_from([0.25, 0.5, 1.1]),
+               st.sampled_from([None, "equal", "outer", "inner"])), min_size=1, max_size=8))
+    @hsettings(max_examples=40, deadline=None)
+    @example(args=[(3.0, 0.0, 0.5, "equal"), (3.0, 0.0, 0.5, "outer"),
+                   (3.0, 0.0, 0.25, "inner"), (1e-9, -0.7, 1.1, None),
+                   (0.0, 0.0, 0.5, None), (4.0, -5.0, 0.5, None)])
+    def test_array_call_equals_elementwise_calls(self, args):
+        # d == dt and |d - dt| == R_a + R_b (up to the rounding of d +- S) on
+        # request; the batch's values and errors are the scalar calls' bits
+        rows = []
+        for d, dt, other, edge in args:
+            sign = -1.0 if dt < 0 else 1.0
+            if edge == "equal":
+                dt = sign * d
+            elif edge is not None:
+                dt = sign * (d + (R + other if edge == "outer" else -(R + other)))
+            rows.append((d, dt, other))
+        d, dt, other = (np.array(col) for col in zip(*rows))
+        batch = KS.commutator_value(d, dt, other)
+        single = [KS.commutator_value(*row) for row in rows]
+        assert batch.value.tolist() == [kv.value for kv in single]
+        assert batch.error.tolist() == [kv.error for kv in single]
+        assert all(type(kv.value) is float for kv in single)
+
+    def test_radiation_arrays_equal_elementwise_calls(self):
+        r, dt = np.array([[5.3, 4.8], [0.05, 1e-9]]), np.array([5.0, 0.3])
+        for kernel in (KS.radiation_time_value, KS.radiation_radial_value):
+            batch = kernel(r, dt)
+            assert batch.value.shape == batch.error.shape == (2, 2)
+            for idx in np.ndindex(r.shape):
+                single = kernel(float(r[idx]), float(dt[idx[1]]))
+                assert (batch.value[idx], batch.error[idx]) == (single.value, single.error)
+
+    def test_one_non_converging_argument_fails_the_batch(self, one_argument_diverges):
+        with pytest.raises(QuadratureError, match="did not converge") as failure:
+            KS.commutator([3.0, 3.0, 5.3], [3.0, 2.9, 5.0])
+        assert failure.value.requested == 1e-8
+        assert failure.value.achieved > 1.0
+        assert str(failure.value).endswith(
+            f"(achieved {failure.value.achieved:.3e}, requested 1.000e-08)")
 
     @given(d=st.floats(0.0, 20.0), dt=st.floats(-20.0, 20.0),
            other=st.sampled_from([0.25, 0.5, 1.1]))
@@ -258,6 +346,17 @@ class TestKernelSet:
         kv = KernelSet(R).commutator_value(d, dt, other)
         assert abs(kv.value) <= kv.error
         assert kv.value == KernelSet(R).commutator(d, dt, other)
+
+    def test_values_equal_recorded_bits(self):
+        # recorded from the per-argument quadrature this batched one replaced
+        d, dt, other, expect = zip(*GOLDEN_COMMUTATOR)
+        assert KS.commutator(d, dt, other).tolist() == [float.fromhex(h) for h in expect]
+        for d_i, dt_i, other_i, h in GOLDEN_COMMUTATOR:  # one argument at a time, too
+            assert KS.commutator(d_i, dt_i, other_i) == float.fromhex(h)
+        assert KS.vacuum_variance() == float.fromhex("0x1.ffffffffffffep-5")
+        r, dt, time, radial = zip(*GOLDEN_RADIATION)
+        assert KS.radiation_time(r, dt).tolist() == [float.fromhex(h) for h in time]
+        assert KS.radiation_radial(r, dt).tolist() == [float.fromhex(h) for h in radial]
 
     def test_quadrature_error_survives_pickling(self):
         error = QuadratureError("head quadrature did not converge", 1.0, 1e-8)

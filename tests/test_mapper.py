@@ -1,14 +1,9 @@
 import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import qshock
 from qshock.kernels import KernelSet, QuadratureError
 from qshock.mapper import (GridMap, SweepCurve, capacity_map, coupling_sweep,
                            diff_map, energy_map, optimize_phases, read_grid_csv,
@@ -123,48 +118,20 @@ def contact_cells(scn, grid):
 
 
 class TestCapacityMap:
-    def test_parallel_equals_serial(self, small_capacity_map, contact_scenario):
-        par = capacity_map(contact_scenario, CAPACITY_WINDOW, 6, threads=2)
-        assert np.array_equal(small_capacity_map.values, par.values)
-
-    def test_parallel_equals_serial_under_spawn(self):
-        # spawned workers import the package afresh and see only what the
-        # map function hands them, so no state may live in module globals
-        script = f"""
-import multiprocessing, numpy as np
-from qshock.mapper import capacity_map
-from qshock.scenario import load_scenario
-multiprocessing.set_start_method("spawn")
-scn = load_scenario({three_emitter_config(evaluation_time=9.0)!r})
-serial = capacity_map(scn, {CAPACITY_WINDOW!r}, 3)
-assert np.array_equal(capacity_map(scn, {CAPACITY_WINDOW!r}, 3, threads=2).values,
-                      serial.values)
-assert np.any(serial.values > 0.0)
-print("ok")
-"""
-        src = str(Path(qshock.__file__).resolve().parents[1])
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run([sys.executable, "-c", script], env=env, timeout=300,
-                              capture_output=True, text=True)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "ok"
-
-    def test_widespread_quadrature_failure_aborts(self, contact_scenario,
-                                                  quadrature_fails_in_workers):
-        # the workers' error reaches the caller whole, not as a broken pool
+    def test_non_converging_argument_aborts(self, contact_scenario, one_argument_diverges):
+        # one argument of the map's commutator batch fails: the map fails
+        # whole, with the failing argument's achieved and requested error
         with pytest.raises(QuadratureError, match="did not converge") as failure:
-            capacity_map(contact_scenario, CAPACITY_WINDOW, 4, threads=2)
-        assert (failure.value.achieved, failure.value.requested) == (1.0, 1e-8)
-        serial = capacity_map(contact_scenario, CAPACITY_WINDOW, 4)  # no worker
-        assert np.any(serial.values > 0.0)
+            capacity_map(contact_scenario, CAPACITY_WINDOW, 4)
+        assert failure.value.requested == 1e-8
+        assert failure.value.achieved > 1.0
 
-    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("state_type", ["w", "classical"])
-    def test_cells_equal_pointwise_channel(self, state_type, threads):
+    def test_cells_equal_pointwise_channel(self, state_type):
+        # a cell from the map's batch equals the receiver evaluated alone there
         scn = load_scenario(four_emitter_config(phases=(0, 0, math.pi, math.pi),
                                                 state_type=state_type))
-        grid = capacity_map(scn, (8.0, 14.0, 0.0, 6.0), 6, threads=threads)
+        grid = capacity_map(scn, (8.0, 14.0, 0.0, 6.0), 6)
         for iy, yv in enumerate(grid.y):
             for ix, xv in enumerate(grid.x):
                 moved = scn.with_receiver(scn.receiver.moved_to((xv, yv, 0.0)))
@@ -186,8 +153,9 @@ print("ok")
 
     def test_quadrature_only_in_contact_cells(self, commutator_calls):
         # the 24x24 fig2b map: a cell needs the commutator for all four
-        # emitters iff at least one of them is in causal contact, and each
-        # distinct (d, dt) among those cells is integrated exactly once
+        # emitters iff at least one of them is in causal contact, and the
+        # distinct (d, dt) among those cells go to the quadrature as one
+        # batch, each exactly once
         scn = load_scenario(four_emitter_config(phases=(0, 0, math.pi, math.pi)))
         grid = capacity_map(scn, (0.0, 16.0, 0.0, 16.0), 24)
         contact = contact_cells(scn, grid)
@@ -199,8 +167,9 @@ print("ok")
                   for iy, yv in enumerate(grid.y) for ix, xv in enumerate(grid.x)
                   if contact[iy, ix] for e in scn.emitters if e.coupling_time < t_b}
         assert len(needed) == 643
-        assert len(commutator_calls) == len(needed)
-        assert set(commutator_calls) == needed
+        [batch] = commutator_calls
+        assert len(batch) == len(needed)
+        assert set(batch) == needed
         assert np.all(grid.values[~contact] == 0.0)
         assert np.count_nonzero(grid.values[contact]) > 0
 
@@ -374,6 +343,12 @@ class TestOptimizePhases:
         with pytest.raises(ValueError, match="objective"):
             optimize_phases(scn, "entropy", (0, 0, 0))
 
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_below_one_rejected(self, budget):
+        with pytest.raises(ValueError, match="budget"):
+            optimize_phases(load_scenario(four_emitter_config()), "capacity",
+                            (11.0, 4.5, 0.0), budget=budget)
+
 
 class TestKernelsEvaluatedOnce:
     """A sweep or a phase search evaluates each kernel once, however many samples."""
@@ -385,7 +360,8 @@ class TestKernelsEvaluatedOnce:
             original = getattr(KernelSet, name)
 
             def counted(self, *args, _name=name, _original=original, **kwargs):
-                calls.append((_name, self.radius, args, tuple(sorted(kwargs.items()))))
+                calls.append((_name, self.radius,
+                              [np.ravel(a).tolist() for a in (*args, *kwargs.values())]))
                 return _original(self, *args, **kwargs)
 
             monkeypatch.setattr(KernelSet, name, counted)
@@ -393,9 +369,10 @@ class TestKernelsEvaluatedOnce:
 
     @staticmethod
     def assert_each_once(calls, n_emitters):
-        assert len(calls) == len(set(calls))
-        assert [c[0] for c in calls].count("vacuum_variance") == 1
-        assert [c[0] for c in calls].count("commutator") == n_emitters
+        # nu once, and one commutator batch holding each emitter's (d, dt, R_i) once
+        assert sorted(name for name, *_ in calls) == ["commutator", "vacuum_variance"]
+        [batch] = [args for name, _, args in calls if name == "commutator"]
+        assert len(batch[0]) == len(set(zip(*batch))) == n_emitters
 
     def test_sweep(self, kernel_calls):
         coupling_sweep(load_scenario(four_emitter_config()), np.linspace(0.0, 8.0, 60))
