@@ -3,7 +3,7 @@
 Maps mirror the planar scans of the study: a window in the (x, y) plane
 at z = 0, energy density at the scenario's evaluation time or channel
 capacity as a function of the receiver location.  An energy map is one
-energy_density call per y row.
+energy_density call per block of whole rows of at most _BLOCK_CELLS cells.
 
 Capacity maps, sweeps and phase searches share one path.  The receiver
 geometry (observables._receiver_kernels) yields nu, the gated Delta_i
@@ -38,9 +38,10 @@ import numpy as np
 
 from .emitters import MonopolePhase
 from .observables import (ChannelPoint, channel_capacity, energy_density,
-                          excitation_probability, _emission_energy, _emission_kernels,
+                          _emission_energy, _emission_kernels, _noise_probability,
                           _receiver_kernels, _receiver_probability, _signal_angles,
                           _vacuum_factor)
+from .observables import excitation_probability  # noqa: F401 (perfbench/spans.py wraps it)
 from .scenario import Scenario, scenario_fingerprint, w_state
 
 __all__ = [
@@ -64,6 +65,7 @@ Window = tuple[float, float, float, float]  # (xmin, xmax, ymin, ymax)
 DEFAULT_WINDOW: Window = (0.0, 16.0, 0.0, 16.0)
 DEFAULT_RESOLUTION = 160
 _FMT = "{:.8e}"  # 9 significant digits, locale-independent
+_BLOCK_CELLS = 4096  # cells per energy_density call of an energy map (or one longer row)
 
 
 @dataclass(frozen=True)
@@ -131,7 +133,8 @@ class PhaseOptimum:
     trace: tuple[tuple[tuple[float, ...], float], ...]
 
 
-def _axes(window: Window, resolution) -> tuple[np.ndarray, np.ndarray]:
+def _grid(window: Window, resolution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The x and y axes and the (ny, nx, 3) cell points in the z = 0 plane."""
     if isinstance(resolution, int):
         nx = ny = resolution
     else:
@@ -139,17 +142,19 @@ def _axes(window: Window, resolution) -> tuple[np.ndarray, np.ndarray]:
     if nx < 2 or ny < 2:
         raise ValueError("resolution must be >= 2 per axis")
     xmin, xmax, ymin, ymax = window
-    return np.linspace(xmin, xmax, nx), np.linspace(ymin, ymax, ny)
+    xs, ys = np.linspace(xmin, xmax, nx), np.linspace(ymin, ymax, ny)
+    return xs, ys, np.stack([*np.meshgrid(xs, ys), np.zeros((ny, nx))], axis=-1)
 
 
 def energy_map(scenario: Scenario, window: Window = DEFAULT_WINDOW,
                resolution=DEFAULT_RESOLUTION) -> GridMap:
     """Energy density over the window at the scenario's evaluation time."""
-    xs, ys = _axes(window, resolution)
     t0 = time.perf_counter()
+    xs, ys, cells = _grid(window, resolution)
     t = scenario.evaluation_time
-    values = np.vstack([energy_density(scenario, np.column_stack(
-        (xs, np.full(xs.size, yv), np.zeros(xs.size))), t) for yv in ys])
+    rows = max(1, _BLOCK_CELLS // xs.size)
+    values = np.vstack([energy_density(scenario, cells[i:i + rows], t)
+                        for i in range(0, ys.size, rows)])
     meta = {"evaluation_time": t, "wall_time_s": time.perf_counter() - t0}
     return GridMap(xs, ys, values, "energy", scenario_fingerprint(scenario), meta)
 
@@ -157,18 +162,18 @@ def energy_map(scenario: Scenario, window: Window = DEFAULT_WINDOW,
 def capacity_map(scenario: Scenario, window: Window = DEFAULT_WINDOW,
                  resolution=DEFAULT_RESOLUTION) -> GridMap:
     """Channel capacity as a function of the receiver location over the window."""
-    xs, ys = _axes(window, resolution)
     t0 = time.perf_counter()
-    cells = np.stack([*np.meshgrid(xs, ys), np.zeros((ys.size, xs.size))], axis=-1)
+    xs, ys, cells = _grid(window, resolution)
     kernels = _receiver_kernels(scenario, cells.reshape(-1, 3))
-    values, in_contact = np.zeros((ys.size, xs.size)), 0
+    values, in_contact, noise = np.zeros((ys.size, xs.size)), 0, 0.0
     if kernels is not None:
         nu, deltas, contact = kernels
         values = _capacities(scenario, [scenario.receiver.coupling_strength], nu, deltas)(
             scenario.emitter_state).reshape(values.shape)
         in_contact = int(contact.any(axis=-1).sum())
-    meta = {"noise_probability": excitation_probability(scenario, couple=False),
-            "cells_in_contact": in_contact, "wall_time_s": time.perf_counter() - t0}
+        noise = _noise_probability(scenario, nu)
+    meta = {"noise_probability": noise, "cells_in_contact": in_contact,
+            "wall_time_s": time.perf_counter() - t0}
     return GridMap(xs, ys, values, "capacity", scenario_fingerprint(scenario), meta)
 
 
@@ -334,10 +339,10 @@ def optimize_phases(scenario: Scenario, objective: str, point,
 
 def write_grid_csv(grid: GridMap, path, sidecar: bool = True) -> None:
     """First row x axis, first column y axis, fixed 9-significant-digit cells."""
-    lines = ["," + ",".join(_FMT.format(v) for v in grid.x)]
-    for iy, yv in enumerate(grid.y):
-        lines.append(_FMT.format(yv) + ","
-                     + ",".join(_FMT.format(v) for v in grid.values[iy]))
+    # Python floats format faster than numpy scalars (same bytes); row by row bounds memory
+    lines = ["," + ",".join(map(_FMT.format, grid.x.tolist()))]
+    lines += [",".join(map(_FMT.format, [yv, *row.tolist()]))
+              for yv, row in zip(grid.y.tolist(), grid.values)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     if sidecar:
@@ -355,13 +360,7 @@ def read_grid_csv(path) -> GridMap:
         rows = [line.strip() for line in fh if line.strip()]
     if not rows:
         raise ValueError(f"{path}: empty grid CSV")
-    header = rows[0].split(",")
-    xs = np.array([float(v) for v in header[1:]])
-    ys, values = [], []
-    for line in rows[1:]:
-        cells = line.split(",")
-        ys.append(float(cells[0]))
-        values.append([float(v) for v in cells[1:]])
+    table = [[float(v) for v in line.split(",")] for line in rows[1:]]
     quantity, fingerprint, meta = "unknown", "", {}
     try:
         with open(_sidecar_path(path), "r", encoding="utf-8") as fh:
@@ -373,13 +372,14 @@ def read_grid_csv(path) -> GridMap:
         meta = side
     except FileNotFoundError:
         pass
-    return GridMap(xs, np.array(ys), np.array(values), quantity, fingerprint, meta)
+    return GridMap([float(v) for v in rows[0].split(",")[1:]], [row[0] for row in table],
+                   [row[1:] for row in table], quantity, fingerprint, meta)
 
 
 def write_sweep_csv(curve: SweepCurve, path, sidecar: bool = True) -> None:
     lines = ["lambda_B,capacity"]
-    for lam, cap in zip(curve.couplings, curve.capacities):
-        lines.append(_FMT.format(lam) + "," + _FMT.format(cap))
+    lines += [",".join(map(_FMT.format, pair))
+              for pair in zip(curve.couplings.tolist(), curve.capacities.tolist())]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     if sidecar:

@@ -132,12 +132,10 @@ def _receiver_kernels(scenario: Scenario, positions=None):
     emitters = scenario.emitters
     where = np.reshape(rec.position if positions is None else positions, (-1, 3))
     offsets = where[:, None, :] - np.array([e.position for e in emitters]).reshape(-1, 3)
-    # np.linalg.norm of each 3-vector, not norm(..., axis=-1), whose sum
-    # rounds differently in the last bit: the ill-conditioned
-    # channel_capacity amplifies that bit far above the map's precision
-    # (ROADMAP item 1)
-    ds = np.array([np.linalg.norm(v) for v in offsets.reshape(-1, 3)]).reshape(
-        offsets.shape[:-1])
+    # |offset| as stacked (1x3)(3x1) matmuls: each uses the dot of np.linalg.norm
+    # of one 3-vector, so the bits match; norm(..., axis=-1) and einsum round the
+    # last bit otherwise, which channel_capacity amplifies (ROADMAP item 1)
+    ds = np.sqrt(np.matmul(offsets[..., None, :], offsets[..., :, None]))[..., 0, 0]
     dts = rec.coupling_time - np.array([e.coupling_time for e in emitters])
     radii = np.array([e.smearing_radius for e in emitters])
     contact = _in_causal_contact(ds, dts, rec.smearing_radius, radii)
@@ -188,11 +186,13 @@ def excitation_probability(scenario: Scenario, couple: bool) -> float:
     if couple:
         return channel_point(scenario).p
     kernels = _receiver_kernels(scenario, np.empty((0, 3)))
-    if kernels is None:
-        return 0.0
+    return 0.0 if kernels is None else _noise_probability(scenario, kernels[0])
+
+
+def _noise_probability(scenario: Scenario, nu: float) -> float:
+    """q = (1 - C1)/2 of the scenario's receiver coupling, from its nu."""
     return _clamp_probability(_receiver_probability(
-        _vacuum_factor(scenario.receiver.coupling_strength, kernels[0])),
-        "excitation probability")
+        _vacuum_factor(scenario.receiver.coupling_strength, nu)), "excitation probability")
 
 
 # -- energy density: geometry (closed-form kernels), then algebra ---------

@@ -1,19 +1,23 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qshock.kernels import KernelSet, QuadratureError
-from qshock.mapper import (GridMap, SweepCurve, capacity_map, coupling_sweep,
-                           diff_map, energy_map, optimize_phases, read_grid_csv,
-                           write_grid_csv, write_sweep_csv)
+from qshock.mapper import (DEFAULT_WINDOW, GridMap, SweepCurve, _BLOCK_CELLS,
+                           capacity_map, coupling_sweep, diff_map, energy_map,
+                           optimize_phases, read_grid_csv, write_grid_csv,
+                           write_sweep_csv)
 from qshock.observables import (ReceiverNotCoupledWarning, channel_capacity,
-                                channel_point, energy_density)
-from qshock.scenario import Detector, EmitterState, Scenario, load_scenario, w_state
+                                channel_point, energy_density, excitation_probability)
+from qshock.scenario import (Detector, EmitterState, Scenario, load_scenario,
+                             load_scenario_file, w_state)
 
 from conftest import four_emitter_config, three_emitter_config
 
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 WINDOW = (3.0, 13.0, 0.0, 10.0)
 R = 0.5  # the default smearing radius of every detector here
 
@@ -58,12 +62,27 @@ class TestEnergyMap:
         grid = energy_map(fig_scenario, (100.0, 110.0, 100.0, 110.0), 6)
         assert np.all(np.abs(grid.values) < 1e-20)
 
+    @staticmethod
+    def assert_pointwise(scn, grid):
+        # every cell has the bits of energy_density evaluated at its point alone
+        t = scn.evaluation_time
+        assert grid.values.tolist() == [[energy_density(scn, (xv, yv, 0.0), t)
+                                         for xv in grid.x] for yv in grid.y]
+
     def test_cells_match_pointwise_evaluation(self, small_energy_map, fig_scenario):
-        t = fig_scenario.evaluation_time
-        for iy, yv in enumerate(small_energy_map.y):
-            for ix, xv in enumerate(small_energy_map.x):
-                direct = energy_density(fig_scenario, (xv, yv, 0.0), t)
-                assert small_energy_map.values[iy, ix] == pytest.approx(direct, rel=1e-12)
+        self.assert_pointwise(fig_scenario, small_energy_map)
+
+    @pytest.mark.parametrize("config", sorted(p.name for p in SCENARIOS.glob("*.cfg")))
+    def test_bundled_config_cells_match_pointwise_evaluation(self, config):
+        scn = load_scenario_file(SCENARIOS / config)
+        self.assert_pointwise(scn, energy_map(scn, DEFAULT_WINDOW, 24))
+
+    def test_cells_match_pointwise_evaluation_across_row_blocks(self, fig_scenario):
+        # a narrow window at high y resolution: three blocks of rows, the
+        # last one partial, each its own energy_density call
+        grid = energy_map(fig_scenario, (9.0, 9.5, 0.0, 10.0), (3, 2800))
+        assert 2 * _BLOCK_CELLS < grid.values.size < 3 * _BLOCK_CELLS
+        self.assert_pointwise(fig_scenario, grid)
 
     def test_exact_shell_edge_takes_jump_midpoint(self):
         # the cell at x = 5.5 sits exactly on r - dt = R (dt = 5, R = 0.5)
@@ -378,6 +397,16 @@ class TestKernelsEvaluatedOnce:
         coupling_sweep(load_scenario(four_emitter_config()), np.linspace(0.0, 8.0, 60))
         self.assert_each_once(kernel_calls, 4)
 
+    def test_capacity_map(self, kernel_calls):
+        # nu once for the grid and its sidecar's noise probability, and one
+        # commutator batch holding each distinct (d, dt, R_i) once
+        scn = load_scenario(four_emitter_config(phases=(0, 0, math.pi, math.pi)))
+        grid = capacity_map(scn, (8.0, 14.0, 0.0, 6.0), 6)
+        assert sorted(name for name, *_ in kernel_calls) == ["commutator", "vacuum_variance"]
+        [batch] = [args for name, _, args in kernel_calls if name == "commutator"]
+        assert len(batch[0]) == len(set(zip(*batch))) > 0
+        assert grid.meta["noise_probability"] == excitation_probability(scn, couple=False)
+
     def test_capacity_search(self, kernel_calls):
         res = optimize_phases(load_scenario(four_emitter_config()), "capacity",
                               (11.0, 4.5, 0.0), budget=60, restarts=2)
@@ -445,13 +474,28 @@ class TestSerialization:
         assert side["cells_in_contact"] == in_contact
         assert side["fingerprint"] == small_capacity_map.fingerprint
 
+    def test_grid_csv_exact_bytes(self, tmp_path):
+        # signed zero, the smallest subnormal, extreme exponents, and values
+        # that round up, round down or carry into the exponent at 9 digits
+        grid = GridMap(np.array([-0.0, 5e-324, 1e300]), np.array([1e-300, 2.5e-8]),
+                       np.array([[1.234567895, 1.000000005, 0.1234567885],
+                                 [9.9999999951, -1e-300, -0.0]]), "energy", "fp")
+        path = tmp_path / "grid.csv"
+        write_grid_csv(grid, path, sidecar=False)
+        assert path.read_bytes() == (
+            b",-0.00000000e+00,4.94065646e-324,1.00000000e+300\n"
+            b"1.00000000e-300,1.23456790e+00,1.00000000e+00,1.23456788e-01\n"
+            b"2.50000000e-08,1.00000000e+01,-1.00000000e-300,-0.00000000e+00\n")
+        assert not (tmp_path / "grid.json").exists()
+
     def test_sweep_csv(self, tmp_path):
         curve = SweepCurve(np.array([0.0, 1.0, 2.0, 3.0]),
                            np.array([0.0, 0.5, 0.8, 0.2]), 2, 2.0, 0.8, "fp")
         path = tmp_path / "sweep.csv"
         write_sweep_csv(curve, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "lambda_B,capacity"
-        assert len(lines) == 5
+        assert path.read_bytes() == (
+            b"lambda_B,capacity\n0.00000000e+00,0.00000000e+00\n"
+            b"1.00000000e+00,5.00000000e-01\n2.00000000e+00,8.00000000e-01\n"
+            b"3.00000000e+00,2.00000000e-01\n")
         side = json.loads((tmp_path / "sweep.json").read_text())
         assert side["argmax_coupling"] == 2.0

@@ -141,6 +141,37 @@ def disconnected_scenario(state_kind, receiver_kind, seed=11):
     return Scenario(emitters, Detector(position, t_b, 2.0), state, t_b + 1.0)
 
 
+# coordinates whose offsets and squares stay finite: zeros of either sign,
+# subnormal and tiny values, 1e+-150 and ordinary map coordinates
+COORDINATES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e-150, -1e-150, 1e150, -1e150]),
+    st.floats(-1e150, 1e150), st.floats(-20.0, 20.0))
+
+
+class TestReceiverDistances:
+    @hsettings(max_examples=60, deadline=None)
+    @given(emitters=st.lists(st.tuples(COORDINATES, COORDINATES, COORDINATES),
+                             min_size=1, max_size=4),
+           receivers=st.lists(st.tuples(COORDINATES, COORDINATES, COORDINATES),
+                              min_size=1, max_size=5))
+    def test_equal_per_pair_norm(self, emitters, receivers):
+        # the distances reaching the contact test are, bit for bit, the
+        # np.linalg.norm of each receiver-emitter offset on its own; the
+        # emitters fire after the receiver, so no commutator is integrated
+        import qshock.observables as observables
+        scn = Scenario(tuple(Detector(p, 5.0, 1.0) for p in emitters),
+                       Detector((0.0, 0.0, 0.0), 1.0, 2.0),
+                       w_state(len(emitters), [0.0] * len(emitters)), 6.0)
+        seen, contact = [], observables._in_causal_contact
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(observables, "_in_causal_contact",
+                       lambda d, *rest: seen.append(d) or contact(d, *rest))
+            observables._receiver_kernels(scn, receivers)
+        [ds] = seen
+        assert ds.tolist() == [[float(np.linalg.norm(np.subtract(r, e))) for e in emitters]
+                               for r in receivers]
+
+
 class TestDisconnectedReceiver:
     """No emitter in causal contact: no quadrature, p = q bit for bit, capacity 0."""
 
