@@ -14,8 +14,8 @@ from .scenario import (Detector, EmitterState, Scenario, SchemaError,
                        ValidationError, classical_mixture, load_scenario,
                        load_scenario_file, scenario_fingerprint, w_state)
 from .emitters import MonopolePhase, pair_correlation, product_expectation
-from .observables import (ChannelPoint, binary_entropy, c1_factor, channel_capacity,
-                          channel_point, energy_density, excitation_probability)
+from .observables import (ChannelPoint, binary_entropy, channel_capacity, channel_point,
+                          energy_density, excitation_probability)
 from .mapper import (GridMap, PhaseOptimum, SweepCurve, capacity_map,
                      coupling_sweep, diff_map, energy_map, optimize_phases,
                      read_grid_csv, write_grid_csv, write_sweep_csv)

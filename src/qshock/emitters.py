@@ -18,7 +18,7 @@ here are evaluated without any perturbative truncation:
 mu_i is index-permuted: (mu_i psi)[k] = f_i[k] psi[k XOR b_i], with b_i
 emitter i's bit and f_i[k] = e^{+i Omega_i t_i} where k has it set,
 e^{-i Omega_i t_i} where not.  These tables (24 n 2^n bytes) are built
-once per (n, phases) and serve all three functions here.
+once per (n, phases) and serve both functions here.
 product_expectation applies each factor to a whole batch of angle
 vectors (..., n) at once.  Cost is O(n 2^n) per pure component and angle
 vector; mixtures are weight-averaged component-wise.  n is capped at 24
@@ -34,8 +34,7 @@ import numpy as np
 
 from .scenario import EmitterState, Scenario
 
-__all__ = ["MonopolePhase", "pair_correlation", "product_expectation",
-           "apply_monopole", "MAX_EMITTERS"]
+__all__ = ["MonopolePhase", "pair_correlation", "product_expectation", "MAX_EMITTERS"]
 
 MAX_EMITTERS = 24
 
@@ -75,19 +74,6 @@ def _flip_tables(phases: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
     perm.setflags(write=False)
     factor.setflags(write=False)
     return perm, factor
-
-
-def apply_monopole(vec: np.ndarray, n: int, i: int, phase: float) -> np.ndarray:
-    """Apply mu_i (1-based emitter index, emitter 1 = MSB) to a state vector.
-
-    |g> -> e^{i phase} |e> and |e> -> e^{-i phase} |g> on qubit i.
-    """
-    if not 1 <= i <= n:
-        raise IndexError(f"emitter index {i} out of range 1..{n}")
-    phases = [0.0] * n
-    phases[i - 1] = float(phase)
-    perm, factor = _flip_tables(tuple(phases))
-    return factor[i - 1] * vec[..., perm[i - 1]]
 
 
 def pair_correlation(state: EmitterState, phases: MonopolePhase) -> np.ndarray:

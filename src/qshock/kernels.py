@@ -107,9 +107,6 @@ class QuadratureError(RuntimeError):
         self.achieved = achieved
         self.requested = requested
 
-    def __reduce__(self):  # pickles: rebuilt from its own three arguments
-        return type(self), (self.message, self.achieved, self.requested)
-
 
 @dataclass(frozen=True)
 class KernelValue:

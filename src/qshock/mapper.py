@@ -5,17 +5,18 @@ at z = 0, energy density at the scenario's evaluation time or channel
 capacity as a function of the receiver location.  An energy map is one
 energy_density call per block of whole rows of at most _BLOCK_CELLS cells.
 
-Capacity maps, sweeps and phase searches share one path.  The receiver
-geometry (observables._receiver_kernels) yields nu, the gated Delta_i
-and the contact mask once, for every receiver position (the grid's cells
-for a map, one position otherwise), integrating the distinct commutator
-arguments as one batch.  _capacities then runs only the emitter-register
-algebra, all signalling receivers and couplings in one
-product_expectation batch, so every cell is a pure function of its own
-position.  A receiver that no emitter is in causal contact with
+Capacity maps, sweeps and phase searches share one path with the
+pointwise observables: observables._receiver_channel evaluates the
+kernels once for every receiver position (the grid's cells for a map,
+one position otherwise) and every coupling, and returns q and p as a
+function of the emitter state, all signalling receivers and couplings in
+one product_expectation batch, so every cell is a pure function of its
+own position.  _capacities runs channel_capacity on the signalling
+receivers.  A receiver that no emitter is in causal contact with
 (kernels._in_causal_contact) runs no quadrature and no algebra, and its
 capacity is exactly 0; the map's sidecar counts the others as
-cells_in_contact.
+cells_in_contact.  The energy objective of a phase search goes through
+observables._energy_at, the factory behind energy_density.
 
 CSV layout: first row is the x axis (blank corner cell), each following
 row starts with its y value; numbers are printed with 9 significant
@@ -36,11 +37,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .emitters import MonopolePhase
-from .observables import (ChannelPoint, channel_capacity, energy_density,
-                          _emission_energy, _emission_kernels, _noise_probability,
-                          _receiver_kernels, _receiver_probability, _signal_angles,
-                          _vacuum_factor)
+from .observables import (ChannelPoint, channel_capacity, energy_density, _energy_at,
+                          _receiver_channel)
 from .observables import excitation_probability  # noqa: F401 (perfbench/spans.py wraps it)
 from .scenario import Scenario, scenario_fingerprint, w_state
 
@@ -164,14 +162,12 @@ def capacity_map(scenario: Scenario, window: Window = DEFAULT_WINDOW,
     """Channel capacity as a function of the receiver location over the window."""
     t0 = time.perf_counter()
     xs, ys, cells = _grid(window, resolution)
-    kernels = _receiver_kernels(scenario, cells.reshape(-1, 3))
+    channel = _receiver_channel(scenario, cells.reshape(-1, 3))
     values, in_contact, noise = np.zeros((ys.size, xs.size)), 0, 0.0
-    if kernels is not None:
-        nu, deltas, contact = kernels
-        values = _capacities(scenario, [scenario.receiver.coupling_strength], nu, deltas)(
-            scenario.emitter_state).reshape(values.shape)
-        in_contact = int(contact.any(axis=-1).sum())
-        noise = _noise_probability(scenario, nu)
+    if channel is not None:
+        values = _capacities(channel, scenario.emitter_state).reshape(values.shape)
+        in_contact = int(channel.contact.any(axis=-1).sum())
+        noise = float(channel.q[0])
     meta = {"noise_probability": noise, "cells_in_contact": in_contact,
             "wall_time_s": time.perf_counter() - t0}
     return GridMap(xs, ys, values, "capacity", scenario_fingerprint(scenario), meta)
@@ -189,32 +185,18 @@ def diff_map(a: GridMap, b: GridMap) -> GridMap:
                                    "base_quantity": a.quantity})
 
 
-def _capacities(scenario: Scenario, couplings, nu: float, deltas: np.ndarray):
-    """Capacity per receiver and coupling as a function of the emitter state.
+def _capacities(channel, state) -> np.ndarray:
+    """Capacity per receiver and coupling of an observables._receiver_channel.
 
-    nu and the gated Delta (receivers, n) of _receiver_kernels, hence C1,
-    the angles and q, are fixed here; each call runs only the emitter
-    algebra, every receiver with a signal and every coupling in one batch,
-    and returns shape (receivers, couplings).  A receiver whose every
-    Delta_i is 0 has p = q and capacity exactly 0 without any algebra.
+    channel_capacity runs on the receivers with a signal; every other one
+    has p = q and capacity exactly 0 without any algebra.
     """
-    shape = (len(deltas), len(couplings))
-    signal = deltas.any(axis=-1)
-    if not signal.any():
-        return lambda state: np.zeros(shape)
-    c1 = _vacuum_factor(couplings, nu)
-    angles = _signal_angles(couplings, [e.coupling_strength for e in scenario.emitters],
-                            deltas[signal, None, :])
-    q = _receiver_probability(c1)
-    phases = MonopolePhase.from_scenario(scenario)
-
-    def capacities(state) -> np.ndarray:
-        caps = np.zeros(shape)
-        caps[signal] = [[channel_capacity(ChannelPoint(pk, qk)) for pk, qk in zip(row, q)]
-                        for row in _receiver_probability(c1, angles, state, phases)]
-        return caps
-
-    return capacities
+    caps = np.zeros(channel.signal.shape + channel.q.shape)
+    if channel.signal.any():
+        caps[channel.signal] = [[channel_capacity(ChannelPoint(pk, qk))
+                                 for pk, qk in zip(row, channel.q)]
+                                for row in channel.p(state)]
+    return caps
 
 
 def coupling_sweep(scenario: Scenario, couplings) -> SweepCurve:
@@ -231,9 +213,9 @@ def coupling_sweep(scenario: Scenario, couplings) -> SweepCurve:
     if np.any(lam < 0):
         raise ValueError("coupling strengths must be >= 0")
     t0 = time.perf_counter()
-    kernels = _receiver_kernels(scenario)
-    caps = np.zeros(lam.size) if kernels is None else _capacities(
-        scenario, lam, *kernels[:2])(scenario.emitter_state)[0]
+    channel = _receiver_channel(scenario, couplings=lam)
+    caps = np.zeros(lam.size) if channel is None else _capacities(
+        channel, scenario.emitter_state)[0]
     idx = int(np.argmax(caps))
     meta = {"wall_time_s": time.perf_counter() - t0}
     return SweepCurve(lam, caps, idx, float(lam[idx]), float(caps[idx]),
@@ -247,17 +229,12 @@ def coupling_sweep(scenario: Scenario, couplings) -> SweepCurve:
 def _phase_objective(scenario: Scenario, objective: str, point):
     """The objective as a function of the emitter state, kernels evaluated once."""
     if objective == "energy":
-        active, kernels = _emission_kernels(scenario, point, scenario.evaluation_time)
-        strengths = [e.coupling_strength for e in scenario.emitters]
-        phases = MonopolePhase.from_scenario(scenario)
-        return lambda state: float(_emission_energy(kernels, active, strengths, state,
-                                                    phases))
-    kernels = _receiver_kernels(scenario, [point])
-    if kernels is None:
+        energy = _energy_at(scenario, point, scenario.evaluation_time)
+        return lambda state: float(energy(state))
+    channel = _receiver_channel(scenario, [point])
+    if channel is None:
         return lambda state: 0.0
-    capacities = _capacities(scenario, [scenario.receiver.coupling_strength],
-                             *kernels[:2])
-    return lambda state: float(capacities(state)[0, 0])
+    return lambda state: float(_capacities(channel, state)[0, 0])
 
 
 def optimize_phases(scenario: Scenario, objective: str, point,

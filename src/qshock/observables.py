@@ -31,12 +31,14 @@ the kernel integrals plus emitter-register algebra:
 
 Each observable splits into its geometry, the kernel values at the
 receivers or the points (_receiver_kernels, _emission_kernels), and its
-algebra over the emitter register (_vacuum_factor, _signal_angles,
-_receiver_probability, _emission_energy).  _receiver_kernels, the one
-receiver geometry of every capacity observable, integrates nu once and
-the distinct commutator arguments of all its receivers as one batch;
-the mapper repeats only the algebra.  nu and Delta come from the kernel
-quadrature, the radiation kernels from their closed form
+algebra over the emitter register.  One factory per observable evaluates
+the geometry once and returns the algebra as a function of the emitter
+state: _receiver_channel forms C1, q, the angles g and p for any batch
+of receivers and couplings, _energy_at forms T00 at any array of points.
+Every entry point here and in the mapper calls one of them.
+_receiver_kernels integrates nu once and the distinct commutator
+arguments of all its receivers as one batch.  nu and Delta come from the
+kernel quadrature, the radiation kernels from their closed form
 (docs/derivations.md).
 
 A receiver that no emitter is in causal contact with (time-ordered and
@@ -48,8 +50,10 @@ the register algebra is skipped (E = 1) and the capacity is exactly 0.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -60,7 +64,6 @@ from .scenario import Scenario
 __all__ = [
     "ChannelPoint",
     "ReceiverNotCoupledWarning",
-    "c1_factor",
     "excitation_probability",
     "energy_density",
     "energy_quadratic_form",
@@ -96,18 +99,7 @@ def _clamp_probability(value: float, name: str) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def c1_factor(lambda_b: float, radius: float) -> float:
-    """Vacuum displacement factor exp(-2 lambda_B^2 nu): the receiver's own noise.
-
-    Equals 1 at zero coupling and decreases monotonically to 0, driving
-    the no-signal excitation q = (1 - C1)/2 up to 1/2.
-    """
-    if lambda_b < 0:
-        raise ValueError("receiver coupling must be >= 0")
-    return _vacuum_factor(lambda_b, KernelSet(radius).vacuum_variance())
-
-
-# -- receiver probability: geometry (kernel calls), then algebra ---------
+# -- receiver channel: geometry (kernel calls), then algebra -------------
 
 def _receiver_kernels(scenario: Scenario, positions=None):
     """nu, the gated Delta (receivers, n) and the contact mask (receivers, n).
@@ -127,7 +119,7 @@ def _receiver_kernels(scenario: Scenario, positions=None):
     if scenario.evaluation_time <= rec.coupling_time:
         warnings.warn("evaluation time does not exceed the receiver coupling instant; "
                       "probability is 0 until it fires", ReceiverNotCoupledWarning,
-                      stacklevel=3)
+                      stacklevel=_outside_package())
         return None
     emitters = scenario.emitters
     where = np.reshape(rec.position if positions is None else positions, (-1, 3))
@@ -148,31 +140,49 @@ def _receiver_kernels(scenario: Scenario, positions=None):
     return ks.vacuum_variance(), deltas, contact
 
 
-def _vacuum_factor(lambda_b, nu: float):
-    """C1 = exp(-2 lambda_B^2 nu) for a coupling (float) or a vector of them."""
-    if np.ndim(lambda_b) == 0:
-        return math.exp(-2.0 * float(lambda_b)**2 * nu)
-    return np.array([_vacuum_factor(lb, nu) for lb in lambda_b])
+def _outside_package() -> int:
+    """The stacklevel of the innermost calling frame outside this package."""
+    frame, level = sys._getframe(1), 1
+    while frame.f_back and frame.f_globals.get("__name__", "").startswith(__package__ + "."):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
-def _signal_angles(lambda_b, strengths, deltas) -> np.ndarray:
-    """g_i = 2 lambda_B lambda_i Delta_i, multiplied left to right.
+class _ReceiverChannel(NamedTuple):
+    """q per coupling; p of the signalling receivers as a function of the emitter state."""
 
-    Shape (n,) for one coupling lambda_b, (k, n) for a vector of k.
+    q: np.ndarray                   # (couplings,): the noise (1 - C1)/2
+    p: Callable[..., np.ndarray]    # state -> (signalling receivers, couplings)
+    signal: np.ndarray              # (receivers,): whether some Delta_i != 0
+    contact: np.ndarray             # (receivers, n): _receiver_kernels' mask
+
+
+def _receiver_channel(scenario: Scenario, positions=None, couplings=None):
+    """The receiver channel at positions (receivers, 3) and couplings, kernels evaluated once.
+
+    Positions default to the scenario's receiver, couplings to its
+    coupling.  C1 = exp(-2 lambda_B^2 nu), q = (1 - C1)/2 and the angles
+    g_i = 2 lambda_B lambda_i Delta_i (multiplied left to right) are formed
+    here; p(state) = (1 - C1 E)/2 with E = product_expectation(state, g)
+    for the receivers that get a signal (channel.signal), and every other
+    receiver keeps p = q exactly without any algebra.  Not clamped to
+    [0, 1].  None when the receiver has not coupled (see _receiver_kernels).
     """
-    lam_b = np.asarray(lambda_b, dtype=float)[..., None]
-    return 2.0 * lam_b * np.asarray(strengths, dtype=float) * deltas
-
-
-def _receiver_probability(c1, g=None, state=None, phases=None):
-    """p = (1 - C1 E)/2 with E = product_expectation(state, g, phases).
-
-    g may be a batch of angle vectors (..., n) with C1 of shape (...).
-    Without angles the emitters are silent, E = 1 and this is the noise
-    probability q = (1 - C1)/2.  Not clamped to [0, 1].
-    """
-    e_factor = 1.0 if g is None else product_expectation(state, g, phases)
-    return 0.5 * (1.0 - c1 * e_factor)
+    kernels = _receiver_kernels(scenario, positions)
+    if kernels is None:
+        return None
+    nu, deltas, contact = kernels
+    lam_b = np.asarray([scenario.receiver.coupling_strength] if couplings is None
+                       else couplings, dtype=float)
+    c1 = np.array([math.exp(-2.0 * float(lb)**2 * nu) for lb in lam_b])
+    q = 0.5 * (1.0 - c1)
+    signal = deltas.any(axis=-1)
+    g = (2.0 * lam_b[:, None] * np.array([e.coupling_strength for e in scenario.emitters])
+         * deltas[signal, None, :])
+    phases = MonopolePhase.from_scenario(scenario)
+    return _ReceiverChannel(
+        q, lambda state: 0.5 * (1.0 - c1 * product_expectation(state, g, phases)),
+        signal, contact)
 
 
 def excitation_probability(scenario: Scenario, couple: bool) -> float:
@@ -180,19 +190,14 @@ def excitation_probability(scenario: Scenario, couple: bool) -> float:
 
     couple=False encodes the emitters staying silent, which leaves only
     the receiver's own vacuum noise q = (1 - C1)/2: that needs nu alone,
-    so the geometry is asked for no receiver position and runs no
+    so the channel is asked for no receiver position and runs no
     commutator quadrature.
     """
     if couple:
         return channel_point(scenario).p
-    kernels = _receiver_kernels(scenario, np.empty((0, 3)))
-    return 0.0 if kernels is None else _noise_probability(scenario, kernels[0])
-
-
-def _noise_probability(scenario: Scenario, nu: float) -> float:
-    """q = (1 - C1)/2 of the scenario's receiver coupling, from its nu."""
-    return _clamp_probability(_receiver_probability(
-        _vacuum_factor(scenario.receiver.coupling_strength, nu)), "excitation probability")
+    channel = _receiver_channel(scenario, np.empty((0, 3)))
+    return 0.0 if channel is None else _clamp_probability(channel.q[0],
+                                                          "excitation probability")
 
 
 # -- energy density: geometry (closed-form kernels), then algebra ---------
@@ -218,11 +223,17 @@ def _emission_kernels(scenario: Scenario, x, t: float) -> tuple[list[int], np.nd
     return active, np.concatenate([k_time[..., None], k_rad[..., None] * rhat], axis=-1)
 
 
-def _emission_energy(kernels, active, strengths, state, phases: MonopolePhase):
-    """T00 from the kernels of the active (fired) emitters; strengths cover all."""
-    corr = pair_correlation(state, phases)
-    return energy_quadratic_form(kernels, [strengths[i] for i in active],
-                                 corr[np.ix_(active, active)])
+def _energy_at(scenario: Scenario, x, t: float):
+    """T00 at points x (..., 3) and time t as a function of the emitter state.
+
+    The kernels of the fired emitters are evaluated once; each call applies
+    their strengths to their block of pair_correlation(state).
+    """
+    active, kernels = _emission_kernels(scenario, x, t)
+    strengths = [scenario.emitters[i].coupling_strength for i in active]
+    phases = MonopolePhase.from_scenario(scenario)
+    return lambda state: energy_quadratic_form(
+        kernels, strengths, pair_correlation(state, phases)[np.ix_(active, active)])
 
 
 def energy_density(scenario: Scenario, x, t: float):
@@ -232,10 +243,7 @@ def energy_density(scenario: Scenario, x, t: float):
     that have not fired by t are gated out; the receiver is a passive
     probe and does not source this observable.
     """
-    active, kernels = _emission_kernels(scenario, x, t)
-    total = _emission_energy(kernels, active,
-                            [e.coupling_strength for e in scenario.emitters],
-                            scenario.emitter_state, MonopolePhase.from_scenario(scenario))
+    total = _energy_at(scenario, x, t)(scenario.emitter_state)
     return float(total) if total.ndim == 0 else total
 
 
@@ -301,16 +309,8 @@ def channel_capacity(point: ChannelPoint | None = None, *,
 
 def channel_point(scenario: Scenario) -> ChannelPoint:
     """Evaluate (p, q) for the scenario's receiver in place, from one set of kernels."""
-    kernels = _receiver_kernels(scenario)
-    if kernels is None:
+    channel = _receiver_channel(scenario)
+    if channel is None:
         return ChannelPoint(0.0, 0.0)
-    nu, deltas, _ = kernels
-    rec = scenario.receiver
-    c1 = _vacuum_factor(rec.coupling_strength, nu)
-    q = _receiver_probability(c1)
-    if not deltas.any():  # no signal: E = 1 and p = q exactly
-        return ChannelPoint(q, q)
-    g = _signal_angles(rec.coupling_strength,
-                      [e.coupling_strength for e in scenario.emitters], deltas[0])
-    return ChannelPoint(_receiver_probability(c1, g, scenario.emitter_state,
-                                              MonopolePhase.from_scenario(scenario)), q)
+    q = channel.q[0]
+    return ChannelPoint(channel.p(scenario.emitter_state)[0, 0] if channel.signal[0] else q, q)

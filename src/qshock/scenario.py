@@ -8,8 +8,7 @@ Conventions (natural units, hbar = c = 1):
     emitter 1 as the most significant qubit and bit value 1 = excited,
     so e.g. |e g g> is index 0b100.
 
-Scenarios are immutable after construction and safe to share across
-parallel workers.
+Scenarios are immutable after construction.
 """
 
 from __future__ import annotations
@@ -76,18 +75,6 @@ class Detector:
         if self.coupling_strength < 0:
             raise ValidationError("coupling_strength", "must be >= 0")
 
-    @property
-    def position_array(self) -> np.ndarray:
-        return np.array(self.position, dtype=float)
-
-    def moved_to(self, position) -> "Detector":
-        return Detector(tuple(float(c) for c in position), self.coupling_time,
-                        self.coupling_strength, self.gap, self.smearing_radius)
-
-    def with_strength(self, strength: float) -> "Detector":
-        return Detector(self.position, self.coupling_time, float(strength),
-                        self.gap, self.smearing_radius)
-
 
 @dataclass(frozen=True)
 class EmitterState:
@@ -109,17 +96,17 @@ class EmitterState:
         frozen = []
         for w, vec in self.components:
             w = float(w)
-            if w < 0:
+            if not w >= 0:  # NaN-safe comparisons, here and below
                 raise ValidationError("state", "mixture weights must be >= 0")
             if len(vec) != dim:
                 raise ValidationError("state", "mixture components differ in length")
             amplitudes = tuple(map(complex, vec))
             norm = math.sqrt(sum(abs(a) ** 2 for a in amplitudes))
-            if abs(norm - 1.0) > _NORM_TOL:
+            if not abs(norm - 1.0) <= _NORM_TOL:
                 raise ValidationError("state", f"component norm {norm!r} != 1")
             total += w
             frozen.append((w, amplitudes))
-        if abs(total - 1.0) > _NORM_TOL:
+        if not abs(total - 1.0) <= _NORM_TOL:
             raise ValidationError("state", f"mixture weights sum to {total!r} != 1")
         object.__setattr__(self, "components", tuple(frozen))
 
@@ -192,6 +179,8 @@ class Scenario:
     def __post_init__(self):
         object.__setattr__(self, "emitters", tuple(self.emitters))
         object.__setattr__(self, "evaluation_time", float(self.evaluation_time))
+        if not math.isfinite(self.evaluation_time):
+            raise ValidationError("evaluation_time", "must be finite")
         n = len(self.emitters)
         dim = len(self.emitter_state.components[0][1])
         if dim != 2**n:
@@ -236,7 +225,13 @@ def _require(mapping: dict, key: str, where: str):
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(where, f"expected a number, got {type(value).__name__}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond float range
+        number = math.inf
+    if not math.isfinite(number):  # json.loads accepts NaN and Infinity too
+        raise SchemaError(where, f"expected a finite number, got {number!r}")
+    return number
 
 
 def _detector_from(cfg, where: str) -> Detector:

@@ -8,6 +8,7 @@ independent oracles at their stated tolerances.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -59,14 +60,14 @@ def test_criterion_1_no_signaling():
         direction = rng.normal(size=3)
         direction /= np.linalg.norm(direction)
         needed = max((t_b - e.coupling_time) + 2 * R + 0.1 + 1e-6
-                     + float(np.linalg.norm(e.position_array))
+                     + float(np.linalg.norm(e.position))
                      for e in emitters)
         receiver = Detector(tuple(needed * direction * 1.05), t_b,
                             float(rng.uniform(0.5, 3.0)))
         scenario = Scenario(tuple(emitters), receiver, w_state(n, rng.uniform(
             0, 2 * math.pi, size=n)), t_b + 1.0)
         for e in emitters:
-            d = float(np.linalg.norm(receiver.position_array - e.position_array))
+            d = float(np.linalg.norm(np.array(receiver.position) - e.position))
             dt = t_b - e.coupling_time
             assert d > dt + 2 * R + 0.1
             assert closed_form_commutator(d, dt, R, R) == 0.0
@@ -290,7 +291,7 @@ def test_criterion_8_quadrature_stability():
 def test_criterion_9_strong_coupling_washout():
     t0 = time.perf_counter()
     scn = load_scenario(four_emitter_config((0.0, 0.0, math.pi, math.pi)))
-    strong = scn.with_receiver(scn.receiver.with_strength(50.0))
+    strong = scn.with_receiver(replace(scn.receiver, coupling_strength=50.0))
     cp = channel_point(strong)
     cap = channel_capacity(cp)
     elapsed = time.perf_counter() - t0

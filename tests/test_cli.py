@@ -9,7 +9,7 @@ import pytest
 from qshock import cli, oracle
 from qshock.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION,
                         build_parser, main)
-from qshock.scenario import Detector, Scenario, w_state
+from qshock.scenario import Detector, Scenario, load_scenario_file, w_state
 
 from conftest import three_emitter_config
 
@@ -37,6 +37,27 @@ class TestValidate:
                        '"lambda": 1, "radius": -2}, "evaluation_time": 2}')
         assert main(["validate", "--config", str(bad)]) == EXIT_VALIDATION
         assert "radius" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, field, keys", [
+        ("fig1", "evaluation_time", ("evaluation_time",)),
+        ("fig2a", "state.components[0].weight", ("state", "components", 0, "weight")),
+        ("fig2a", "state.components[0].amplitudes[1][0]",
+         ("state", "components", 0, "amplitudes", 1, 0)),
+        ("fig2a", "emitters[2].position[1]", ("emitters", 2, "position", 1)),
+    ])
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400])
+    def test_non_finite_number_exits_one_naming_its_field(self, tmp_path, capsys, config,
+                                                          field, keys, value):
+        # json.loads accepts NaN and +-Infinity, and an integer beyond float range
+        cfg = load_scenario_file(SCENARIOS / f"{config}.cfg").to_config_dict()
+        target = cfg
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = "VALUE"
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(json.dumps(cfg).replace('"VALUE"', value))
+        assert main(["validate", "--config", str(bad)]) == EXIT_VALIDATION
+        assert f"error: {field}: expected a finite number" in capsys.readouterr().err
 
     def test_missing_file(self, capsys):
         assert main(["validate", "--config", "/nonexistent.cfg"]) == EXIT_VALIDATION

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
-from qshock.emitters import MonopolePhase, apply_monopole, pair_correlation, \
+from qshock.emitters import MonopolePhase, _flip_tables, pair_correlation, \
     product_expectation
 from qshock.scenario import EmitterState, classical_mixture, w_state
 
@@ -16,6 +16,13 @@ def phases_for(n, omega=2.0, times=None):
     return MonopolePhase(tuple(omega * t for t in times))
 
 
+def apply_monopole(vec, phases, i):
+    # (mu_i psi)[k] = f_i[k] psi[k XOR b_i], from the tables pair_correlation and
+    # product_expectation use
+    perm, factor = _flip_tables(tuple(phases))
+    return factor[i] * vec[perm[i]]
+
+
 class TestMonopoleAlgebra:
     def test_squares_to_identity(self):
         # mu applied twice restores any state vector
@@ -23,15 +30,17 @@ class TestMonopoleAlgebra:
         n = 3
         vec = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
         vec /= np.linalg.norm(vec)
-        out = apply_monopole(apply_monopole(vec, n, 2, 0.7), n, 2, 0.7)
+        phases = (0.3, 0.7, 1.9)
+        out = apply_monopole(apply_monopole(vec, phases, 1), phases, 1)
         np.testing.assert_allclose(out, vec, atol=1e-14)
 
     def test_flip_phases(self):
-        # |g> -> e^{i phi} |e> on the targeted qubit
+        # |g> -> e^{i phi} |e> on the targeted qubit, emitter 1 the MSB
         vec = np.zeros(4, dtype=complex)
         vec[0b00] = 1.0
-        out = apply_monopole(vec, 2, 1, 0.5)
+        out = apply_monopole(vec, (0.5, 0.0), 0)
         assert out[0b10] == pytest.approx(np.exp(0.5j))
+        assert np.count_nonzero(out) == 1
 
 
 def assert_matches_dense(state, ph, corr):

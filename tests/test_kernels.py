@@ -1,5 +1,4 @@
 import math
-import pickle
 
 import numpy as np
 import pytest
@@ -357,14 +356,6 @@ class TestKernelSet:
         r, dt, time, radial = zip(*GOLDEN_RADIATION)
         assert KS.radiation_time(r, dt).tolist() == [float.fromhex(h) for h in time]
         assert KS.radiation_radial(r, dt).tolist() == [float.fromhex(h) for h in radial]
-
-    def test_quadrature_error_survives_pickling(self):
-        error = QuadratureError("head quadrature did not converge", 1.0, 1e-8)
-        back = pickle.loads(pickle.dumps(error))
-        assert type(back) is QuadratureError
-        assert str(back) == str(error)
-        assert (back.message, back.achieved, back.requested) == (
-            "head quadrature did not converge", 1.0, 1e-8)
 
     def test_radius_must_be_positive(self):
         for radius in (0.0, -0.5, math.nan, math.inf):

@@ -1,10 +1,12 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qshock.emitters import MonopolePhase, product_expectation
 from qshock.kernels import KernelSet, QuadratureError
 from qshock.mapper import (DEFAULT_WINDOW, GridMap, SweepCurve, _BLOCK_CELLS,
                            capacity_map, coupling_sweep, diff_map, energy_map,
@@ -153,7 +155,7 @@ class TestCapacityMap:
         grid = capacity_map(scn, (8.0, 14.0, 0.0, 6.0), 6)
         for iy, yv in enumerate(grid.y):
             for ix, xv in enumerate(grid.x):
-                moved = scn.with_receiver(scn.receiver.moved_to((xv, yv, 0.0)))
+                moved = scn.with_receiver(replace(scn.receiver, position=(xv, yv, 0.0)))
                 assert grid.values[iy, ix] == channel_capacity(channel_point(moved))
         assert np.count_nonzero(grid.values) > 0
 
@@ -181,7 +183,7 @@ class TestCapacityMap:
         assert np.count_nonzero(contact) == 174
         assert grid.meta["cells_in_contact"] == 174
         t_b = scn.receiver.coupling_time
-        needed = {(float(np.linalg.norm(np.array((xv, yv, 0.0)) - e.position_array)),
+        needed = {(float(np.linalg.norm(np.array((xv, yv, 0.0)) - e.position)),
                    t_b - e.coupling_time)
                   for iy, yv in enumerate(grid.y) for ix, xv in enumerate(grid.x)
                   if contact[iy, ix] for e in scn.emitters if e.coupling_time < t_b}
@@ -282,7 +284,7 @@ class TestCouplingSweep:
         lams = np.linspace(0.0, 8.0, 25)
         curve = coupling_sweep(scn, lams)
         expect = [channel_capacity(channel_point(
-            scn.with_receiver(scn.receiver.with_strength(lb)))) for lb in lams]
+            scn.with_receiver(replace(scn.receiver, coupling_strength=lb)))) for lb in lams]
         assert np.array_equal(curve.capacities, expect)
         assert curve.argmax_capacity > 0.0
 
@@ -333,7 +335,7 @@ class TestOptimizePhases:
         res = optimize_phases(scn, "capacity", point, budget=700, seed=0)
         ref = channel_capacity(channel_point(
             scn.with_state(w_state(4, [0, 0, math.pi, math.pi]))
-               .with_receiver(scn.receiver.moved_to(point))))
+               .with_receiver(replace(scn.receiver, position=point))))
         assert res.value >= ref - 1e-12
 
     def test_budget_exhaustion_flagged(self):
@@ -353,7 +355,7 @@ class TestOptimizePhases:
                 expect = energy_density(with_theta, point, scn.evaluation_time)
             else:
                 expect = channel_capacity(channel_point(
-                    with_theta.with_receiver(scn.receiver.moved_to(point))))
+                    with_theta.with_receiver(replace(scn.receiver, position=point))))
             assert value == expect
         assert res.value > 0.0
 
@@ -439,6 +441,62 @@ class TestKernelsEvaluatedOnce:
                               (11.0, 4.5, 0.0), budget=60, restarts=2)
         assert res.evaluations > 1
         assert len(radiation) == 1 and kernel_calls == []
+
+
+class TestChannelAlgebra:
+    """Maps and sweeps against the channel formula (derivations section 7), written out.
+
+    nu and each Delta_i come from KernelSet one value at a time, C1 from
+    math.exp and E from product_expectation of one angle vector; every
+    signalling cell and sample must equal the formula bit for bit.
+    """
+
+    @staticmethod
+    def capacity(scn, position, lambda_b):
+        rec = scn.receiver
+        ks = KernelSet(rec.smearing_radius)
+        g = []
+        for e in scn.emitters:
+            dt = rec.coupling_time - e.coupling_time
+            d = float(np.linalg.norm(np.subtract(position, e.position)))
+            delta = ks.commutator(d, dt, e.smearing_radius) if dt > 0.0 else 0.0
+            g.append(2.0 * lambda_b * e.coupling_strength * delta)
+        c1 = math.exp(-2.0 * lambda_b**2 * ks.vacuum_variance())
+        e_factor = product_expectation(scn.emitter_state, g, MonopolePhase.from_scenario(scn))
+        p, q = 0.5 * (1.0 - c1 * e_factor), 0.5 * (1.0 - c1)
+        return channel_capacity(p=p, q=q)
+
+    @staticmethod
+    def signals(scn, position) -> bool:
+        rec = scn.receiver
+        return any(0.0 < rec.coupling_time - e.coupling_time
+                   and abs(math.dist(position, e.position)
+                           - (rec.coupling_time - e.coupling_time))
+                   < rec.smearing_radius + e.smearing_radius for e in scn.emitters)
+
+    @pytest.mark.parametrize("config", ["fig2b", "fig2_classical"])
+    def test_map_cells(self, config):
+        scn = load_scenario_file(SCENARIOS / f"{config}.cfg")
+        grid = capacity_map(scn, DEFAULT_WINDOW, 24)
+        signalling = 0
+        for iy, yv in enumerate(grid.y.tolist()):
+            for ix, xv in enumerate(grid.x.tolist()):
+                if self.signals(scn, (xv, yv, 0.0)):
+                    signalling += 1
+                    expect = self.capacity(scn, (xv, yv, 0.0), scn.receiver.coupling_strength)
+                else:
+                    expect = 0.0
+                assert grid.values[iy, ix] == expect, (xv, yv)
+        assert signalling == grid.meta["cells_in_contact"] == 174
+        assert np.count_nonzero(grid.values) > 0
+
+    def test_sweep_samples(self):
+        scn = load_scenario_file(SCENARIOS / "fig3.cfg")
+        lams = np.linspace(0.0, 8.0, 100)
+        curve = coupling_sweep(scn, lams)
+        assert curve.capacities.tolist() == [
+            self.capacity(scn, scn.receiver.position, lb) for lb in lams.tolist()]
+        assert curve.argmax_capacity > 0.0
 
 
 class TestSerialization:

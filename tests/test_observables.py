@@ -1,11 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
+from qshock.kernels import KernelSet
+from qshock.mapper import capacity_map, coupling_sweep, optimize_phases
 from qshock.observables import (ReceiverNotCoupledWarning,
-                                binary_entropy, c1_factor, channel_capacity,
+                                binary_entropy, channel_capacity,
                                 channel_point, energy_density,
                                 excitation_probability)
 from qshock.scenario import (Detector, EmitterState, Scenario, classical_mixture,
@@ -24,26 +27,35 @@ def spacelike_scenario():
     return Scenario(emitters, receiver, w_state(2, [0.0, 0.0]), 9.0)
 
 
+def noise(lambda_b):
+    # q = (1 - C1)/2 of the spacelike receiver coupled with strength lambda_b
+    scn = spacelike_scenario()
+    return excitation_probability(
+        scn.with_receiver(replace(scn.receiver, coupling_strength=lambda_b)), couple=False)
+
+
 class TestC1Factor:
+    """C1 = exp(-2 lambda_B^2 nu), read off the noise probability q = (1 - C1)/2."""
+
     def test_zero_coupling(self):
-        assert c1_factor(0.0, R) == 1.0
+        assert noise(0.0) == 0.0
 
     def test_strong_coupling_limit(self):
-        assert c1_factor(50.0, R) < 1e-100
+        assert noise(50.0) == 0.5  # C1 < 1e-100
 
     def test_monotone_decreasing(self):
-        vals = [c1_factor(lb, R) for lb in (0.0, 0.5, 1.0, 2.0, 4.0)]
-        assert all(a > b for a, b in zip(vals, vals[1:]))
+        vals = [noise(lb) for lb in (0.0, 0.5, 1.0, 2.0, 4.0)]
+        assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_explicit_value(self):
-        # C1 = exp(-2 lambda^2 nu); nu(1/2) = 1/16 from the kernels oracle
-        assert c1_factor(2.0, R) == pytest.approx(math.exp(-0.5), rel=1e-9)
+        # nu(1/2) = 1/16 from the kernels oracle
+        assert noise(2.0) == pytest.approx(0.5 * (1.0 - math.exp(-0.5)), rel=1e-9)
 
 
 class TestExcitationProbability:
     def test_no_interaction_at_all(self):
         scn = spacelike_scenario()
-        silent = scn.with_receiver(scn.receiver.with_strength(0.0))
+        silent = scn.with_receiver(replace(scn.receiver, coupling_strength=0.0))
         assert excitation_probability(silent, couple=False) == 0.0
 
     def test_spacelike_receiver_sees_only_noise(self):
@@ -51,7 +63,7 @@ class TestExcitationProbability:
         p = excitation_probability(scn, couple=True)
         q = excitation_probability(scn, couple=False)
         assert p == pytest.approx(q, abs=1e-12)
-        assert q == pytest.approx(0.5 * (1 - c1_factor(2.0, R)), rel=1e-12)
+        assert q == pytest.approx(0.5 * (1 - math.exp(-0.5)), rel=1e-12)
 
     def test_receiver_not_yet_coupled(self):
         scn = spacelike_scenario()
@@ -105,9 +117,9 @@ class TestExcitationProbability:
         receiver = Detector((data.draw(coord), data.draw(coord), data.draw(coord)),
                             t_b, data.draw(st.floats(0.0, 4.0)))
         scn = Scenario(emitters, receiver, state, t_b + 1.0)
-        c1 = c1_factor(receiver.coupling_strength, R)
+        q = excitation_probability(scn, couple=False)
         p = excitation_probability(scn, couple=True)
-        assert 0.5 * (1.0 - c1) <= p <= 0.5 * (1.0 + c1)
+        assert q <= p <= 1.0 - q
 
 
 def random_pure(rng, n):
@@ -183,10 +195,33 @@ class TestDisconnectedReceiver:
         point = channel_point(scn)
         assert commutator_calls == []
         assert point.p == point.q
-        assert point.q == 0.5 * (1.0 - c1_factor(2.0, R))
+        assert point.q == 0.5 * (1.0 - math.exp(-2.0 * 2.0**2 * KernelSet(R).vacuum_variance()))
         assert channel_capacity(point) == 0.0
         assert excitation_probability(scn, True) == excitation_probability(scn, False)
         assert commutator_calls == []
+
+
+UNCOUPLED_CALLS = {
+    "channel_point": lambda scn: channel_point(scn),
+    "excitation_probability coupled": lambda scn: excitation_probability(scn, True),
+    "excitation_probability silent": lambda scn: excitation_probability(scn, False),
+    "capacity_map": lambda scn: capacity_map(scn, (0.0, 4.0, 0.0, 4.0), 2),
+    "coupling_sweep": lambda scn: coupling_sweep(scn, [0.0, 1.0, 2.0]),
+    "optimize_phases": lambda scn: optimize_phases(scn, "capacity", (1.0, 0.0, 0.0),
+                                                   budget=4, restarts=1),
+}
+
+
+class TestReceiverNotCoupledWarning:
+    @pytest.mark.parametrize("entry", sorted(UNCOUPLED_CALLS))
+    def test_names_the_calling_line(self, entry):
+        # attributed to the first frame outside the package: the call above
+        scn = spacelike_scenario()
+        early = Scenario(scn.emitters, scn.receiver, scn.emitter_state, 7.0)
+        with pytest.warns(ReceiverNotCoupledWarning) as records:
+            UNCOUPLED_CALLS[entry](early)
+        assert {r.filename for r in records
+                if issubclass(r.category, ReceiverNotCoupledWarning)} == {__file__}
 
 
 class TestEnergyDensity:
@@ -341,7 +376,7 @@ class TestMonotoneNoise:
         scn = load_scenario(three_emitter_config(evaluation_time=9.0))
         qs, caps = [], []
         for lb in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0):
-            strong = scn.with_receiver(scn.receiver.with_strength(lb))
+            strong = scn.with_receiver(replace(scn.receiver, coupling_strength=lb))
             p = excitation_probability(strong, True)
             q = excitation_probability(strong, False)
             qs.append(q)
@@ -352,7 +387,7 @@ class TestMonotoneNoise:
 
     def test_large_coupling_probability_half(self):
         scn = load_scenario(three_emitter_config(evaluation_time=9.0))
-        strong = scn.with_receiver(scn.receiver.with_strength(50.0))
+        strong = scn.with_receiver(replace(scn.receiver, coupling_strength=50.0))
         p = excitation_probability(strong, True)
         q = excitation_probability(strong, False)
         assert abs(p - 0.5) < 1e-3

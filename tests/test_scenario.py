@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from qshock.scenario import (Detector, EmitterState, SchemaError,
+from qshock.scenario import (Detector, EmitterState, Scenario, SchemaError,
                              ValidationError, classical_mixture, load_scenario,
                              scenario_fingerprint, w_state)
 
@@ -122,6 +122,19 @@ class TestEmitterState:
         good = np.array([1.0, 0.0])
         with pytest.raises(ValidationError, match="weights"):
             EmitterState.mixture([(0.6, good), (0.6, good)])
+
+    @pytest.mark.parametrize("weight, amplitudes", [
+        (math.nan, [1.0, 0.0]), (1.0, [math.nan, 0.0]), (1.0, [complex(0.0, math.nan), 1.0]),
+        (math.inf, [1.0, 0.0]), (1.0, [math.inf, 0.0])])
+    def test_non_finite_weight_or_amplitude_rejected(self, weight, amplitudes):
+        with pytest.raises(ValidationError):
+            EmitterState.mixture([(weight, amplitudes)])
+
+    def test_non_finite_evaluation_time_rejected(self):
+        emitter = Detector((0.0, 0.0, 0.0), 0.0, 1.0)
+        for t in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValidationError, match="evaluation_time"):
+                Scenario((emitter,), emitter, w_state(1, [0.0]), t)
 
     def test_amplitudes_stored_as_python_complex(self):
         amps = np.array([0.6, 0.8j])
