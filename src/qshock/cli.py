@@ -14,6 +14,7 @@ import json
 import math
 import sys
 import time
+import warnings
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -23,6 +24,7 @@ from .kernels import (KernelSet, QuadratureError, closed_form_commutator,
 from .mapper import (DEFAULT_RESOLUTION, DEFAULT_WINDOW, capacity_map, coupling_sweep,
                      diff_map, energy_map, optimize_phases, read_grid_csv,
                      write_grid_csv, write_sweep_csv)
+from .observables import ReceiverNotCoupledWarning
 from .oracle import OracleBudgetError, run_standard_comparisons
 from .scenario import ValidationError, load_scenario_file, scenario_fingerprint
 
@@ -288,18 +290,29 @@ def _cmd_oracle(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one command; a receiver that has not coupled is reported as one stderr line."""
     parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ReceiverNotCoupledWarning)
+        code = _run(args)
+    for w in caught:  # a command runs one receiver channel, so it warns at most once
+        if issubclass(w.category, ReceiverNotCoupledWarning):
+            print(f"warning: {w.message}", file=sys.stderr)
+        else:  # as it would have been shown
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    return code
+
+
+def _run(args) -> int:
     try:
         if args.subcommand == "validate":
             return _cmd_validate(args)
-        if args.subcommand == "energy-map":
-            return _cmd_map(args, "energy")
-        if args.subcommand == "capacity-map":
-            return _cmd_map(args, "capacity")
+        if args.subcommand in ("energy-map", "capacity-map"):
+            return _cmd_map(args, args.subcommand.removesuffix("-map"))
         if args.subcommand == "diff":
             return _cmd_diff(args)
         if args.subcommand == "sweep":
@@ -308,16 +321,13 @@ def main(argv=None) -> int:
             return _cmd_optimize(args)
         if args.subcommand == "kernels":
             return _cmd_kernels(args)
-        if args.subcommand == "oracle":
-            return _cmd_oracle(args)
-        parser.error(f"unknown subcommand {args.subcommand!r}")
+        return _cmd_oracle(args)  # the parser admits no other subcommand
     except (ValidationError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (QuadratureError, OracleBudgetError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    return EXIT_OK
 
 
 if __name__ == "__main__":

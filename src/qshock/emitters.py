@@ -97,28 +97,35 @@ def pair_correlation(state: EmitterState, phases: MonopolePhase) -> np.ndarray:
     return total
 
 
+class _Angles(tuple):
+    """(g, g != 0, which emitters turn in some / in every angle vector, cos g, i sin g)."""
+
+
+def _angles(g) -> _Angles:
+    g = np.asarray(g, dtype=float)
+    turning, axes = g != 0.0, tuple(range(g.ndim - 1))
+    return _Angles((g, turning, turning.any(axis=axes).tolist(), turning.all(axis=axes).tolist(),
+                    np.cos(g)[..., None], 1j * np.sin(g)[..., None]))
+
+
 def product_expectation(state: EmitterState, g, phases: MonopolePhase):
     """Re < prod_i (cos g_i + i mu_i sin g_i) > over the emitter state.
 
-    g holds one angle per emitter, or a batch of them (..., n): a float for
-    one angle vector, else an array of shape g.shape[:-1].  Bounded by 1
-    in magnitude for any normalized state (each factor is unitary),
+    g holds one angle per emitter, or a batch of them (..., n), or is
+    _angles of either, formed once for repeated calls: a float for one
+    angle vector, else an array of shape g.shape[:-1].  Bounded by 1 in
+    magnitude for any normalized state (each factor is unitary),
     invariant under a global phase of the state.
     """
     n = state.n_emitters
     _check_register(n)
-    g = np.asarray(g, dtype=float)
+    g, turning, touched, everywhere, cos, isin = g if isinstance(g, _Angles) else _angles(g)
     if g.shape[-1:] != (n,):
         raise ValueError(f"expected {n} angles, got shape {g.shape}")
     if len(phases) != n:
         raise ValueError(f"expected {n} monopole phases, got {len(phases)}")
     perm, factor = _flip_tables(phases.phases)
     batch = g.shape[:-1]
-    turning = g != 0.0
-    angle_axes = tuple(range(g.ndim - 1))
-    touched = turning.any(axis=angle_axes).tolist()
-    everywhere = turning.all(axis=angle_axes).tolist()
-    cos, isin = np.cos(g)[..., None], 1j * np.sin(g)[..., None]
     total = np.zeros(batch)
     for w, vec in state.vectors():
         work = vec

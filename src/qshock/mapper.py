@@ -24,8 +24,9 @@ digits in scientific notation so identical runs are byte-identical.  A
 JSON sidecar carries the scenario fingerprint, quantity tag, wall time
 and, for capacity maps, the noise probability and cells_in_contact.
 
-scipy.optimize is imported inside optimize_phases (for n >= 2 emitters),
-so importing this module does not load it.
+A phase search runs _nelder_mead, scipy's Nelder-Mead step for step,
+without importing scipy; its objective forms what an evaluation does not
+change (kernels, strengths, angle factors) once per search.
 """
 
 from __future__ import annotations
@@ -245,7 +246,7 @@ def optimize_phases(scenario: Scenario, objective: str, point,
     time) or "capacity" (receiver moved to `point`).  The kernels at the
     point are evaluated once; each evaluation builds the W state and runs
     the emitter algebra.  The global-phase direction is removed by pinning
-    the first phase to 0; the search runs Nelder-Mead from `restarts`
+    the first phase to 0; the search runs _nelder_mead from `restarts`
     starting points and reports the best evaluation found together with
     the full trace.
     """
@@ -264,10 +265,8 @@ def optimize_phases(scenario: Scenario, objective: str, point,
     value_of = _phase_objective(scenario, objective, point)
 
     trace: list[tuple[tuple[float, ...], float]] = []
-    counter = {"n": 0}
 
     def evaluate(theta_full: np.ndarray) -> float:
-        counter["n"] += 1
         val = value_of(w_state(n, theta_full))
         trace.append((tuple(theta_full), val))
         return val
@@ -275,10 +274,7 @@ def optimize_phases(scenario: Scenario, objective: str, point,
     if n == 1:
         # the objective is constant along the global-phase direction
         val = evaluate(np.zeros(1))
-        return PhaseOptimum((0.0,), val, objective, counter["n"], True, 1,
-                            tuple(trace))
-
-    from scipy.optimize import minimize
+        return PhaseOptimum((0.0,), val, objective, 1, True, 1, tuple(trace))
 
     rng = np.random.default_rng(seed)
     starts = [np.zeros(n - 1)]
@@ -294,20 +290,80 @@ def optimize_phases(scenario: Scenario, objective: str, point,
     converged = True
     per_restart = max(16, budget // restarts)
     for start in starts:
-        if counter["n"] >= budget:
-            converged = False
+        if len(trace) >= budget:  # the run before used its whole share: not converged
             break
-        res = minimize(negative, start, method="Nelder-Mead",
-                       options={"maxfev": min(per_restart, budget - counter["n"]),
-                                "xatol": 1e-6, "fatol": 1e-12})
-        converged = converged and bool(res.success)
-        if -res.fun > best_val:
-            best_val = -res.fun
-            best_full = np.concatenate(([0.0], np.mod(res.x, 2.0 * math.pi)))
-    if counter["n"] >= budget:
-        converged = False
+        x, value, done = _nelder_mead(negative, start,
+                                      min(per_restart, budget - len(trace)), 1e-6, 1e-12)
+        converged = converged and done
+        if -value > best_val:
+            best_val = -value
+            best_full = np.concatenate(([0.0], np.mod(x, 2.0 * math.pi)))
     return PhaseOptimum(tuple(float(t) for t in best_full), float(best_val),
-                        objective, counter["n"], converged, len(starts), tuple(trace))
+                        objective, len(trace), converged, len(starts), tuple(trace))
+
+
+class _BudgetSpent(Exception):
+    """A _nelder_mead objective was asked for one call more than its budget."""
+
+
+def _nelder_mead(f, x0, maxfev: int, xatol: float, fatol: float):
+    """Minimize f from x0: (x, f(x), whether it stopped before maxfev calls of f).
+
+    The calls and result of scipy 1.17's minimize(f, x0, method="Nelder-Mead")
+    with options maxfev, xatol and fatol: default simplex, coefficients 1, 2,
+    1/2, 1/2, f given a copy, the step that would call f once too often dropped.
+    """
+    x0, calls = np.asarray(x0, dtype=float), 0
+    n = x0.size
+
+    def call(x):
+        nonlocal calls
+        if calls >= maxfev:
+            raise _BudgetSpent
+        calls += 1
+        return f(np.copy(x))
+
+    def ordered(sim, fsim):
+        ind = np.argsort(fsim)
+        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    sim = np.tile(x0, (n + 1, 1))
+    sim[np.arange(1, n + 1), np.arange(n)] = np.where(x0 != 0, 1.05 * x0, 0.00025)
+    fsim = np.full(n + 1, np.inf)
+    try:
+        for k in range(n + 1):
+            fsim[k] = call(sim[k])
+    except _BudgetSpent:
+        pass
+    sim, fsim = ordered(*ordered(sim, fsim))  # twice, as scipy does: argsort is not stable
+    while calls < maxfev:
+        try:
+            if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = 2 * xbar - sim[-1]
+            fxr = call(xr)
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = call(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                outside = fxr < fsim[-1]
+                xc = 1.5 * xbar - 0.5 * sim[-1] if outside else 0.5 * xbar + 0.5 * sim[-1]
+                fxc = call(xc)
+                if (fxc <= fxr) if outside else (fxc < fsim[-1]):
+                    sim[-1], fsim[-1] = xc, fxc
+                else:  # shrink towards the best vertex
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = call(sim[j])
+        except _BudgetSpent:
+            pass
+        sim, fsim = ordered(sim, fsim)
+    return sim[0], np.min(fsim), calls < maxfev
 
 
 # ----------------------------------------------------------------------

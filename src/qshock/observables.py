@@ -57,7 +57,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .emitters import MonopolePhase, pair_correlation, product_expectation
+from .emitters import MonopolePhase, _angles, pair_correlation, product_expectation
 from .kernels import KernelSet, _in_causal_contact, closed_form_radiation
 from .scenario import Scenario
 
@@ -117,9 +117,10 @@ def _receiver_kernels(scenario: Scenario, positions=None):
     """
     rec = scenario.receiver
     if scenario.evaluation_time <= rec.coupling_time:
-        warnings.warn("evaluation time does not exceed the receiver coupling instant; "
-                      "probability is 0 until it fires", ReceiverNotCoupledWarning,
-                      stacklevel=_outside_package())
+        warnings.warn(f"evaluation_time {scenario.evaluation_time!r} does not exceed the "
+                      f"receiver's time {rec.coupling_time!r}: the receiver has not coupled, "
+                      "so its excitation probability and capacity are 0",
+                      ReceiverNotCoupledWarning, stacklevel=_outside_package())
         return None
     emitters = scenario.emitters
     where = np.reshape(rec.position if positions is None else positions, (-1, 3))
@@ -174,15 +175,25 @@ def _receiver_channel(scenario: Scenario, positions=None, couplings=None):
     nu, deltas, contact = kernels
     lam_b = np.asarray([scenario.receiver.coupling_strength] if couplings is None
                        else couplings, dtype=float)
-    c1 = np.array([math.exp(-2.0 * float(lb)**2 * nu) for lb in lam_b])
+    c1 = np.array([_vacuum_factor(lb, nu) for lb in lam_b])
     q = 0.5 * (1.0 - c1)
     signal = deltas.any(axis=-1)
-    g = (2.0 * lam_b[:, None] * np.array([e.coupling_strength for e in scenario.emitters])
-         * deltas[signal, None, :])
-    phases = MonopolePhase.from_scenario(scenario)
+    # where C1 = 0, p = q = 1/2 whatever E is: those couplings get zero angles,
+    # so no algebra runs at angles that may be infinite
+    g = (2.0 * np.where(c1 > 0.0, lam_b, 0.0)[:, None]
+         * np.array([e.coupling_strength for e in scenario.emitters]) * deltas[signal, None, :])
+    angles, phases = _angles(g), MonopolePhase.from_scenario(scenario)
     return _ReceiverChannel(
-        q, lambda state: 0.5 * (1.0 - c1 * product_expectation(state, g, phases)),
+        q, lambda state: 0.5 * (1.0 - c1 * product_expectation(state, angles, phases)),
         signal, contact)
+
+
+def _vacuum_factor(lam_b: float, nu: float) -> float:
+    """C1 = exp(-2 lambda_B^2 nu), and 0 where lambda_B^2 overflows."""
+    try:
+        return math.exp(-2.0 * float(lam_b)**2 * nu)
+    except OverflowError:
+        return 0.0
 
 
 def excitation_probability(scenario: Scenario, couple: bool) -> float:
@@ -230,10 +241,10 @@ def _energy_at(scenario: Scenario, x, t: float):
     their strengths to their block of pair_correlation(state).
     """
     active, kernels = _emission_kernels(scenario, x, t)
-    strengths = [scenario.emitters[i].coupling_strength for i in active]
+    lam = np.array([scenario.emitters[i].coupling_strength for i in active])
+    weights, block = 4.0 * np.outer(lam, lam), np.ix_(active, active)
     phases = MonopolePhase.from_scenario(scenario)
-    return lambda state: energy_quadratic_form(
-        kernels, strengths, pair_correlation(state, phases)[np.ix_(active, active)])
+    return lambda state: _t00(kernels, weights * pair_correlation(state, phases)[block])
 
 
 def energy_density(scenario: Scenario, x, t: float):
@@ -254,7 +265,11 @@ def energy_quadratic_form(kernels, strengths, correlation):
     kernel times r-hat; C is their block of the pair-correlation matrix.
     """
     lam = np.asarray(strengths, dtype=float)
-    weights = 4.0 * np.outer(lam, lam) * correlation
+    return _t00(kernels, 4.0 * np.outer(lam, lam) * correlation)
+
+
+def _t00(kernels, weights):
+    """sum_j K_aj M_ab K_bj for kernels K (..., m, 4) and weights M (m, m)."""
     return np.einsum("...aj,ab,...bj->...", kernels, weights, kernels)
 
 

@@ -81,7 +81,9 @@ class EmitterState:
     """Pure amplitude vector over the emitters, or a weighted ensemble of them.
 
     `components` holds (weight, amplitudes) pairs; a pure state is the
-    single pair with weight 1.  Amplitude tuples have length 2^n.
+    single pair with weight 1.  Amplitude tuples have length 2^n and hold
+    Python complex numbers; vectors() serves the same amplitudes as arrays,
+    converted once here.
     """
 
     components: tuple[tuple[float, tuple[complex, ...]], ...]
@@ -93,22 +95,25 @@ class EmitterState:
         if dim < 1 or dim & (dim - 1):
             raise ValidationError("state", f"amplitude length {dim} is not a power of two")
         total = 0.0
-        frozen = []
+        frozen, arrays = [], []
         for w, vec in self.components:
             w = float(w)
             if not w >= 0:  # NaN-safe comparisons, here and below
                 raise ValidationError("state", "mixture weights must be >= 0")
             if len(vec) != dim:
                 raise ValidationError("state", "mixture components differ in length")
-            amplitudes = tuple(map(complex, vec))
-            norm = math.sqrt(sum(abs(a) ** 2 for a in amplitudes))
+            array = np.array(vec, dtype=complex)
+            norm = math.sqrt(np.vdot(array, array).real)
             if not abs(norm - 1.0) <= _NORM_TOL:
                 raise ValidationError("state", f"component norm {norm!r} != 1")
             total += w
-            frozen.append((w, amplitudes))
+            array.setflags(write=False)
+            frozen.append((w, tuple(array.tolist())))
+            arrays.append((w, array))
         if not abs(total - 1.0) <= _NORM_TOL:
             raise ValidationError("state", f"mixture weights sum to {total!r} != 1")
         object.__setattr__(self, "components", tuple(frozen))
+        object.__setattr__(self, "_vectors", tuple(arrays))
 
     @property
     def n_emitters(self) -> int:
@@ -119,9 +124,8 @@ class EmitterState:
         return len(self.components) == 1
 
     def vectors(self):
-        """Yield (weight, complex ndarray) pairs; arrays are fresh copies."""
-        for w, vec in self.components:
-            yield w, np.array(vec, dtype=complex)
+        """Iterate over (weight, complex ndarray) pairs; the arrays are read-only."""
+        return iter(self._vectors)
 
     # __post_init__ converts every amplitude to complex; these only collect them
     @staticmethod
@@ -146,13 +150,12 @@ def w_state(n: int, phases) -> EmitterState:
     """
     if n < 1:
         raise ValueError("w_state needs n >= 1")
-    phases = tuple(float(t) for t in phases)
-    if len(phases) != n:
-        raise ValueError(f"expected {n} phases, got {len(phases)}")
+    thetas = np.asarray(phases, dtype=float)
+    if thetas.shape != (n,):
+        raise ValueError(f"expected {n} phases, got {thetas.size}")
     vec = np.zeros(2**n, dtype=complex)
-    for m, theta in enumerate(phases, start=1):
-        vec[_single_excitation_index(n, m)] = np.exp(1j * theta) / math.sqrt(n)
-    return EmitterState.pure(vec.tolist())
+    vec[_single_excitation_index(n, np.arange(1, n + 1))] = np.exp(1j * thetas) / math.sqrt(n)
+    return EmitterState(((1.0, vec),))
 
 
 def classical_mixture(n: int) -> EmitterState:

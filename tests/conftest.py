@@ -193,32 +193,49 @@ def blahut_arimoto_capacity(p: float, q: float, gap: float = 1e-12,
 
 
 def blahut_arimoto_grid(ps: np.ndarray, qs: np.ndarray, gap: float = 2e-10,
-                        max_iter: int = 400000) -> np.ndarray:
-    """Vectorized Blahut-Arimoto over flat (p, q) arrays of channels."""
+                        max_iter: int = 20000) -> np.ndarray:
+    """Vectorized, accelerated Blahut-Arimoto over flat (p, q) arrays of channels.
+
+    The plain update r_x <- r_x exp(D_x) / Z moves u = log(r_1 / r_0) by
+    f = D_1 - D_0, which shrinks like (1 - c) per step with c -> 0 as
+    p -> q.  Each cell here moves u by mu f instead: mu doubles after a step
+    that keeps the sign of f and halves after one that flips it; a step
+    that does not shrink |f| is undone and retried from the point before it
+    with a quarter of mu.  Any r bounds the capacity by
+    sum_x r_x D_x <= C <= max_x D_x, so the stop on the duality gap holds
+    as for the plain iteration.
+    """
     ps = np.asarray(ps, dtype=float).ravel()
     qs = np.asarray(qs, dtype=float).ravel()
     w = np.stack([np.stack([1.0 - qs, qs], axis=1),
                   np.stack([1.0 - ps, ps], axis=1)], axis=1)  # (cells, x, y)
     logw = np.where(w > 0, np.log(np.maximum(w, 1e-300)), 0.0)
-    r = np.full((len(ps), 2), 0.5)
+    u = np.zeros(len(ps))                     # log(r_1 / r_0)
+    mu = np.ones(len(ps))                     # step along f
+    base_u, base_f = u.copy(), np.full(len(ps), np.inf)  # the last accepted point
     caps = np.zeros(len(ps))
     active = np.ones(len(ps), dtype=bool)
     for _ in range(max_iter):
-        if not active.any():
+        idx = np.flatnonzero(active)
+        if not idx.size:
             return caps
-        wa, la, ra = w[active], logw[active], r[active]
+        half = 0.5 * np.tanh(0.5 * u[idx])
+        ra = np.stack([0.5 - half, 0.5 + half], axis=1)
+        wa, la = w[idx], logw[idx]
         qy = np.einsum("cx,cxy->cy", ra, wa)
         div = np.einsum("cxy->cx", wa * (la - np.log(np.maximum(qy, 1e-300))[:, None, :]))
         lower = np.einsum("cx,cx->c", ra, div)
         upper = div.max(axis=1)
         done = (upper - lower) < gap
-        caps_active = 0.5 * (lower + upper) / np.log(2.0)
-        idx = np.flatnonzero(active)
-        caps[idx[done]] = caps_active[done]
-        ra = ra * np.exp(div - div.max(axis=1, keepdims=True))
-        ra /= ra.sum(axis=1, keepdims=True)
-        r[active] = ra
+        caps[idx[done]] = 0.5 * (lower[done] + upper[done]) / np.log(2.0)
         active[idx[done]] = False
+        f, f0, m = div[:, 1] - div[:, 0], base_f[idx], mu[idx]
+        worse = np.abs(f) >= np.abs(f0)
+        m = np.where(worse, 0.25 * m, np.where((f < 0) != (f0 < 0), 0.5 * m, 2.0 * m))
+        start = np.where(worse, base_u[idx], u[idx])
+        step = np.where(worse, f0, f)
+        base_u[idx], base_f[idx], mu[idx] = start, step, m
+        u[idx] = start + m * step
     raise AssertionError(f"{active.sum()} cells never closed the duality gap")
 
 

@@ -2,13 +2,17 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qshock import cli, oracle
 from qshock.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION,
                         build_parser, main)
+from qshock.mapper import coupling_sweep, write_sweep_csv
+from qshock.observables import ReceiverNotCoupledWarning
 from qshock.scenario import Detector, Scenario, load_scenario_file, w_state
 
 from conftest import three_emitter_config
@@ -240,6 +244,45 @@ class TestSweepAndOptimize:
         assert lines[0].startswith("evaluation,value,theta_1")
         assert len(lines) > 10
 
+    def test_receiver_not_coupled_is_one_warning_line(self, tmp_path, capsys):
+        cfg = json.loads((SCENARIOS / "fig3.cfg").read_text())
+        cfg["evaluation_time"] = cfg["receiver"]["time"]
+        path = tmp_path / "early.cfg"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "sweep.csv"
+        with warnings.catch_warnings(record=True) as escaped:
+            warnings.simplefilter("always")
+            code = main(["sweep", "--config", str(path), "--out", str(out), "--samples", "5"])
+        assert code == EXIT_OK and escaped == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("warning: ")
+        t = cfg["evaluation_time"]
+        assert f"evaluation_time {t!r}" in err[0] and f"receiver's time {t!r}" in err[0]
+        # the CSV is the library's: a sweep of zeros
+        with pytest.warns(ReceiverNotCoupledWarning):
+            curve = coupling_sweep(load_scenario_file(path), np.linspace(0.0, 8.0, 5))
+        write_sweep_csv(curve, tmp_path / "library.csv", sidecar=False)
+        assert out.read_bytes() == (tmp_path / "library.csv").read_bytes()
+        assert not curve.capacities.any()
+
+    @pytest.mark.parametrize("command", [["capacity-map", "--resolution", "4"],
+                                         ["sweep", "--lambda-max", "1e300", "--samples", "4"]])
+    def test_huge_receiver_coupling_gives_zero_capacity(self, tmp_path, capsys, command):
+        cfg = json.loads((SCENARIOS / "fig2b.cfg").read_text())
+        cfg["receiver"]["lambda"] = 1e160
+        path = tmp_path / "loud.cfg"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out.csv"
+        assert main([command[0], "--config", str(path), "--out", str(out),
+                     *command[1:]]) == EXIT_OK
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        values = [float(v) for row in rows for v in row[1:]]
+        if command[0] == "sweep":  # 0, 1e300/3, ...: only lambda_B = 0 gives C1 > 0
+            assert values == [0.0] * 4
+        else:
+            assert len(values) == 16 and not any(values)
+            assert json.loads(out.with_suffix(".json").read_text())["noise_probability"] == 0.5
+
     @pytest.mark.parametrize("budget", ["0", "-5"])
     def test_budget_below_one_exits_one(self, tmp_path, capsys, budget):
         out = tmp_path / "trace.csv"
@@ -417,21 +460,25 @@ class TestColdStart:
                      "--resolution", "4", "--out", a],
                     ["energy-map", "--config", str(SCENARIOS / "fig1_classical.cfg"),
                      "--resolution", "4", "--out", b],
-                    ["diff", "--a", a, "--b", b, "--out", str(tmp_path / "d.csv")]]
+                    ["diff", "--a", a, "--b", b, "--out", str(tmp_path / "d.csv")],
+                    ["optimize", "--config", str(SCENARIOS / "fig2a.cfg"),
+                     "--objective", "energy", "--point", "11,4.5", "--budget", "20",
+                     "--out", str(tmp_path / "o.csv")]]
         steps = _fresh_interpreter(commands, tmp_path)
         assert steps == [[None, []]] + [[EXIT_OK, []]] * len(commands)
 
     def test_scipy_commands_run_in_a_clean_interpreter(self, tmp_path):
-        commands = [["capacity-map", "--config", str(SCENARIOS / "fig2b.cfg"),
-                     "--resolution", "4", "--out", str(tmp_path / "c.csv")],
-                    ["optimize", "--config", str(SCENARIOS / "fig2a.cfg"),
+        # the phase search is in-package: no command loads scipy.optimize
+        commands = [["optimize", "--config", str(SCENARIOS / "fig2a.cfg"),
                      "--objective", "capacity", "--point", "11,4.5", "--budget", "20",
-                     "--out", str(tmp_path / "o.csv")]]
-        start, capacity, optimize = _fresh_interpreter(commands, tmp_path)
+                     "--out", str(tmp_path / "o.csv")],
+                    ["capacity-map", "--config", str(SCENARIOS / "fig2b.cfg"),
+                     "--resolution", "4", "--out", str(tmp_path / "c.csv")]]
+        start, optimize, capacity = _fresh_interpreter(commands, tmp_path)
         assert start == [None, []]
-        assert capacity[0] == EXIT_OK and "scipy.special" in capacity[1]
-        assert "scipy.optimize" not in capacity[1]
-        assert optimize[0] == EXIT_OK and "scipy.optimize" in optimize[1]
+        for code, loaded in (optimize, capacity):
+            assert code == EXIT_OK and "scipy.special" in loaded
+            assert "scipy.optimize" not in loaded
         assert (tmp_path / "c.csv").is_file() and (tmp_path / "o.csv").is_file()
 
     def test_exact_evolution_calls_module_level_expm(self, monkeypatch):

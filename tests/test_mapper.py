@@ -9,10 +9,10 @@ import pytest
 from qshock.emitters import MonopolePhase, product_expectation
 from qshock.kernels import KernelSet, QuadratureError
 from qshock.mapper import (DEFAULT_WINDOW, GridMap, SweepCurve, _BLOCK_CELLS,
-                           capacity_map, coupling_sweep, diff_map, energy_map,
+                           _nelder_mead, _phase_objective, capacity_map, coupling_sweep, diff_map, energy_map,
                            optimize_phases, read_grid_csv, write_grid_csv,
                            write_sweep_csv)
-from qshock.observables import (ReceiverNotCoupledWarning, channel_capacity,
+from qshock.observables import (ChannelPoint, ReceiverNotCoupledWarning, channel_capacity,
                                 channel_point, energy_density, excitation_probability)
 from qshock.scenario import (Detector, EmitterState, Scenario, load_scenario,
                              load_scenario_file, w_state)
@@ -288,6 +288,20 @@ class TestCouplingSweep:
         assert np.array_equal(curve.capacities, expect)
         assert curve.argmax_capacity > 0.0
 
+    def test_huge_receiver_coupling_gives_pure_noise(self):
+        # lambda_B^2 nu overflows: C1 = 0, so p = q = 1/2 and the capacity is
+        # exactly 0, with no register algebra at infinite angles
+        scn = load_scenario(four_emitter_config())
+        finite = [0.0, 1.5, 4.0]
+        curve = coupling_sweep(scn, finite + [1e160, 1.7e308])
+        assert np.array_equal(curve.capacities[3:], [0.0, 0.0])
+        assert np.array_equal(curve.capacities[:3], coupling_sweep(scn, finite).capacities)
+        huge = scn.with_receiver(replace(scn.receiver, coupling_strength=1e160))
+        assert channel_point(huge) == ChannelPoint(0.5, 0.5)
+        grid = capacity_map(huge, WINDOW, 6)
+        assert np.array_equal(grid.values, np.zeros((6, 6)))
+        assert grid.meta["noise_probability"] == 0.5 and grid.meta["cells_in_contact"] > 0
+
     def test_receiver_not_yet_coupled(self):
         cfg = json.loads(four_emitter_config())
         cfg["evaluation_time"] = cfg["receiver"]["time"]
@@ -369,6 +383,55 @@ class TestOptimizePhases:
         with pytest.raises(ValueError, match="budget"):
             optimize_phases(load_scenario(four_emitter_config()), "capacity",
                             (11.0, 4.5, 0.0), budget=budget)
+
+
+
+class TestNelderMead:
+    """_nelder_mead reproduces scipy.optimize.minimize(method="Nelder-Mead") bit for bit."""
+
+    @staticmethod
+    def compare(f, x0, maxfev):
+        from scipy.optimize import minimize
+        ours, theirs = [], []
+
+        def logged(calls):
+            return lambda x: calls.append(x.tobytes()) or f(x)
+
+        res = minimize(logged(theirs), x0, method="Nelder-Mead",
+                       options={"maxfev": maxfev, "xatol": 1e-6, "fatol": 1e-12})
+        x, value, converged = _nelder_mead(logged(ours), x0, maxfev, 1e-6, 1e-12)
+        assert ours == theirs  # the same points, in the same order
+        assert (x.tobytes(), np.float64(value).tobytes()) == (res.x.tobytes(),
+                                                              np.float64(res.fun).tobytes())
+        assert (len(ours), converged) == (res.nfev, bool(res.success))
+        return converged
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("maxfev", [1, 3, 17, 5000])
+    def test_rosenbrock(self, dim, maxfev):
+        from scipy.optimize import rosen
+        # the first coordinate pinned at its optimum, so dim = 1 is a Rosenbrock too
+        converged = self.compare(lambda x: float(rosen(np.concatenate(([1.0], x)))),
+                                 np.linspace(-1.2, 0.8, dim), maxfev)
+        assert converged == (maxfev == 5000)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("objective, point", [("energy", (10.75, 5.56, 0.0)),
+                                                  ("capacity", (11.0, 4.5, 0.0))])
+    def test_phase_objectives(self, n, objective, point):
+        scn = load_scenario(four_emitter_config())
+        scn = Scenario(scn.emitters[:n], scn.receiver, w_state(n, [0.0] * n),
+                       scn.evaluation_time)
+        value_of = _phase_objective(scn, objective, point)
+
+        def negative(reduced):
+            return -value_of(w_state(n, np.concatenate(([0.0], np.mod(reduced, 2 * math.pi)))))
+
+        rng = np.random.default_rng(n)
+        outcomes = {self.compare(negative, x0, maxfev)
+                    for x0 in (np.zeros(n - 1), rng.uniform(0.0, 2 * math.pi, n - 1))
+                    for maxfev in (2, 25, 800)}
+        assert outcomes == {True, False}  # both converged and budget-exhausted runs
 
 
 class TestKernelsEvaluatedOnce:

@@ -64,6 +64,11 @@ class TestWState:
         with pytest.raises(ValueError):
             w_state(0, [])
 
+    @pytest.mark.parametrize("phases", [[0.0, 1.0], [0.0] * 4, [[0.0, 1.0, 2.0]]])
+    def test_phase_count_must_match(self, phases):
+        with pytest.raises(ValueError, match="expected 3 phases"):
+            w_state(3, phases)
+
     @given(n=st.integers(1, 8),
            data=st.data())
     def test_unit_norm_for_all_phases(self, n, data):
@@ -135,6 +140,13 @@ class TestEmitterState:
         for t in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValidationError, match="evaluation_time"):
                 Scenario((emitter,), emitter, w_state(1, [0.0]), t)
+
+    def test_vectors_are_the_amplitudes_read_only(self):
+        state = EmitterState.mixture([(0.25, [0.6, 0.8j]), (0.75, np.array([1.0, 0.0]))])
+        for (w, vec), (weight, amplitudes) in zip(state.vectors(), state.components):
+            assert w == weight and vec.dtype == complex and vec.tolist() == list(amplitudes)
+            with pytest.raises(ValueError):
+                vec[0] = 0.0
 
     def test_amplitudes_stored_as_python_complex(self):
         amps = np.array([0.6, 0.8j])
