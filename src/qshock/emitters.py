@@ -19,10 +19,16 @@ mu_i is index-permuted: (mu_i psi)[k] = f_i[k] psi[k XOR b_i], with b_i
 emitter i's bit and f_i[k] = e^{+i Omega_i t_i} where k has it set,
 e^{-i Omega_i t_i} where not.  These tables (24 n 2^n bytes) are built
 once per (n, phases) and serve both functions here.
-product_expectation applies each factor to a whole batch of angle
-vectors (..., n) at once.  Cost is O(n 2^n) per pure component and angle
-vector; mixtures are weight-averaged component-wise.  n is capped at 24
-by the state-vector representation.
+
+Both functions run one core over a stack of pure amplitude vectors
+(S, 2^n): each monopole factor is applied to every vector of the stack,
+and to a whole batch of angle vectors (..., n), at once.  For an
+EmitterState the stack is its components, and their weights fold the
+per-vector results in component order; a (B, 2^n) array is taken as B
+pure states, and the results keep that leading axis with the bits of B
+separate calls.  The per-vector reductions (vdot, the Gram product) run
+one vector at a time.  Cost is O(n 2^n) per vector and angle vector.
+n is capped at 24 by the state-vector representation.
 """
 
 from __future__ import annotations
@@ -76,24 +82,52 @@ def _flip_tables(phases: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
     return perm, factor
 
 
-def pair_correlation(state: EmitterState, phases: MonopolePhase) -> np.ndarray:
+def _register(state) -> tuple[np.ndarray, tuple | None, int]:
+    """The amplitude stack (S, 2^n), the weights that fold it (None: B pure states), n."""
+    if isinstance(state, EmitterState):
+        weights, vectors = zip(*state.vectors())
+        stack, n = np.array(vectors), state.n_emitters
+    else:
+        stack, weights = np.asarray(state, dtype=complex), None
+        n = stack.shape[-1].bit_length() - 1
+        if stack.ndim != 2 or stack.shape[-1] != 2**n:
+            raise ValueError(f"expected a (B, 2^n) stack of amplitude vectors, "
+                             f"got shape {stack.shape}")
+    _check_register(n)
+    return stack, weights, n
+
+
+def _fold(rows: np.ndarray, weights) -> np.ndarray:
+    """sum_c w_c rows[c] in component order; weights None keeps one result per row.
+
+    A row of a stack of pure states gets 0 + 1.0 * row, the same
+    operations as a one-component state.
+    """
+    if weights is None:
+        weights, rows = (1.0,), rows[None]
+    total = np.zeros(rows.shape[1:])
+    for w, row in zip(weights, rows):
+        total += w * row
+    return total
+
+
+def pair_correlation(state, phases: MonopolePhase) -> np.ndarray:
     """The n x n matrix C_il = <mu_i mu_l> over the emitter state.
 
-    For each pure component C is the Gram matrix Re <mu_i psi | mu_l psi>
-    (mu is Hermitian), so it costs n monopole applications per component.
-    Real and symmetric by construction; the diagonal is mu^2 = 1 exactly.
+    state is an EmitterState, or a (B, 2^n) stack of pure states, which
+    gives one matrix per row (B, n, n).  For each pure vector C is the Gram
+    matrix Re <mu_i psi | mu_l psi> (mu is Hermitian), so it costs n
+    monopole applications per vector.  Real and symmetric by
+    construction; the diagonal is mu^2 = 1 exactly.
     """
-    n = state.n_emitters
-    _check_register(n)
+    stack, weights, n = _register(state)
     if len(phases) != n:
         raise ValueError(f"expected {n} monopole phases, got {len(phases)}")
     perm, factor = _flip_tables(phases.phases)
-    total = np.zeros((n, n))
-    for w, vec in state.vectors():
-        flipped = factor * vec[perm]
-        total += w * (flipped.conj() @ flipped.T).real
-    total = 0.5 * (total + total.T)
-    np.fill_diagonal(total, 1.0)
+    flipped = factor * stack[:, perm]
+    total = _fold(np.array([(f.conj() @ f.T).real for f in flipped]), weights)
+    total = 0.5 * (total + np.swapaxes(total, -1, -2))
+    total[..., range(n), range(n)] = 1.0
     return total
 
 
@@ -108,17 +142,17 @@ def _angles(g) -> _Angles:
                     np.cos(g)[..., None], 1j * np.sin(g)[..., None]))
 
 
-def product_expectation(state: EmitterState, g, phases: MonopolePhase):
+def product_expectation(state, g, phases: MonopolePhase):
     """Re < prod_i (cos g_i + i mu_i sin g_i) > over the emitter state.
 
     g holds one angle per emitter, or a batch of them (..., n), or is
     _angles of either, formed once for repeated calls: a float for one
-    angle vector, else an array of shape g.shape[:-1].  Bounded by 1 in
-    magnitude for any normalized state (each factor is unitary),
-    invariant under a global phase of the state.
+    angle vector, else an array of shape g.shape[:-1].  state is an
+    EmitterState, or a (B, 2^n) stack of pure states, which adds a leading
+    axis B.  Bounded by 1 in magnitude for any normalized state (each
+    factor is unitary), invariant under a global phase of the state.
     """
-    n = state.n_emitters
-    _check_register(n)
+    stack, weights, n = _register(state)
     g, turning, touched, everywhere, cos, isin = g if isinstance(g, _Angles) else _angles(g)
     if g.shape[-1:] != (n,):
         raise ValueError(f"expected {n} angles, got shape {g.shape}")
@@ -126,21 +160,20 @@ def product_expectation(state: EmitterState, g, phases: MonopolePhase):
         raise ValueError(f"expected {n} monopole phases, got {len(phases)}")
     perm, factor = _flip_tables(phases.phases)
     batch = g.shape[:-1]
-    total = np.zeros(batch)
-    for w, vec in state.vectors():
-        work = vec
-        for i in range(n):
-            if not touched[i]:
-                continue
-            flipped = factor[i] * work[..., perm[i]]
-            turned = cos[..., i, :] * work + isin[..., i, :] * flipped
-            # rows with g_i = 0 skip the factor, as a single-vector call does
-            work = turned if everywhere[i] else np.where(turning[..., i, None],
-                                                         turned, work)
-        if work.shape != batch + vec.shape:  # no angle turned this component
-            work = np.broadcast_to(work, batch + vec.shape)
-        for k in np.ndindex(batch):
-            total[k] += w * np.vdot(vec, work[k]).real
+    work = stack.reshape(stack.shape[:1] + (1,) * len(batch) + stack.shape[1:])
+    for i in range(n):
+        if not touched[i]:
+            continue
+        flipped = factor[i] * work[..., perm[i]]
+        turned = cos[..., i, :] * work + isin[..., i, :] * flipped
+        # rows with g_i = 0 skip the factor, as a single-vector call does
+        work = turned if everywhere[i] else np.where(turning[..., i, None], turned, work)
+    rows = np.empty(stack.shape[:1] + batch)
+    if work.shape[:-1] != rows.shape:  # no angle turned
+        work = np.broadcast_to(work, rows.shape + stack.shape[1:])
+    for k in np.ndindex(rows.shape):
+        rows[k] = np.vdot(stack[k[0]], work[k]).real
+    total = _fold(rows, weights)
     # each factor is unitary, so |E| <= 1 up to rounding dust
     if np.any(np.abs(total) > 1.0):
         if np.any(np.abs(total) > 1.0 + 1e-12):

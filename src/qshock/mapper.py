@@ -25,8 +25,15 @@ JSON sidecar carries the scenario fingerprint, quantity tag, wall time
 and, for capacity maps, the noise probability and cells_in_contact.
 
 A phase search runs _nelder_mead, scipy's Nelder-Mead step for step,
-without importing scipy; its objective forms what an evaluation does not
-change (kernels, strengths, angle factors) once per search.
+without importing scipy.  _nelder_mead is a generator that yields each
+point and is sent its value, so optimize_phases advances its restarts in
+lockstep: each round stacks the next point of every live restart into
+one batch of W states, and the objective runs the emitter algebra once
+over that stack (emitters' stack core).  The objective forms what an
+evaluation does not change (kernels, strengths, angle factors) once per
+search.  Each restart keeps its own trace and budget share, so trace,
+result and evaluation count are those of running the restarts one after
+another.
 """
 
 from __future__ import annotations
@@ -41,7 +48,8 @@ import numpy as np
 from .observables import (ChannelPoint, channel_capacity, energy_density, _energy_at,
                           _receiver_channel)
 from .observables import excitation_probability  # noqa: F401 (perfbench/spans.py wraps it)
-from .scenario import Scenario, scenario_fingerprint, w_state
+from .scenario import Scenario, _check_norm, _w_amplitudes, scenario_fingerprint
+from .scenario import w_state  # noqa: F401 (perfbench/spans.py wraps it)
 
 __all__ = [
     "GridMap",
@@ -228,14 +236,30 @@ def coupling_sweep(scenario: Scenario, couplings) -> SweepCurve:
 # ----------------------------------------------------------------------
 
 def _phase_objective(scenario: Scenario, objective: str, point):
-    """The objective as a function of the emitter state, kernels evaluated once."""
+    """The objective at the W states of phase vectors (B, n): B floats, kernels evaluated once.
+
+    The B states go through the emitter algebra as one stack of amplitude
+    vectors; each value has the bits of a call on w_state of its row.
+    """
+    n = scenario.n_emitters
     if objective == "energy":
         energy = _energy_at(scenario, point, scenario.evaluation_time)
-        return lambda state: float(energy(state))
-    channel = _receiver_channel(scenario, [point])
-    if channel is None:
-        return lambda state: 0.0
-    return lambda state: float(_capacities(channel, state)[0, 0])
+    else:
+        channel = _receiver_channel(scenario, [point])
+        signal = channel is not None and bool(channel.signal[0])
+
+    def value_of(thetas: np.ndarray) -> list[float]:
+        stack = _w_amplitudes(n, thetas)
+        for vec in stack:
+            _check_norm(vec)
+        if objective == "energy":
+            return energy(stack).tolist()
+        if not signal:
+            return [0.0] * len(stack)
+        return [channel_capacity(ChannelPoint(p, channel.q[0]))
+                for p in channel.p(stack)[:, 0, 0].tolist()]
+
+    return value_of
 
 
 def optimize_phases(scenario: Scenario, objective: str, point,
@@ -244,11 +268,21 @@ def optimize_phases(scenario: Scenario, objective: str, point,
 
     objective: "energy" (density at `point`, at the scenario evaluation
     time) or "capacity" (receiver moved to `point`).  The kernels at the
-    point are evaluated once; each evaluation builds the W state and runs
-    the emitter algebra.  The global-phase direction is removed by pinning
-    the first phase to 0; the search runs _nelder_mead from `restarts`
-    starting points and reports the best evaluation found together with
-    the full trace.
+    point are evaluated once.  The global-phase direction is removed by
+    pinning the first phase to 0; _nelder_mead runs from `restarts`
+    starting points, and the result is the best evaluation found together
+    with the full trace.
+
+    Restart k gets min(per_restart, budget - evaluations of the restarts
+    before it), with per_restart = max(16, budget // restarts), and is
+    skipped once that is 0.  The restarts advance in lockstep: each round
+    takes the next point of every live restart and evaluates them as one
+    stack.  A restart whose share is fixed from the start
+    ((k + 1) per_restart <= budget, always so when budget >= 16 restarts)
+    starts in round 1; any other waits until the restarts before it are
+    done.  Each restart keeps its own trace, and the reported trace is
+    their concatenation in restart order, so the result is that of
+    running the restarts one after another.
     """
     n = scenario.n_emitters
     if n < 1:
@@ -264,64 +298,68 @@ def optimize_phases(scenario: Scenario, objective: str, point,
     point = tuple(float(c) for c in point)
     value_of = _phase_objective(scenario, objective, point)
 
-    trace: list[tuple[tuple[float, ...], float]] = []
-
-    def evaluate(theta_full: np.ndarray) -> float:
-        val = value_of(w_state(n, theta_full))
-        trace.append((tuple(theta_full), val))
-        return val
-
     if n == 1:
         # the objective is constant along the global-phase direction
-        val = evaluate(np.zeros(1))
-        return PhaseOptimum((0.0,), val, objective, 1, True, 1, tuple(trace))
+        [val] = value_of(np.zeros((1, 1)))
+        return PhaseOptimum((0.0,), val, objective, 1, True, 1, (((0.0,), val),))
 
     rng = np.random.default_rng(seed)
     starts = [np.zeros(n - 1)]
     while len(starts) < restarts:
         starts.append(rng.uniform(0.0, 2.0 * math.pi, n - 1))
 
-    def negative(reduced: np.ndarray) -> float:
-        full = np.concatenate(([0.0], np.mod(reduced, 2.0 * math.pi)))
-        return -evaluate(full)
-
-    best_val = -math.inf
-    best_full = np.zeros(n)
-    converged = True
     per_restart = max(16, budget // restarts)
-    for start in starts:
-        if len(trace) >= budget:  # the run before used its whole share: not converged
+    traces: list[list[tuple[tuple[float, ...], float]]] = [[] for _ in starts]
+    results: list[tuple | None] = [None] * restarts  # _nelder_mead's (x, f(x), converged)
+    live: dict[int, tuple] = {}  # restart -> (its search, the point it waits on)
+    begun = 0
+    while True:
+        while begun < restarts and ((begun + 1) * per_restart <= budget or not live):
+            # final: either the share is fixed, or every restart before `begun` is done
+            share = min(per_restart, budget - sum(map(len, traces[:begun])))
+            if share <= 0:  # the runs before used the whole budget: not converged
+                begun = restarts
+                break
+            search = _nelder_mead(starts[begun], share, 1e-6, 1e-12)
+            live[begun] = (search, next(search))
+            begun += 1
+        if not live:
             break
-        x, value, done = _nelder_mead(negative, start,
-                                      min(per_restart, budget - len(trace)), 1e-6, 1e-12)
+        reduced = np.array([x for _, x in live.values()])
+        full = np.concatenate((np.zeros((len(live), 1)), np.mod(reduced, 2.0 * math.pi)),
+                              axis=1)
+        for (k, (search, _)), theta, val in zip(list(live.items()), full.tolist(),
+                                                value_of(full)):
+            traces[k].append((tuple(theta), val))
+            try:
+                live[k] = (search, search.send(-val))
+            except StopIteration as done:
+                results[k] = done.value
+                del live[k]
+
+    best_val, best_full, converged = -math.inf, np.zeros(n), True
+    for x, value, done in filter(None, results):
         converged = converged and done
         if -value > best_val:
             best_val = -value
             best_full = np.concatenate(([0.0], np.mod(x, 2.0 * math.pi)))
+    trace = tuple(entry for run in traces for entry in run)
     return PhaseOptimum(tuple(float(t) for t in best_full), float(best_val),
-                        objective, len(trace), converged, len(starts), tuple(trace))
+                        objective, len(trace), converged, len(starts), trace)
 
 
-class _BudgetSpent(Exception):
-    """A _nelder_mead objective was asked for one call more than its budget."""
+def _nelder_mead(x0, maxfev: int, xatol: float, fatol: float):
+    """Minimize from x0 as a generator: it yields each point and is sent that point's value.
 
-
-def _nelder_mead(f, x0, maxfev: int, xatol: float, fatol: float):
-    """Minimize f from x0: (x, f(x), whether it stopped before maxfev calls of f).
-
-    The calls and result of scipy 1.17's minimize(f, x0, method="Nelder-Mead")
-    with options maxfev, xatol and fatol: default simplex, coefficients 1, 2,
-    1/2, 1/2, f given a copy, the step that would call f once too often dropped.
+    Its return value (StopIteration.value) is (x, f(x), whether it stopped
+    before maxfev calls).  The points and result are those of scipy 1.17's
+    minimize(f, x0, method="Nelder-Mead") with options maxfev, xatol and
+    fatol: default simplex, coefficients 1, 2, 1/2, 1/2, and the step that
+    would call f once too often dropped.  Each yielded point is a fresh
+    array.
     """
-    x0, calls = np.asarray(x0, dtype=float), 0
+    x0 = np.asarray(x0, dtype=float)
     n = x0.size
-
-    def call(x):
-        nonlocal calls
-        if calls >= maxfev:
-            raise _BudgetSpent
-        calls += 1
-        return f(np.copy(x))
 
     def ordered(sim, fsim):
         ind = np.argsort(fsim)
@@ -330,38 +368,40 @@ def _nelder_mead(f, x0, maxfev: int, xatol: float, fatol: float):
     sim = np.tile(x0, (n + 1, 1))
     sim[np.arange(1, n + 1), np.arange(n)] = np.where(x0 != 0, 1.05 * x0, 0.00025)
     fsim = np.full(n + 1, np.inf)
-    try:
-        for k in range(n + 1):
-            fsim[k] = call(sim[k])
-    except _BudgetSpent:
-        pass
+    calls = min(n + 1, maxfev)
+    for k in range(calls):
+        fsim[k] = yield sim[k].copy()
     sim, fsim = ordered(*ordered(sim, fsim))  # twice, as scipy does: argsort is not stable
     while calls < maxfev:
-        try:
-            if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
-                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
-                break
-            xbar = np.add.reduce(sim[:-1], 0) / n
-            xr = 2 * xbar - sim[-1]
-            fxr = call(xr)
-            if fxr < fsim[0]:
+        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = yield xr
+        calls += 1
+        if fxr < fsim[0]:
+            if calls < maxfev:
                 xe = 3 * xbar - 2 * sim[-1]
-                fxe = call(xe)
+                fxe = yield xe
+                calls += 1
                 sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
-            else:
-                outside = fxr < fsim[-1]
-                xc = 1.5 * xbar - 0.5 * sim[-1] if outside else 0.5 * xbar + 0.5 * sim[-1]
-                fxc = call(xc)
-                if (fxc <= fxr) if outside else (fxc < fsim[-1]):
-                    sim[-1], fsim[-1] = xc, fxc
-                else:  # shrink towards the best vertex
-                    for j in range(1, n + 1):
-                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                        fsim[j] = call(sim[j])
-        except _BudgetSpent:
-            pass
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif calls < maxfev:
+            outside = fxr < fsim[-1]
+            xc = 1.5 * xbar - 0.5 * sim[-1] if outside else 0.5 * xbar + 0.5 * sim[-1]
+            fxc = yield xc
+            calls += 1
+            if (fxc <= fxr) if outside else (fxc < fsim[-1]):
+                sim[-1], fsim[-1] = xc, fxc
+            else:  # shrink towards the best vertex
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    if calls >= maxfev:
+                        break
+                    fsim[j] = yield sim[j].copy()
+                    calls += 1
         sim, fsim = ordered(sim, fsim)
     return sim[0], np.min(fsim), calls < maxfev
 

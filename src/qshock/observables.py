@@ -59,7 +59,7 @@ import numpy as np
 
 from .emitters import MonopolePhase, _angles, pair_correlation, product_expectation
 from .kernels import KernelSet, _in_causal_contact, closed_form_radiation
-from .scenario import Scenario
+from .scenario import Scenario, ValidationError
 
 __all__ = [
     "ChannelPoint",
@@ -238,13 +238,37 @@ def _energy_at(scenario: Scenario, x, t: float):
     """T00 at points x (..., 3) and time t as a function of the emitter state.
 
     The kernels of the fired emitters are evaluated once; each call applies
-    their strengths to their block of pair_correlation(state).
+    their strengths to their block of pair_correlation(state).  A (B, 2^n)
+    stack of pure states gives one T00 per row, each from its own
+    quadratic form.  Where 4 lambda lambda^T or T00 is not finite, the
+    ValidationError names the lambda of the strongest fired emitter.
     """
     active, kernels = _emission_kernels(scenario, x, t)
     lam = np.array([scenario.emitters[i].coupling_strength for i in active])
-    weights, block = 4.0 * np.outer(lam, lam), np.ix_(active, active)
+    with np.errstate(over="ignore"):
+        weights = 4.0 * np.outer(lam, lam)
+    if not np.isfinite(weights).all():
+        raise _energy_overflow(active, lam)
+    rows, cols = np.ix_(active, active)
     phases = MonopolePhase.from_scenario(scenario)
-    return lambda state: _t00(kernels, weights * pair_correlation(state, phases)[block])
+
+    def t00(state):
+        corr = pair_correlation(state, phases)[..., rows, cols]
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = (_t00(kernels, weights * corr) if corr.ndim == 2
+                     else np.array([_t00(kernels, weights * c) for c in corr]))
+        if not np.isfinite(total).all():
+            raise _energy_overflow(active, lam)
+        return total
+
+    return t00
+
+
+def _energy_overflow(active: list[int], lam: np.ndarray) -> ValidationError:
+    k = active[int(np.argmax(lam))]
+    return ValidationError(f"emitters[{k}].lambda",
+                           f"{float(lam.max())!r} overflows the energy density "
+                           "(4 lambda_i lambda_l or T00 is not finite)")
 
 
 def energy_density(scenario: Scenario, x, t: float):

@@ -103,9 +103,7 @@ class EmitterState:
             if len(vec) != dim:
                 raise ValidationError("state", "mixture components differ in length")
             array = np.array(vec, dtype=complex)
-            norm = math.sqrt(np.vdot(array, array).real)
-            if not abs(norm - 1.0) <= _NORM_TOL:
-                raise ValidationError("state", f"component norm {norm!r} != 1")
+            _check_norm(array)
             total += w
             array.setflags(write=False)
             frozen.append((w, tuple(array.tolist())))
@@ -137,6 +135,13 @@ class EmitterState:
         return EmitterState(tuple((float(w), tuple(vec)) for w, vec in pairs))
 
 
+def _check_norm(vec: np.ndarray) -> None:
+    """Raise unless the amplitude vector has norm 1 within _NORM_TOL."""
+    norm = math.sqrt(np.vdot(vec, vec).real)
+    if not abs(norm - 1.0) <= _NORM_TOL:
+        raise ValidationError("state", f"component norm {norm!r} != 1")
+
+
 def _single_excitation_index(n: int, m: int) -> int:
     # emitter m (1-based) excited, all others ground; emitter 1 is the MSB
     return 1 << (n - m)
@@ -153,9 +158,15 @@ def w_state(n: int, phases) -> EmitterState:
     thetas = np.asarray(phases, dtype=float)
     if thetas.shape != (n,):
         raise ValueError(f"expected {n} phases, got {thetas.size}")
-    vec = np.zeros(2**n, dtype=complex)
-    vec[_single_excitation_index(n, np.arange(1, n + 1))] = np.exp(1j * thetas) / math.sqrt(n)
-    return EmitterState(((1.0, vec),))
+    return EmitterState(((1.0, _w_amplitudes(n, thetas)),))
+
+
+def _w_amplitudes(n: int, thetas: np.ndarray) -> np.ndarray:
+    """W-state amplitude vectors (..., 2^n) of phase vectors thetas (..., n)."""
+    vec = np.zeros(thetas.shape[:-1] + (2**n,), dtype=complex)
+    vec[..., _single_excitation_index(n, np.arange(1, n + 1))] = \
+        np.exp(1j * thetas) / math.sqrt(n)
+    return vec
 
 
 def classical_mixture(n: int) -> EmitterState:

@@ -167,29 +167,13 @@ def retarded_dr(r: float, dt: float, radius: float) -> float:
 # Blahut-Arimoto capacity of the 2x2 channel
 # ----------------------------------------------------------------------
 
-def blahut_arimoto_capacity(p: float, q: float, gap: float = 1e-12,
-                            max_iter: int = 4000000) -> float:
-    """Capacity via alternating maximization, stopped on the duality gap.
+def blahut_arimoto_capacity(p: float, q: float, gap: float = 1e-12) -> float:
+    """Capacity of one channel by blahut_arimoto_grid, stopped on the duality gap.
 
     The midpoint of the (lower, upper) bracket is within gap/(2 ln2) of
     the capacity; raises if the bracket never closes.
     """
-    w = np.array([[1.0 - q, q], [1.0 - p, p]])
-    r = np.array([0.5, 0.5])
-    for _ in range(max_iter):
-        qy = r @ w
-        div = np.zeros(2)
-        for x in range(2):
-            mask = w[x] > 0
-            div[x] = float(np.sum(w[x][mask] * np.log(w[x][mask]
-                                                      / np.maximum(qy[mask], 1e-300))))
-        lower = float(r @ div)
-        upper = float(div.max())
-        if upper - lower < gap:
-            return 0.5 * (lower + upper) / np.log(2.0)
-        r = r * np.exp(div - div.max())
-        r = r / r.sum()
-    raise AssertionError(f"duality gap stuck at {upper - lower:.2e}")
+    return float(blahut_arimoto_grid(np.array([p]), np.array([q]), gap=gap)[0])
 
 
 def blahut_arimoto_grid(ps: np.ndarray, qs: np.ndarray, gap: float = 2e-10,

@@ -283,6 +283,24 @@ class TestSweepAndOptimize:
             assert len(values) == 16 and not any(values)
             assert json.loads(out.with_suffix(".json").read_text())["noise_probability"] == 0.5
 
+    @pytest.mark.parametrize("command", [
+        ["energy-map", "--resolution", "24"],
+        ["optimize", "--objective", "energy", "--point", "10.75,5.56", "--budget", "30"]])
+    def test_overflowing_energy_density_names_the_emitter_lambda(self, tmp_path, capsys,
+                                                                 command):
+        cfg = json.loads((SCENARIOS / "fig1.cfg").read_text())
+        cfg["emitters"][1]["lambda"] = 1e200
+        path = tmp_path / "loud.cfg"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out.csv"
+        assert main([command[0], "--config", str(path), "--out", str(out),
+                     *command[1:]]) == EXIT_VALIDATION
+        # one line naming the field; no numpy overflow warning, no trace of nan rows
+        assert capsys.readouterr().err.splitlines() == [
+            "error: emitters[1].lambda: 1e+200 overflows the energy density "
+            "(4 lambda_i lambda_l or T00 is not finite)"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("budget", ["0", "-5"])
     def test_budget_below_one_exits_one(self, tmp_path, capsys, budget):
         out = tmp_path / "trace.csv"

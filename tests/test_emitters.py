@@ -6,7 +6,7 @@ from hypothesis import given, settings as hsettings, strategies as st
 
 from qshock.emitters import MonopolePhase, _flip_tables, pair_correlation, \
     product_expectation
-from qshock.scenario import EmitterState, classical_mixture, w_state
+from qshock.scenario import EmitterState, _w_amplitudes, classical_mixture, w_state
 
 from conftest import dense_pair_correlation, dense_product_expectation
 
@@ -219,3 +219,61 @@ class TestBatchedProductExpectation:
     def test_batch_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="angles"):
             product_expectation(w_state(2, [0, 0]), np.zeros((4, 3)), phases_for(2))
+
+
+class TestStackedStates:
+    """A (B, 2^n) stack of pure states gives, row for row, the bits of one call per state."""
+
+    @staticmethod
+    def assert_rows_equal(stack, states, ph, rng):
+        n = len(ph)
+        corr = pair_correlation(stack, ph)
+        assert corr.shape == (len(states), n, n)
+        for row, state in zip(corr, states):
+            assert row.tobytes() == pair_correlation(state, ph).tobytes()
+        g = rng.uniform(-2, 2, (3, 2, n))
+        g[0] = 0.0                                 # no emitter turns
+        g[1, 0, 0] = 0.0                           # one emitter off in one angle vector
+        for angles in (g[2, 1], g, g[:1]):
+            got = product_expectation(stack, angles, ph)
+            assert got.shape == (len(states),) + angles.shape[:-1]
+            expect = np.array([product_expectation(state, angles, ph) for state in states])
+            assert got.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_w_states(self, n):
+        rng = np.random.default_rng(40 + n)
+        thetas = rng.uniform(-3, 3, (5, n))
+        self.assert_rows_equal(_w_amplitudes(n, thetas), [w_state(n, t) for t in thetas],
+                               phases_for(n), rng)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_mixture(self, n):
+        rng = np.random.default_rng(50 + n)
+        ph = phases_for(n)
+        vecs = rng.normal(size=(3, 2**n)) + 1j * rng.normal(size=(3, 2**n))
+        vecs /= np.linalg.norm(vecs, axis=1)[:, None]
+        weights = (0.2, 0.5, 0.3)
+        mix = EmitterState.mixture(zip(weights, vecs))
+        stack = np.array([vec for _, vec in mix.vectors()])
+        self.assert_rows_equal(stack, [EmitterState.pure(vec) for vec in stack], ph, rng)
+        # the mixture weights its components' values in component order
+        g = rng.uniform(-2, 2, n)
+        expect = 0.0
+        for w, value in zip(weights, product_expectation(stack, g, ph).tolist()):
+            expect += w * value
+        assert product_expectation(mix, g, ph) == expect
+        # and symmetrises the weighted sum of their Gram matrices, written out
+        total = np.zeros((n, n))
+        for w, vec in mix.vectors():
+            flipped = np.array([apply_monopole(vec, ph.phases, i) for i in range(n)])
+            total += w * (flipped.conj() @ flipped.T).real
+        total = 0.5 * (total + total.T)
+        np.fill_diagonal(total, 1.0)
+        assert pair_correlation(mix, ph).tobytes() == total.tobytes()
+
+    def test_stack_shape_checked(self):
+        with pytest.raises(ValueError, match="stack"):
+            pair_correlation(np.ones((2, 3)), phases_for(2))
+        with pytest.raises(ValueError, match="stack"):
+            product_expectation(np.ones(4), [0.1, 0.2], phases_for(2))

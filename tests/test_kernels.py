@@ -209,6 +209,25 @@ class TestRadiationKernels:
         assert KS.radiation_time(0.0, 0.3) == pytest.approx(0.5, abs=1e-8)
         assert KS.radiation_time(1e-9, 5.0) == pytest.approx(0.0, abs=1e-8)
 
+    def test_centre_at_dt_equal_radius_is_set_by_the_r_floor(self):
+        # derivations section 4: at the centre the time kernel is
+        # 1/2 Theta(R - dt) - (R/2) delta(dt - R); both evaluators floor r at
+        # _R_FLOOR, so at r = 0, dt = R they return the shell value at r = 1e-6
+        floored = (_R_FLOOR - R) / (4.0 * _R_FLOOR)
+        time, _ = closed_form_radiation(0.0, R, R)
+        assert time == closed_form_radiation(_R_FLOOR, R, R)[0]
+        assert time == pytest.approx(floored, rel=1e-12)
+        assert time == pytest.approx(-124999.75, rel=1e-12)
+        assert KS.radiation_time(0.0, R) == pytest.approx(floored, rel=1e-9)
+        # off the floor the shell is a spike of width 2r whose weight tends to -R/2:
+        # over [R - 2r, R + 2r] the interior adds r/2 and the shell (r - R)/2
+        for r in (1e-2, 1e-3):
+            dt = np.linspace(R - 2.0 * r, R + 2.0 * r, 400_001)
+            kernel = closed_form_radiation(r, dt, R)[0]
+            weight = np.sum(0.5 * (kernel[1:] + kernel[:-1]) * np.diff(dt))  # trapezoids
+            assert weight == pytest.approx(r - 0.5 * R, rel=1e-6)
+            assert closed_form_radiation(r, R, R)[0] == pytest.approx((r - R) / (4.0 * r))
+
     def test_one_over_r_decay_along_shell(self):
         u = 0.3
         v1 = KS.radiation_time(5.0 + u, 5.0)

@@ -8,7 +8,7 @@ import pytest
 
 from qshock.emitters import MonopolePhase, product_expectation
 from qshock.kernels import KernelSet, QuadratureError
-from qshock.mapper import (DEFAULT_WINDOW, GridMap, SweepCurve, _BLOCK_CELLS,
+from qshock.mapper import (DEFAULT_WINDOW, GridMap, PhaseOptimum, SweepCurve, _BLOCK_CELLS,
                            _nelder_mead, _phase_objective, capacity_map, coupling_sweep, diff_map, energy_map,
                            optimize_phases, read_grid_csv, write_grid_csv,
                            write_sweep_csv)
@@ -386,6 +386,82 @@ class TestOptimizePhases:
 
 
 
+def minimize_nelder_mead(f, x0, maxfev, xatol=1e-6, fatol=1e-12):
+    """Drive the _nelder_mead generator with f, one point at a time."""
+    search = _nelder_mead(x0, maxfev, xatol, fatol)
+    try:
+        x = next(search)
+        while True:
+            x = search.send(f(x))
+    except StopIteration as done:
+        return done.value
+
+
+def sequential_search(scn, objective, point, budget, restarts, seed):
+    """optimize_phases with its restarts run one after another, one state per objective call."""
+    n = scn.n_emitters
+    value_of = _phase_objective(scn, objective, point)
+    trace = []
+
+    def negative(reduced):
+        full = np.concatenate(([0.0], np.mod(reduced, 2 * math.pi)))
+        [value] = value_of(full[None])
+        trace.append((tuple(full.tolist()), value))
+        return -value
+
+    rng = np.random.default_rng(seed)
+    starts = [np.zeros(n - 1)] + [rng.uniform(0.0, 2 * math.pi, n - 1)
+                                  for _ in range(restarts - 1)]
+    per_restart = max(16, budget // restarts)
+    best_value, best, converged = -math.inf, np.zeros(n), True
+    for start in starts:
+        if len(trace) >= budget:
+            break
+        x, value, done = minimize_nelder_mead(negative, start,
+                                              min(per_restart, budget - len(trace)))
+        converged = converged and done
+        if -value > best_value:
+            best_value, best = -value, np.concatenate(([0.0], np.mod(x, 2 * math.pi)))
+    return PhaseOptimum(tuple(best.tolist()), float(best_value), objective, len(trace),
+                        converged, restarts, tuple(trace))
+
+
+def optimum_bits(res: PhaseOptimum):
+    """Every number of a PhaseOptimum as its exact hex form."""
+    return (tuple(map(float.hex, res.phases)), float.hex(res.value), res.objective,
+            res.evaluations, res.converged, res.restarts,
+            [(tuple(map(float.hex, theta)), float.hex(value)) for theta, value in res.trace])
+
+
+class TestLockstep:
+    """The restarts advance in rounds, with the result of running them one after another."""
+
+    @pytest.mark.parametrize("budget, restarts", [(20, 4), (50, 3), (120, 3), (800, 4)])
+    @pytest.mark.parametrize("objective, point", [("energy", (10.75, 5.56, 0.0)),
+                                                  ("capacity", (11.0, 4.5, 0.0))])
+    def test_equals_sequential_restarts(self, objective, point, budget, restarts):
+        scn = load_scenario(four_emitter_config())
+        got = optimize_phases(scn, objective, point, budget, restarts, seed=5)
+        assert optimum_bits(got) == optimum_bits(
+            sequential_search(scn, objective, point, budget, restarts, seed=5))
+        assert got.value > 0.0
+
+    @pytest.mark.parametrize("budget, restarts, first_round", [
+        (120, 3, 3),  # every share fixed: all restarts start in round 1
+        (40, 4, 2),   # shares of 16: restarts 0 and 1 fixed, 2 and 3 wait their turn
+        (20, 4, 1)])  # only restart 0 fixed
+    def test_rounds_stack_the_restarts_with_a_fixed_share(self, monkeypatch, budget,
+                                                         restarts, first_round):
+        import qshock.mapper
+        sizes, original = [], qshock.mapper._w_amplitudes
+        monkeypatch.setattr(qshock.mapper, "_w_amplitudes",
+                            lambda n, thetas: sizes.append(len(thetas)) or original(n, thetas))
+        res = optimize_phases(load_scenario(four_emitter_config()), "capacity",
+                              (11.0, 4.5, 0.0), budget, restarts)
+        assert sizes[0] == max(sizes) == first_round
+        assert sum(sizes) == res.evaluations <= budget
+
+
 class TestNelderMead:
     """_nelder_mead reproduces scipy.optimize.minimize(method="Nelder-Mead") bit for bit."""
 
@@ -399,7 +475,7 @@ class TestNelderMead:
 
         res = minimize(logged(theirs), x0, method="Nelder-Mead",
                        options={"maxfev": maxfev, "xatol": 1e-6, "fatol": 1e-12})
-        x, value, converged = _nelder_mead(logged(ours), x0, maxfev, 1e-6, 1e-12)
+        x, value, converged = minimize_nelder_mead(logged(ours), x0, maxfev)
         assert ours == theirs  # the same points, in the same order
         assert (x.tobytes(), np.float64(value).tobytes()) == (res.x.tobytes(),
                                                               np.float64(res.fun).tobytes())
@@ -415,6 +491,14 @@ class TestNelderMead:
                                  np.linspace(-1.2, 0.8, dim), maxfev)
         assert converged == (maxfev == 5000)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_budget_cuts_shrink_steps(self, dim):
+        # on a staircase contractions fail and the simplex shrinks every few calls,
+        # so some of these budgets run out in the middle of a shrink
+        for maxfev in range(1, 41):
+            self.compare(lambda x: float(np.floor(4.0 * np.sum(x * x))),
+                         np.linspace(-1.2, 0.8, dim), maxfev)
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("objective, point", [("energy", (10.75, 5.56, 0.0)),
                                                   ("capacity", (11.0, 4.5, 0.0))])
@@ -425,7 +509,8 @@ class TestNelderMead:
         value_of = _phase_objective(scn, objective, point)
 
         def negative(reduced):
-            return -value_of(w_state(n, np.concatenate(([0.0], np.mod(reduced, 2 * math.pi)))))
+            [value] = value_of(np.concatenate(([0.0], np.mod(reduced, 2 * math.pi)))[None])
+            return -value
 
         rng = np.random.default_rng(n)
         outcomes = {self.compare(negative, x0, maxfev)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -11,8 +12,8 @@ from qshock.observables import (ReceiverNotCoupledWarning,
                                 binary_entropy, channel_capacity,
                                 channel_point, energy_density,
                                 excitation_probability)
-from qshock.scenario import (Detector, EmitterState, Scenario, classical_mixture,
-                             load_scenario, w_state)
+from qshock.scenario import (Detector, EmitterState, Scenario, ValidationError,
+                             classical_mixture, load_scenario, w_state)
 
 from conftest import blahut_arimoto_capacity, three_emitter_config
 
@@ -278,6 +279,20 @@ class TestEnergyDensity:
         scn = load_scenario(three_emitter_config())
         # before anyone fires
         assert energy_density(scn, (5.0, 1.0, 0.0), 0.5) == 0.0
+
+    @pytest.mark.parametrize("lam, x, t", [
+        (1e200, (5.0, 7.0, 0.0), 8.0),   # 4 lambda^2 overflows
+        (1e150, (5.0, 0.0, 0.0), 1.5),   # finite weights, T00 overflows at the ball's centre
+    ])
+    def test_overflow_names_the_emitter_lambda(self, lam, x, t):
+        scn = load_scenario(three_emitter_config())
+        emitters = list(scn.emitters)
+        emitters[0] = replace(emitters[0], coupling_strength=lam)
+        scn = Scenario(emitters, scn.receiver, scn.emitter_state, scn.evaluation_time)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=r"^emitters\[0\]\.lambda: "):
+                energy_density(scn, x, t)
 
     def test_point_arrays_with_mixed_radii(self):
         # (..., 3) points give an array of shape (...); radii differ per emitter
