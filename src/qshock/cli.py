@@ -201,6 +201,9 @@ def _cmd_diff(args) -> int:
 
 def _cmd_sweep(args) -> int:
     t0 = time.perf_counter()
+    for flag, value in (("--lambda-min", args.lambda_min), ("--lambda-max", args.lambda_max)):
+        if not math.isfinite(value):
+            raise ValidationError(flag, f"must be finite, got {value!r}")
     scenario = load_scenario_file(args.config)
     lams = np.linspace(args.lambda_min, args.lambda_max, args.samples)
     curve = coupling_sweep(scenario, lams)

@@ -38,8 +38,17 @@ Every quadrature runs at one fixed setting.  KernelSet(radius), the one
 entry point, integrates arrays of arguments as one batch, with the
 operations, in the order, of each argument alone: every value is a pure
 function of its own arguments, bit for bit, whatever was evaluated
-before or with it.  scipy.special (exp1) is imported inside _tail_sum,
-so the closed forms and the import of this module do not load scipy.
+before or with it.  What arguments share is formed once: per panel rule,
+its nodes and weights and the ball factors (k S_a S_b per distinct radius
+R_b; k S^2, k^2 S); per rule and distinct dt, sin(k dt) or cos(k dt), when
+the rule has at least as many arguments as the batch has distinct dt and
+the table fits a block; per argument, sinc(kd) or sinc'(kr) and the
+products, in the order one argument alone takes them.  A tail block
+evaluates E1 once per distinct |frequency|, conjugated for negative ones.
+A head rule of more than _MAX_NODES nodes is refused before it is built
+or a radius power is taken.  scipy.special (exp1) is imported inside
+_tail_sum, so the closed forms and the import of this module do not load
+scipy.
 """
 
 from __future__ import annotations
@@ -83,6 +92,9 @@ _MAX_DOUBLINGS = 12
 # and (arguments x terms) arrays hold at most this many elements, which
 # bounds the working memory of a large batch.
 _BLOCK = 1 << 14
+# A head rule of more nodes than this is refused: twice the 516096 of the twelfth
+# rule of a head made never to converge (converging heads use at most 1440).
+_MAX_NODES = 1 << 20
 # 12-point Gauss-Legendre rule on [-1, 1], applied on every head panel
 _GL_NODES, _GL_WEIGHTS = leggauss(12)
 
@@ -132,7 +144,13 @@ def _ball_g(u: np.ndarray) -> np.ndarray:
 
 
 def _sinc(u: np.ndarray) -> np.ndarray:
-    return np.sinc(np.asarray(u, dtype=float) / math.pi)
+    """sin(u)/u, in place on the fresh float array u, with np.sinc(u/pi)'s bits and zero guard."""
+    u /= math.pi
+    u *= math.pi
+    u[u == 0.0] = np.finfo(float).eps
+    out = np.sin(u)
+    out /= u
+    return out
 
 
 def _dsinc(u: np.ndarray) -> np.ndarray:
@@ -180,8 +198,9 @@ def _pow(x: np.ndarray, n: int) -> np.ndarray:
     return np.array([v ** n for v in x.tolist()])
 
 
+@functools.cache
 def _expansion(kinds: str) -> tuple[np.ndarray, np.ndarray]:
-    """Sign table (terms, factors) and exact factor of each term of a trig product.
+    """Read-only sign table (terms, factors) and exact factor of each term of a trig product.
 
     Each factor ("s" sin, "c" cos) splits every term into its f + a and
     f - a branch, in that order, times 1/2 (cos) or +-1/(2i) (sin).
@@ -191,7 +210,9 @@ def _expansion(kinds: str) -> tuple[np.ndarray, np.ndarray]:
         units = [u for c in units
                  for u in ((c / 2.0, c / 2.0) if kind == "c" else (c / 2.0j, -c / 2.0j))]
     signs = np.array(list(itertools.product((1.0, -1.0), repeat=len(kinds))))
-    return signs, np.array(units)
+    units = np.array(units)
+    signs.flags.writeable = units.flags.writeable = False
+    return signs, units
 
 
 def _round12(f: np.ndarray) -> np.ndarray:
@@ -215,7 +236,10 @@ def _tail_T(a: np.ndarray, cut: float, powers, exp1) -> dict:
     """
     zero = np.abs(a) * cut < 1e-14
     a = np.where(zero, 1.0, a)
-    terms = [None, exp1(-1j * (a * cut))]
+    # E1 once per distinct |a|: E1(conj z) = conj E1(z) bit for bit gives a < 0
+    size, at_size = np.unique(np.abs(a), return_inverse=True)
+    e1 = exp1(-1j * (size * cut))[at_size]
+    terms = [None, np.where(a < 0, e1.conj(), e1)]
     phase = np.exp(1j * (a * cut))  # the same factor at every step
     for mm in range(2, max(powers) + 1):
         terms.append(phase / ((mm - 1) * cut ** (mm - 1)) + 1j * a * terms[-1] / (mm - 1))
@@ -290,23 +314,30 @@ def _panel_rule(cut: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _head_quad(head, cut: float, band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _head_quad(head, cut: float, freqs) -> tuple[np.ndarray, np.ndarray]:
     """Panel-doubled composite Gauss-Legendre on [0, cut] per argument; (value, error).
 
-    head(k, rows) is the integrand of the arguments `rows` at nodes k, shape
-    (rows, nodes).  Arguments with the same panel count share each rule; each
-    row is reduced by its own dot product, and doubles until it converges.
+    head(k, rows) forms what the arguments `rows` share at a rule's nodes k
+    and returns the integrand of any `sub` of them, shape (sub, nodes).
+    Arguments with the same panel count share each rule; each row is reduced
+    by its own dot product, and doubles until it converges.  A rule of more
+    than _MAX_NODES nodes raises QuadratureError before it is built.
     """
-    panels = np.maximum(4, np.ceil(cut * (band + 1.0) / 3.0)).astype(int)
-    value, error, cur = np.empty(band.shape), np.empty(band.shape), np.empty(band.shape)
-    pending, prev, err = np.arange(band.size), None, np.full(band.shape, math.inf)
+    with np.errstate(over="ignore"):  # an infinite count fails the bound below
+        panels = np.maximum(4.0, np.ceil(cut * (sum(freqs) + 1.0) / 3.0))
+    value, error, cur = np.empty(panels.shape), np.empty(panels.shape), np.empty(panels.shape)
+    pending, prev, err = np.arange(panels.size), None, np.full(panels.shape, math.inf)
     for _ in range(_MAX_DOUBLINGS):
-        for count in np.unique(panels[pending]).tolist():
+        need = panels[pending].max(initial=0.0) * _GL_NODES.size
+        if not need <= _MAX_NODES:
+            raise QuadratureError(f"head quadrature needs {need:.3g} nodes, above the bound "
+                                  f"of {_MAX_NODES}", float(err.max()), _REL_TOL)
+        for count in sorted(set(panels[pending].astype(int).tolist())):
             rows = pending[panels[pending] == count]
             nodes, weights = _panel_rule(cut, count)
-            step = max(1, _BLOCK // nodes.size)
+            at, step = head(nodes, rows), max(1, _BLOCK // nodes.size)
             cur[rows] = [row @ weights for i in range(0, rows.size, step)
-                         for row in head(nodes, rows[i:i + step])]
+                         for row in at(rows[i:i + step])]
         if prev is not None:
             err = np.abs(cur[pending] - prev)
             done = err <= _REL_TOL * np.maximum(np.abs(cur[pending]), 1.0) + _ABS_FLOOR
@@ -320,51 +351,65 @@ def _head_quad(head, cut: float, band: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 # ----------------------------------------------------------------------
-# integrands over 1-D arrays of arguments: head, tail frequencies, pieces
+# integrands over 1-D arrays of arguments: head, tail frequencies, pieces;
+# radius powers wait for head and pieces(), after the rule-size check
 # ----------------------------------------------------------------------
 
 def _variance_parts(radius: float):
-    r3, one = radius**3, np.ones(1)
+    one = np.ones(1)
 
     def head(k, rows):
-        return np.tile(k * (_FOUR_PI * r3 * _ball_g(k * radius)) ** 2, (rows.size, 1))
+        values = k * (_FOUR_PI * radius**3 * _ball_g(k * radius)) ** 2
+        return lambda sub: values[None].repeat(sub.size, axis=0)
 
-    pieces = [(16 * math.pi**2 * one, "ss", 5), (-32 * math.pi**2 * radius * one, "sc", 4),
-              (16 * math.pi**2 * radius**2 * one, "cc", 3)]
-    return head, (radius * one, radius * one), pieces
+    return head, (radius * one, radius * one), lambda: [
+        (16 * math.pi**2 * one, "ss", 5), (-32 * math.pi**2 * radius * one, "sc", 4),
+        (16 * math.pi**2 * radius**2 * one, "cc", 3)]
+
+
+def _of_distinct(trig, k, rows, distinct, at):
+    """sub -> trig(k x) of the arguments sub of rows, x = distinct[at[sub]]: one node
+    row per distinct x if they are no more than the rows and fit a block, else per row."""
+    if distinct.size <= min(rows.size, _BLOCK // k.size):
+        table = trig(k * distinct[:, None])
+        return lambda sub: table[at[sub]]
+    return lambda sub: trig(k * distinct[at[sub], None])
 
 
 def _commutator_parts(d, dt, ra: float, rb):
     """k S_a S_b sinc(kd) sin(k dt), dt > 0; per-argument radii rb for mixed detectors."""
-    pa, pb = _FOUR_PI * ra**3, _FOUR_PI * _pow(rb, 3)
-    radii, which = np.unique(rb, return_inverse=True)  # one S_b per distinct radius
+    radii, at_radius = np.unique(rb, return_inverse=True)
+    times = np.unique(dt, return_inverse=True)
 
     def head(k, rows):
-        k = k[None, :]
-        return (k * pa * _ball_g(k * ra) * pb[rows, None]
-                * _ball_g(k * radii[:, None])[which.reshape(-1)[rows]]
-                * _sinc(k * d[rows, None]) * np.sin(k * dt[rows, None]))
+        # k S_a S_b per distinct radius, times sinc(kd), times sin(k dt)
+        pair = (k * (_FOUR_PI * ra**3) * _ball_g(k * ra)
+                * (_FOUR_PI * _pow(radii, 3))[:, None] * _ball_g(k * radii[:, None]))
+        sines = _of_distinct(np.sin, k, rows, *times)
+        return lambda sub: _sinc(k * d[sub, None]) * pair[at_radius[sub]] * sines(sub)
 
-    c0 = 16 * math.pi**2 / d
-    pieces = [(c0, "ssss", 6), (-c0 * rb, "scss", 5), (-c0 * ra, "csss", 5),
-              (c0 * ra * rb, "ccss", 4)]
+    def pieces():
+        c0 = 16 * math.pi**2 / d
+        return [(c0, "ssss", 6), (-c0 * rb, "scss", 5), (-c0 * ra, "csss", 5),
+                (c0 * ra * rb, "ccss", 4)]
     return head, (np.full(d.shape, ra), rb, d, dt), pieces
 
 
 def _radiation_parts(r, dt, radius: float, radial: bool):
     """k^2 S sinc(kr) cos(k dt) (time) or k^2 S sinc'(kr) sin(k dt) (radial), dt > 0."""
-    r3 = radius**3
     of_r, of_dt = (_dsinc, np.sin) if radial else (_sinc, np.cos)
+    times = np.unique(dt, return_inverse=True)
 
     def head(k, rows):
-        k = k[None, :]
-        return (k * k * _FOUR_PI * r3 * _ball_g(k * radius) * of_r(k * r[rows, None])
-                * of_dt(k * dt[rows, None]))
+        ball = k * k * _FOUR_PI * radius**3 * _ball_g(k * radius)
+        trig = _of_distinct(of_dt, k, rows, *times)
+        return lambda sub: of_r(k * r[sub, None]) * ball * trig(sub)
 
-    r2 = _pow(r, 2)
-    pieces = ([(_FOUR_PI / r, "scs", 2), (-_FOUR_PI / r2, "sss", 3),
-               (-_FOUR_PI * radius / r, "ccs", 1), (_FOUR_PI * radius / r2, "css", 2)]
-              if radial else [(_FOUR_PI / r, "ssc", 2), (-_FOUR_PI * radius / r, "csc", 1)])
+    def pieces():
+        r2 = _pow(r, 2)
+        return ([(_FOUR_PI / r, "scs", 2), (-_FOUR_PI / r2, "sss", 3),
+                 (-_FOUR_PI * radius / r, "ccs", 1), (_FOUR_PI * radius / r2, "css", 2)]
+                if radial else [(_FOUR_PI / r, "ssc", 2), (-_FOUR_PI * radius / r, "csc", 1)])
     return head, (np.full(r.shape, radius), r, dt), pieces
 
 
@@ -403,8 +448,8 @@ class KernelSet:
         """
         head_f, freqs, pieces = parts
         cut = max(6.0, 3.0 / self.radius)
-        head, head_err = _head_quad(head_f, cut, sum(freqs))
-        step = max(1, _BLOCK >> (len(freqs) + 3))
+        head, head_err = _head_quad(head_f, cut, freqs)
+        pieces, step = pieces(), max(1, _BLOCK >> (len(freqs) + 3))
         tail, tail_err = (np.concatenate(column) for column in zip(*(
             _tail_sum([a[i:i + step] for a in freqs],
                       [(c[i:i + step], kinds, p) for c, kinds, p in pieces], cut)

@@ -277,8 +277,12 @@ def one_argument_diverges(monkeypatch):
         head, *rest = original(*args)
 
         def diverging(k, rows):
-            values = head(k, rows)
-            values[rows == 0] += k.size
+            at = head(k, rows)
+
+            def values(sub):
+                out = at(sub)
+                out[sub == 0] += k.size
+                return out
             return values
 
         return (diverging, *rest)

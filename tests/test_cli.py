@@ -21,6 +21,17 @@ ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "scenarios"
 
 
+def assert_node_bound_failure(argv, capsys):
+    """argv exits 2 with one stderr line, the head rule's node bound, and no warning."""
+    with warnings.catch_warnings(record=True) as escaped:
+        warnings.simplefilter("always")
+        assert main(argv) == EXIT_NUMERICAL
+    assert escaped == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure: head quadrature needs ")
+    assert "nodes, above the bound of 1048576" in err[0]
+
+
 @pytest.fixture()
 def config_file(tmp_path):
     path = tmp_path / "scn.cfg"
@@ -189,6 +200,18 @@ class TestMapsAndDiff:
         assert "numerical failure: head quadrature did not converge" in (
             capsys.readouterr().err)
 
+    @pytest.mark.parametrize("radius", [1e-5, 1e-200, 1e110])
+    def test_extreme_receiver_radius_exits_two(self, tmp_path, capsys, radius):
+        # the head rule would need millions of nodes per argument, or more than a
+        # float can count, or a radius power that overflows: refused before any
+        cfg = json.loads((SCENARIOS / "fig2b.cfg").read_text())
+        cfg["receiver"]["radius"] = radius
+        path, out = tmp_path / "extreme.cfg", tmp_path / "m.csv"
+        path.write_text(json.dumps(cfg))
+        assert_node_bound_failure(["capacity-map", "--config", str(path), "--out", str(out),
+                                   "--resolution", "4"], capsys)
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", ["", "\n  \n"])
     def test_diff_of_empty_csv_fails(self, tmp_path, capsys, text):
         empty = tmp_path / "empty.csv"
@@ -301,6 +324,19 @@ class TestSweepAndOptimize:
             "(4 lambda_i lambda_l or T00 is not finite)"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [("--lambda-max", "inf"), ("--lambda-min", "nan"),
+                                             ("--lambda-min", "-inf")])
+    def test_lambda_range_must_be_finite(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "sweep.csv"
+        with warnings.catch_warnings(record=True) as escaped:
+            warnings.simplefilter("always")
+            code = main(["sweep", "--config", str(SCENARIOS / "fig3.cfg"), "--out", str(out),
+                         f"{flag}={value}", "--samples", "5"])
+        assert code == EXIT_VALIDATION and escaped == []
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {flag}: must be finite, got {float(value)!r}"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("budget", ["0", "-5"])
     def test_budget_below_one_exits_one(self, tmp_path, capsys, budget):
         out = tmp_path / "trace.csv"
@@ -323,6 +359,14 @@ class TestSweepAndOptimize:
 
 
 class TestKernelsDump:
+    @pytest.mark.parametrize("kind", ["commutator", "radiation-time", "radiation-radial",
+                                      "variance"])
+    def test_extreme_radius_exits_two(self, tmp_path, capsys, kind):
+        out = tmp_path / "profile.csv"
+        assert_node_bound_failure(["kernels", "--kind", kind, "--radius", "1e300",
+                                   "--r", "0.5,3,4", "--dt", "1", "--out", str(out)], capsys)
+        assert not out.exists()
+
     def test_radiation_profile(self, tmp_path):
         out = tmp_path / "profile.csv"
         code = main(["kernels", "--kind", "radiation-time", "--r", "4,6,9",

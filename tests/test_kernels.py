@@ -318,6 +318,11 @@ class TestKernelSet:
     @example(args=[(3.0, 0.0, 0.5, "equal"), (3.0, 0.0, 0.5, "outer"),
                    (3.0, 0.0, 0.25, "inner"), (1e-9, -0.7, 1.1, None),
                    (0.0, 0.0, 0.5, None), (4.0, -5.0, 0.5, None)])
+    # one panel rule of four arguments over every distinct |dt|, so they share
+    # one sin(k dt) row per dt; d - dt = +-0.5 and d + dt = 5.5 recur across
+    # arguments; mixed radii at the same (d, dt) take rules of one argument
+    @example(args=[(3.0, 2.5, 0.5, None), (2.5, 3.0, 0.5, None), (3.0, -2.5, 0.5, None),
+                   (2.0, 3.5, 0.5, None), (4.0, 2.5, 0.25, None), (4.0, 2.5, 1.1, None)])
     def test_array_call_equals_elementwise_calls(self, args):
         # d == dt and |d - dt| == R_a + R_b (up to the rounding of d +- S) on
         # request; the batch's values and errors are the scalar calls' bits
@@ -344,6 +349,45 @@ class TestKernelSet:
             for idx in np.ndindex(r.shape):
                 single = kernel(float(r[idx]), float(dt[idx[1]]))
                 assert (batch.value[idx], batch.error[idx]) == (single.value, single.error)
+            empty = kernel(np.zeros((0, 2)), dt)  # no argument, no rule
+            assert empty.value.shape == empty.error.shape == (0, 2)
+
+    @given(args=st.lists(st.tuples(st.one_of(st.floats(0.0, 12.0), st.floats(0.0, 2e-6)),
+                                   st.floats(0.01, 12.0)), min_size=1, max_size=8),
+           radius=st.sampled_from([0.25, 0.5, 1.1]))
+    @hsettings(max_examples=30, deadline=None)
+    # one rule of three arguments over every distinct dt, so they share one
+    # trig(k dt) row per dt, and r - dt = +-0.3 recurs; (0.05, 5.0) and
+    # (4.8, 5.0) take rules of their own
+    @example(args=[(5.3, 5.0), (5.0, 5.3), (5.5, 4.8), (0.05, 5.0), (4.8, 5.0)], radius=0.5)
+    def test_radiation_array_call_equals_elementwise_calls(self, args, radius):
+        ks = KernelSet(radius)
+        r, dt = (np.array(col) for col in zip(*args))
+        for kernel in (ks.radiation_time_value, ks.radiation_radial_value):
+            batch, single = kernel(r, dt), [kernel(*row) for row in args]
+            assert batch.value.tolist() == [kv.value for kv in single]
+            assert batch.error.tolist() == [kv.error for kv in single]
+
+    def test_exp1_of_conjugate_is_conjugate_bit_for_bit(self):
+        # the Fourier tails evaluate E1(-i a K) once per distinct |a| and take
+        # a < 0 as the conjugate, which holds bit for bit in scipy's exp1
+        from scipy.special import exp1
+        a = np.concatenate([np.geomspace(1e-14, 1e3, 400), np.linspace(0.01, 40.0, 2000)])
+        for cut in (6.0, 10.0, 30.0, 7.3):
+            z = -1j * (a * cut)
+            assert (-1j * (-a * cut)).view(np.uint64).tolist() == \
+                np.conj(z).view(np.uint64).tolist()
+            assert exp1(np.conj(z)).view(np.uint64).tolist() == \
+                np.conj(exp1(z)).view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("radius", [1e-5, 1e-200, 1e110, 1e300])
+    def test_rule_above_the_node_bound_is_refused(self, radius):
+        # refused before a rule is built or a radius power taken (which overflows)
+        ks = KernelSet(radius)
+        for call in (lambda: ks.commutator(3.0, 2.9), ks.vacuum_variance,
+                     lambda: ks.radiation_time(3.0, 2.9), lambda: ks.radiation_radial(3.0, 2.9)):
+            with pytest.raises(QuadratureError, match=r"nodes, above the bound of 1048576"):
+                call()
 
     def test_one_non_converging_argument_fails_the_batch(self, one_argument_diverges):
         with pytest.raises(QuadratureError, match="did not converge") as failure:
