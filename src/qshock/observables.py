@@ -36,10 +36,10 @@ the geometry once and returns the algebra as a function of the emitter
 state: _receiver_channel forms C1, q, the angles g and p for any batch
 of receivers and couplings, _energy_at forms T00 at any array of points.
 Every entry point here and in the mapper calls one of them.
-_receiver_kernels integrates nu once and the distinct commutator
-arguments of all its receivers as one batch.  nu and Delta come from the
-kernel quadrature, the radiation kernels from their closed form
-(docs/derivations.md).
+_receiver_kernels integrates nu once, first, and then the distinct
+commutator arguments of all its receivers as one batch.  nu and Delta
+come from the kernel quadrature, the radiation kernels from their closed
+form (docs/derivations.md).
 
 A receiver that no emitter is in causal contact with (time-ordered and
 inside the commutator's support, kernels._in_causal_contact) gets every
@@ -134,11 +134,12 @@ def _receiver_kernels(scenario: Scenario, positions=None):
     contact = _in_causal_contact(ds, dts, rec.smearing_radius, radii)
     rows, cols = np.nonzero(contact.any(axis=-1)[:, None] & (dts > 0.0))
     ks, deltas = KernelSet(rec.smearing_radius), np.zeros(ds.shape)
+    nu = ks.vacuum_variance()  # first: a radius its rule refuses fails before any Delta
     if rows.size:
         args = np.column_stack((ds[rows, cols], dts[cols], radii[cols]))
         distinct, inverse = np.unique(args, axis=0, return_inverse=True)
         deltas[rows, cols] = ks.commutator(*distinct.T)[inverse.reshape(-1)]
-    return ks.vacuum_variance(), deltas, contact
+    return nu, deltas, contact
 
 
 def _outside_package() -> int:

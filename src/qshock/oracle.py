@@ -18,12 +18,17 @@ in complete isolation from kernel accuracy, which the tests check
 against the kernels' closed forms.  The oracle never integrates.
 
 The evolution is factorised; no operator of the full Hilbert dimension
-is built.  The state is an array with one axis per qubit and per mode.
+is built.  The state is a stack: one leading axis over the components of
+the emitter state (one for a pure state, one per term of a mixture),
+then one axis per qubit and per mode.
 mu^2 = 1 gives exp(-i lam mu (x) Phi) = P+ (x) e^{-i lam Phi}
 + P- (x) e^{+i lam Phi} with P+- = (1 +- mu)/2, and the per-mode terms of
 Phi = sum_j (beta_j a_j^+ + conj(beta_j) a_j) act on different axes, so
 they commute exactly even after truncation and e^{-i lam Phi} is one
 cutoff x cutoff exponential per mode (docs/derivations.md section 9).
+Each detector's exponentials are formed once per call and applied to the
+whole stack, as one matmul per axis; the observables are read off the
+stack, each component with its weight.
 The split uses only mu^2 = 1 and the mode structure, never the kernels
 or the reduction to the signal angles g_i.
 
@@ -111,37 +116,33 @@ class ModeSet:
         return self.cutoff ** self.n_modes
 
 
+def _plane_waves(modes: ModeSet, position, time: float):
+    """|k| (M,), momenta (M, 3) and sqrt(w) e^{i(|k|t - k.x)} / sqrt(16 pi^3 |k|) (M,)."""
+    kvecs = np.array(modes.momenta)
+    k = np.linalg.norm(kvecs, axis=1)
+    phase = np.exp(1j * (k * time - kvecs @ np.asarray(position, dtype=float)))
+    return k, kvecs, np.sqrt(modes.weights) * phase / (_SQRT_16PI3 * np.sqrt(k))
+
+
 def mode_amplitudes(modes: ModeSet, position, time: float, radius: float) -> np.ndarray:
     """Per-mode coupling amplitudes sqrt(w) S(|k|) e^{i(|k|t - k.x)} / sqrt(16 pi^3 |k|).
 
     Uses the same ball form factor as the continuum pipeline, so a
     pipeline/oracle disagreement can only come from the operator algebra.
     """
-    pos = np.asarray(position, dtype=float)
-    out = np.empty(modes.n_modes, dtype=complex)
-    for j, (kvec, w) in enumerate(zip(modes.momenta, modes.weights)):
-        kv = np.asarray(kvec)
-        k = float(np.linalg.norm(kv))
-        out[j] = (math.sqrt(w) * sphere_form_factor(k, radius)
-                  * np.exp(1j * (k * time - kv @ pos)) / (_SQRT_16PI3 * math.sqrt(k)))
-    return out
+    k, _, waves = _plane_waves(modes, position, time)
+    return sphere_form_factor(k, radius) * waves
 
 
 def derivative_amplitudes(modes: ModeSet, position, time: float, j: int) -> np.ndarray:
     """Point-observation amplitudes of the field derivative d_j phi."""
-    pos = np.asarray(position, dtype=float)
-    out = np.empty(modes.n_modes, dtype=complex)
-    for m, (kvec, w) in enumerate(zip(modes.momenta, modes.weights)):
-        kv = np.asarray(kvec)
-        k = float(np.linalg.norm(kv))
-        phase = np.exp(1j * (k * time - kv @ pos)) / (_SQRT_16PI3 * math.sqrt(k))
-        factor = 1j * k if j == 0 else -1j * kv[j - 1]
-        out[m] = math.sqrt(w) * factor * phase
-    return out
+    k, kvecs, waves = _plane_waves(modes, position, time)
+    return (1j * k if j == 0 else -1j * kvecs[:, j - 1]) * waves
 
 
 # ----------------------------------------------------------------------
-# factorised evolution on a (2,)*n_qubits + (cutoff,)*n_modes state array
+# factorised evolution on a (components,) + (2,)*n_qubits + (cutoff,)*n_modes
+# state stack
 # ----------------------------------------------------------------------
 
 def expm(a: np.ndarray) -> np.ndarray:
@@ -167,20 +168,30 @@ def _annihilator(cutoff: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, cutoff, dtype=float)), 1)
 
 
-def _mode_generator(amplitude: complex, a: np.ndarray) -> np.ndarray:
-    """amplitude a^+ + conj(amplitude) a on one mode, cutoff x cutoff."""
-    return amplitude * a.conj().T + np.conj(amplitude) * a
+def _mode_generators(amplitudes: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """amplitude a^+ + conj(amplitude) a per mode, (M, cutoff, cutoff)."""
+    b = amplitudes[:, None, None]
+    return b * a.T + np.conj(b) * a
 
 
 def _apply(op: np.ndarray, psi: np.ndarray, axis: int) -> np.ndarray:
     """op acting on the single tensor factor `axis` of the state array."""
-    return np.moveaxis(np.tensordot(op, psi, axes=(1, axis)), 0, axis)
+    shape = psi.shape
+    block = psi.reshape(math.prod(shape[:axis]), shape[axis], -1)
+    return np.matmul(op, block).reshape(shape)
 
 
-def _vacuum_state(register: np.ndarray, n_qubits: int, modes: ModeSet) -> np.ndarray:
-    """Qubit register (x) mode vacuum, one array axis per qubit and mode."""
-    psi = np.zeros((2,) * n_qubits + (modes.cutoff,) * modes.n_modes, dtype=complex)
-    psi[(Ellipsis,) + (0,) * modes.n_modes] = register.reshape((2,) * n_qubits)
+def _norms2(psi: np.ndarray) -> np.ndarray:
+    """Squared norm of each component of a stack, (components,)."""
+    flat = psi.reshape(len(psi), -1)
+    return np.einsum("ci,ci->c", flat.conj(), flat).real
+
+
+def _vacuum_state(registers: np.ndarray, n_qubits: int, modes: ModeSet) -> np.ndarray:
+    """Registers (x) mode vacuum: axes (components,) + one per qubit and mode."""
+    psi = np.zeros((len(registers),) + (2,) * n_qubits + (modes.cutoff,) * modes.n_modes,
+                   dtype=complex)
+    psi[(Ellipsis,) + (0,) * modes.n_modes] = registers.reshape((-1,) + (2,) * n_qubits)
     return psi
 
 
@@ -190,7 +201,8 @@ def _evolve(detectors, qubit_indices, n_qubits, modes: ModeSet,
 
     Each unitary is P+ (x) prod_j e^{-i lam Phi_j} + P- (x) prod_j
     e^{+i lam Phi_j}: two 2 x 2 projectors on the detector's qubit axis and
-    one cutoff x cutoff exponential per mode axis (module docstring).
+    one cutoff x cutoff exponential per mode axis (module docstring),
+    formed once and applied to every component of the stack psi.
     """
     a = _annihilator(modes.cutoff)
     eye = np.eye(2)
@@ -199,19 +211,18 @@ def _evolve(detectors, qubit_indices, n_qubits, modes: ModeSet,
         det = detectors[i]
         betas = mode_amplitudes(modes, det.position, det.coupling_time,
                                 det.smearing_radius)
-        kicks = [expm(-1j * det.coupling_strength * _mode_generator(b, a))
-                 for b in betas]
+        kicks = [expm(-1j * det.coupling_strength * g) for g in _mode_generators(betas, a)]
         phase = np.exp(1j * det.gap * det.coupling_time)
         mu = np.array([[0.0, np.conj(phase)], [phase, 0.0]])  # basis (g, e)
-        plus = _apply(0.5 * (eye + mu), psi, qubit_indices[i])
-        minus = _apply(0.5 * (eye - mu), psi, qubit_indices[i])
-        for m, u in enumerate(kicks):
-            plus = _apply(u, plus, n_qubits + m)
-            minus = _apply(u.conj().T, minus, n_qubits + m)
+        plus = _apply(0.5 * (eye + mu), psi, 1 + qubit_indices[i])
+        minus = _apply(0.5 * (eye - mu), psi, 1 + qubit_indices[i])
+        for m, u in enumerate(kicks, start=1 + n_qubits):
+            plus = _apply(u, plus, m)
+            minus = _apply(u.conj().T, minus, m)
         psi = plus + minus
-        norm = np.linalg.norm(psi)
-        if abs(norm - 1.0) > 1e-10:
-            raise FloatingPointError(f"evolution lost unitarity: |psi| = {norm!r}")
+        norms = np.sqrt(_norms2(psi))
+        if np.any(np.abs(norms - 1.0) > 1e-10):
+            raise FloatingPointError(f"evolution lost unitarity: |psi| = {norms!r}")
     return psi
 
 
@@ -228,50 +239,38 @@ def exact_probability(modes: ModeSet, scenario: Scenario, couple: bool) -> float
     n = scenario.n_emitters if couple else 0
     n_qubits = n + 1
     _check_budget(n_qubits, modes)
-    detectors: list[Detector] = []
-    qubit_indices: list[int] = []
-    if couple:
-        for i, e in enumerate(scenario.emitters):
-            if e.coupling_time <= scenario.evaluation_time:
-                detectors.append(e)
-                qubit_indices.append(i)
-    detectors.append(rec)
-    qubit_indices.append(n)  # receiver is the last qubit
+    fired = [i for i, e in enumerate(scenario.emitters)
+             if couple and e.coupling_time <= scenario.evaluation_time]
+    detectors = [scenario.emitters[i] for i in fired] + [rec]
+    qubit_indices = fired + [n]  # receiver is the last qubit
     ground = np.array([1.0, 0.0], dtype=complex)
     if couple:
-        initial = [(w, np.kron(vec, ground)) for w, vec in scenario.emitter_state.vectors()]
+        weights, registers = zip(*((w, np.kron(vec, ground))
+                                   for w, vec in scenario.emitter_state.vectors()))
     else:
-        initial = [(1.0, ground)]
-    prob = 0.0
-    for w, register in initial:
-        fin = _evolve(detectors, qubit_indices, n_qubits, modes,
-                      _vacuum_state(register, n_qubits, modes))
-        excited = fin[(slice(None),) * n + (1,)]  # receiver projector |e><e|
-        prob += w * float(np.real(np.vdot(excited, excited)))
-    return prob
+        weights, registers = (1.0,), (ground,)
+    fin = _evolve(detectors, qubit_indices, n_qubits, modes,
+                  _vacuum_state(np.array(registers), n_qubits, modes))
+    excited = fin[(slice(None),) * (1 + n) + (1,)]  # receiver projector |e><e|
+    return float(np.dot(weights, _norms2(excited)))
 
 
 def exact_energy(modes: ModeSet, scenario: Scenario, x, t: float) -> float:
     """Normal-ordered discrete energy density at (x, t) from exact evolution."""
     n = scenario.n_emitters
     _check_budget(n, modes)
-    detectors, qubit_indices = [], []
-    for i, e in enumerate(scenario.emitters):
-        if e.coupling_time <= t and e.coupling_strength != 0.0:
-            detectors.append(e)
-            qubit_indices.append(i)
+    fired = [i for i, e in enumerate(scenario.emitters)
+             if e.coupling_time <= t and e.coupling_strength != 0.0]
     a = _annihilator(modes.cutoff)
+    weights, vectors = zip(*scenario.emitter_state.vectors())
+    fin = _evolve([scenario.emitters[i] for i in fired], fired, n, modes,
+                  _vacuum_state(np.array(vectors), n, modes))
     total = 0.0
-    evolved = [(w, _evolve(detectors, qubit_indices, n, modes,
-                           _vacuum_state(vec, n, modes)))
-               for w, vec in scenario.emitter_state.vectors()]
     for j in range(4):
         deltas = derivative_amplitudes(modes, x, t, j)
-        derivs = [_mode_generator(d, a) for d in deltas]
-        vacuum_piece = float(np.sum(np.abs(deltas) ** 2))
-        for w, fin in evolved:
-            dfin = sum(_apply(op, fin, n + m) for m, op in enumerate(derivs))
-            total += w * (float(np.real(np.vdot(dfin, dfin))) - vacuum_piece)
+        dfin = sum(_apply(op, fin, m)
+                   for m, op in enumerate(_mode_generators(deltas, a), start=1 + n))
+        total += float(np.dot(weights, _norms2(dfin) - np.sum(np.abs(deltas) ** 2)))
     return total
 
 

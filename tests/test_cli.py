@@ -11,6 +11,7 @@ import pytest
 from qshock import cli, oracle
 from qshock.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION,
                         build_parser, main)
+from qshock.kernels import KernelSet
 from qshock.mapper import coupling_sweep, write_sweep_csv
 from qshock.observables import ReceiverNotCoupledWarning
 from qshock.scenario import Detector, Scenario, load_scenario_file, w_state
@@ -211,6 +212,26 @@ class TestMapsAndDiff:
         assert_node_bound_failure(["capacity-map", "--config", str(path), "--out", str(out),
                                    "--resolution", "4"], capsys)
         assert not out.exists()
+
+    def test_receiver_radius_refused_by_nu_runs_no_commutator(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # at radius 2e4 nu's rule alone exceeds the node bound; nu is integrated
+        # first, so the map fails before any commutator quadrature
+        calls = []
+        real = KernelSet.commutator
+
+        def spy(self, *args, **kwargs):
+            calls.append(args)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(KernelSet, "commutator", spy)
+        cfg = json.loads((SCENARIOS / "fig2b.cfg").read_text())
+        cfg["receiver"]["radius"] = 2e4
+        path, out = tmp_path / "wide.cfg", tmp_path / "m.csv"
+        path.write_text(json.dumps(cfg))
+        assert_node_bound_failure(["capacity-map", "--config", str(path), "--out", str(out),
+                                   "--resolution", "4"], capsys)
+        assert calls == [] and not out.exists()
 
     @pytest.mark.parametrize("text", ["", "\n  \n"])
     def test_diff_of_empty_csv_fails(self, tmp_path, capsys, text):

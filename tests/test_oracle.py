@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import dense_exact_energy, dense_exact_probability
 from qshock.oracle import (ModeSet, OracleBudgetError, _case_modes, _case_scenario,
@@ -199,6 +200,7 @@ class TestDenseAnchor:
     @pytest.mark.parametrize("n, kind, couple, n_modes, cutoff", [
         (2, "w", True, 3, 4),
         (2, "product", False, 2, 6),
+        (3, "classical", True, 2, 5),  # a coupled mixture: three stacked components
     ])
     def test_probability(self, n, kind, couple, n_modes, cutoff):
         modes, scn = _case_modes(n_modes, cutoff), _case_scenario(n, kind)
@@ -210,6 +212,90 @@ class TestDenseAnchor:
         point, t_obs = (0.8, -0.4, 0.3), 2.6
         assert exact_energy(modes, scn, point, t_obs) == pytest.approx(
             dense_exact_energy(modes, scn, point, t_obs), abs=1e-12)
+
+    def test_mixture_of_distinct_components(self):
+        # every component of a classical mixture gives the same p and T00 (its
+        # monopoles have zero mean), so only distinct components test the weights
+        w, product = (_case_scenario(2, kind).emitter_state.vectors() for kind in
+                      ("w", "product"))
+        state = EmitterState.mixture([(0.3, next(w)[1]), (0.7, next(product)[1])])
+        modes, scn = _case_modes(2, 6), replace(_case_scenario(2, "w"), emitter_state=state)
+        point, t_obs = (0.8, -0.4, 0.3), 2.6
+        assert exact_probability(modes, scn, True) == pytest.approx(
+            dense_exact_probability(modes, scn, True), abs=1e-12)
+        assert exact_energy(modes, scn, point, t_obs) == pytest.approx(
+            dense_exact_energy(modes, scn, point, t_obs), abs=1e-12)
+
+
+# generated scenarios: the receiver of the battery, emitters placed around it
+_AT, _TIME = np.array([0.7, 0.9, 0.2]), 3.0
+_EDGE = 2 * R  # R_i + R_B: the shell edges sit at d = dt +- _EDGE
+_STRONG = 3.0  # largest coupling drawn; fig2b's receiver has 2
+_directions = st.tuples(st.floats(-1.0, 1.0), st.floats(0.0, 2 * math.pi)).map(
+    lambda cp: np.array([math.sqrt(1 - cp[0] ** 2) * math.cos(cp[1]),
+                         math.sqrt(1 - cp[0] ** 2) * math.sin(cp[1]), cp[0]]))
+_couplings = st.floats(0.0, _STRONG)
+
+
+@st.composite
+def _emitters(draw):
+    """One emitter at d = 0, on a shell edge, at dt -> 0+ or anywhere."""
+    where = draw(st.sampled_from(["d=0", "outer edge", "inner edge", "dt->0+", "free"]))
+    if where == "dt->0+":
+        dt, d = draw(st.sampled_from([1e-12, 1e-9, 1e-6])), draw(st.floats(0.0, 4.0))
+    elif where == "free":
+        dt, d = draw(st.floats(-2.0, 2.9)), draw(st.floats(0.0, 4.0))
+    else:
+        dt = draw(st.floats(_EDGE if where == "inner edge" else 0.0, 2.9))
+        d = {"d=0": 0.0, "outer edge": dt + _EDGE, "inner edge": dt - _EDGE}[where]
+    return Detector(tuple(_AT + d * draw(_directions)), _TIME - dt, draw(_couplings), 2.0, R)
+
+
+def _random_vector(draw, n):
+    parts = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=2 ** (n + 1),
+                                   max_size=2 ** (n + 1))))
+    vec = parts[::2] + 1j * parts[1::2]
+    assume(np.linalg.norm(vec) > 0.1)
+    return vec / np.linalg.norm(vec)
+
+
+@st.composite
+def _scenarios(draw):
+    n = draw(st.integers(1, 3))
+    emitters = tuple(draw(_emitters()) for _ in range(n))
+    kind = draw(st.sampled_from(["w", "classical", "pure", "mixed"]))
+    if kind == "w":
+        state = w_state(n, draw(st.lists(st.floats(-math.pi, math.pi),
+                                         min_size=n, max_size=n)))
+    elif kind == "classical":
+        state = classical_mixture(n)
+    elif kind == "pure":
+        state = EmitterState.pure(_random_vector(draw, n))
+    else:
+        p = draw(st.floats(0.05, 0.95))
+        state = EmitterState.mixture([(p, _random_vector(draw, n)),
+                                      (1.0 - p, _random_vector(draw, n))])
+    receiver = Detector(tuple(_AT), _TIME, draw(_couplings), 2.0, R)
+    return Scenario(emitters, receiver, state, 5.0)
+
+
+def _converged(exact, modes, *args):
+    """exact at cutoff + 2, for draws whose truncation converged to 1e-7."""
+    fine = exact(modes.with_cutoff(modes.cutoff + 2), *args)
+    assume(abs(fine - exact(modes, *args)) <= 1e-7)
+    return fine
+
+
+@settings(max_examples=100, deadline=None)
+@given(_scenarios(), st.integers(1, 2), st.integers(4, 6),
+       st.tuples(*[st.floats(-1.0, 1.0)] * 3), st.floats(0.5, 5.0))
+def test_generated_scenarios_match_exact_evolution(scn, n_modes, cutoff, point, t):
+    modes = _case_modes(n_modes, cutoff)
+    for couple in (True, False):
+        exact = _converged(exact_probability, modes, scn, couple)
+        assert discrete_probability(modes, scn, couple) == pytest.approx(exact, abs=1e-6)
+    exact = _converged(exact_energy, modes, scn, point, t)
+    assert discrete_energy(modes, scn, point, t) == pytest.approx(exact, abs=1e-6)
 
 
 class TestFourEmitters:
