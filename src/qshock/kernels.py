@@ -486,7 +486,7 @@ class KernelSet:
             d_eff, dt_abs, rb = np.maximum(d[live], _R_FLOOR), np.abs(dt[live]), rb[live]
             base, err = self._evaluate(_commutator_parts(d_eff, dt_abs, self.radius, rb),
                                        -_INV_2PI2)
-            off = np.abs(d_eff - dt_abs) >= self.radius + rb
+            off = ~_in_causal_contact(d_eff, dt_abs, self.radius, rb)
             value[live] = np.where(dt[live] > 0, 1.0, -1.0) * base
             error[live] = np.where(off, np.maximum(err, np.abs(base)), err)
         return _kernel_value(shape, value, error)

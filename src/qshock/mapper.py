@@ -8,14 +8,17 @@ energy_density call per block of whole rows of at most _BLOCK_CELLS cells.
 Capacity maps, sweeps and phase searches share one path with the
 pointwise observables: observables._receiver_channel evaluates the
 kernels once for every receiver position (the grid's cells for a map,
-one position otherwise) and every coupling, and returns q and p as a
-function of the emitter state, all signalling receivers and couplings in
-one product_expectation batch, so every cell is a pure function of its
-own position.  _capacities runs channel_capacity on the signalling
-receivers.  A receiver that no emitter is in causal contact with
+one position otherwise), and the channel algebra observables._channel
+returns q and p as a function of the emitter state for every coupling,
+all signalling receivers and couplings in one product_expectation batch,
+so every cell is a pure function of its own position.  _capacities runs
+channel_capacity on the signalling receivers, for one emitter state or a
+stack of them.  A receiver that no emitter is in causal contact with
 (kernels._in_causal_contact) runs no quadrature and no algebra, and its
 capacity is exactly 0; the map's sidecar counts the others as
-cells_in_contact.  The energy objective of a phase search goes through
+cells_in_contact.  A receiver that has not coupled is a null channel
+(q = 0, no signalling receiver, no contact), so its outputs are zeros
+on the same path.  The energy objective of a phase search goes through
 observables._energy_at, the factory behind energy_density.
 
 CSV layout: first row is the x axis (blank corner cell), each following
@@ -48,7 +51,7 @@ import numpy as np
 from .observables import (ChannelPoint, channel_capacity, energy_density, _energy_at,
                           _receiver_channel)
 from .observables import excitation_probability  # noqa: F401 (perfbench/spans.py wraps it)
-from .scenario import Scenario, _check_norm, _w_amplitudes, scenario_fingerprint
+from .scenario import EmitterState, Scenario, _check_norm, _w_amplitudes, scenario_fingerprint
 from .scenario import w_state  # noqa: F401 (perfbench/spans.py wraps it)
 
 __all__ = [
@@ -172,12 +175,9 @@ def capacity_map(scenario: Scenario, window: Window = DEFAULT_WINDOW,
     t0 = time.perf_counter()
     xs, ys, cells = _grid(window, resolution)
     channel = _receiver_channel(scenario, cells.reshape(-1, 3))
-    values, in_contact, noise = np.zeros((ys.size, xs.size)), 0, 0.0
-    if channel is not None:
-        values = _capacities(channel, scenario.emitter_state).reshape(values.shape)
-        in_contact = int(channel.contact.any(axis=-1).sum())
-        noise = float(channel.q[0])
-    meta = {"noise_probability": noise, "cells_in_contact": in_contact,
+    values = _capacities(channel, scenario.emitter_state).reshape(ys.size, xs.size)
+    meta = {"noise_probability": float(channel.q[0]),
+            "cells_in_contact": int(channel.contact.any(axis=-1).sum()),
             "wall_time_s": time.perf_counter() - t0}
     return GridMap(xs, ys, values, "capacity", scenario_fingerprint(scenario), meta)
 
@@ -195,16 +195,17 @@ def diff_map(a: GridMap, b: GridMap) -> GridMap:
 
 
 def _capacities(channel, state) -> np.ndarray:
-    """Capacity per receiver and coupling of an observables._receiver_channel.
+    """Capacity per receiver and coupling of an observables._channel.
 
+    A (B, 2^n) stack of pure states adds a leading axis B.
     channel_capacity runs on the receivers with a signal; every other one
     has p = q and capacity exactly 0 without any algebra.
     """
-    caps = np.zeros(channel.signal.shape + channel.q.shape)
+    lead = () if isinstance(state, EmitterState) else (len(state),)
+    caps = np.zeros(lead + channel.signal.shape + channel.q.shape)
     if channel.signal.any():
-        caps[channel.signal] = [[channel_capacity(ChannelPoint(pk, qk))
-                                 for pk, qk in zip(row, channel.q)]
-                                for row in channel.p(state)]
+        capacity = np.frompyfunc(lambda p, q: channel_capacity(ChannelPoint(p, q)), 2, 1)
+        caps[..., channel.signal, :] = capacity(channel.p(state), channel.q)
     return caps
 
 
@@ -222,9 +223,7 @@ def coupling_sweep(scenario: Scenario, couplings) -> SweepCurve:
     if np.any(lam < 0):
         raise ValueError("coupling strengths must be >= 0")
     t0 = time.perf_counter()
-    channel = _receiver_channel(scenario, couplings=lam)
-    caps = np.zeros(lam.size) if channel is None else _capacities(
-        channel, scenario.emitter_state)[0]
+    caps = _capacities(_receiver_channel(scenario, couplings=lam), scenario.emitter_state)[0]
     idx = int(np.argmax(caps))
     meta = {"wall_time_s": time.perf_counter() - t0}
     return SweepCurve(lam, caps, idx, float(lam[idx]), float(caps[idx]),
@@ -246,7 +245,6 @@ def _phase_objective(scenario: Scenario, objective: str, point):
         energy = _energy_at(scenario, point, scenario.evaluation_time)
     else:
         channel = _receiver_channel(scenario, [point])
-        signal = channel is not None and bool(channel.signal[0])
 
     def value_of(thetas: np.ndarray) -> list[float]:
         stack = _w_amplitudes(n, thetas)
@@ -254,10 +252,7 @@ def _phase_objective(scenario: Scenario, objective: str, point):
             _check_norm(vec)
         if objective == "energy":
             return energy(stack).tolist()
-        if not signal:
-            return [0.0] * len(stack)
-        return [channel_capacity(ChannelPoint(p, channel.q[0]))
-                for p in channel.p(stack)[:, 0, 0].tolist()]
+        return _capacities(channel, stack)[:, 0, 0].tolist()
 
     return value_of
 
@@ -410,7 +405,7 @@ def _nelder_mead(x0, maxfev: int, xatol: float, fatol: float):
 # serialization
 # ----------------------------------------------------------------------
 
-def write_grid_csv(grid: GridMap, path, sidecar: bool = True) -> None:
+def write_grid_csv(grid: GridMap, path) -> None:
     """First row x axis, first column y axis, fixed 9-significant-digit cells."""
     # Python floats format faster than numpy scalars (same bytes); row by row bounds memory
     lines = ["," + ",".join(map(_FMT.format, grid.x.tolist()))]
@@ -418,14 +413,11 @@ def write_grid_csv(grid: GridMap, path, sidecar: bool = True) -> None:
               for yv, row in zip(grid.y.tolist(), grid.values)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-    if sidecar:
-        side = {"quantity": grid.quantity, "fingerprint": grid.fingerprint,
-                "x_range": [float(grid.x[0]), float(grid.x[-1]), int(grid.x.size)],
-                "y_range": [float(grid.y[0]), float(grid.y[-1]), int(grid.y.size)],
-                **grid.meta}
-        with open(_sidecar_path(path), "w", encoding="utf-8") as fh:
-            json.dump(side, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    side = {"quantity": grid.quantity, "fingerprint": grid.fingerprint,
+            "x_range": [float(grid.x[0]), float(grid.x[-1]), int(grid.x.size)],
+            "y_range": [float(grid.y[0]), float(grid.y[-1]), int(grid.y.size)],
+            **grid.meta}
+    _write_sidecar(side, path)
 
 
 def read_grid_csv(path) -> GridMap:
@@ -449,21 +441,22 @@ def read_grid_csv(path) -> GridMap:
                    [row[1:] for row in table], quantity, fingerprint, meta)
 
 
-def write_sweep_csv(curve: SweepCurve, path, sidecar: bool = True) -> None:
+def write_sweep_csv(curve: SweepCurve, path) -> None:
     lines = ["lambda_B,capacity"]
     lines += [",".join(map(_FMT.format, pair))
               for pair in zip(curve.couplings.tolist(), curve.capacities.tolist())]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-    if sidecar:
-        side = {"fingerprint": curve.fingerprint,
-                "argmax_index": curve.argmax_index,
-                "argmax_coupling": curve.argmax_coupling,
-                "argmax_capacity": curve.argmax_capacity,
-                **curve.meta}
-        with open(_sidecar_path(path), "w", encoding="utf-8") as fh:
-            json.dump(side, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    side = {"fingerprint": curve.fingerprint, "argmax_index": curve.argmax_index,
+            "argmax_coupling": curve.argmax_coupling,
+            "argmax_capacity": curve.argmax_capacity, **curve.meta}
+    _write_sidecar(side, path)
+
+
+def _write_sidecar(side: dict, path) -> None:
+    with open(_sidecar_path(path), "w", encoding="utf-8") as fh:
+        json.dump(side, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _sidecar_path(path) -> str:

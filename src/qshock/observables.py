@@ -31,20 +31,23 @@ the kernel integrals plus emitter-register algebra:
 
 Each observable splits into its geometry, the kernel values at the
 receivers or the points (_receiver_kernels, _emission_kernels), and its
-algebra over the emitter register.  One factory per observable evaluates
-the geometry once and returns the algebra as a function of the emitter
-state: _receiver_channel forms C1, q, the angles g and p for any batch
-of receivers and couplings, _energy_at forms T00 at any array of points.
-Every entry point here and in the mapper calls one of them.
-_receiver_kernels integrates nu once, first, and then the distinct
-commutator arguments of all its receivers as one batch.  nu and Delta
-come from the kernel quadrature, the radiation kernels from their closed
-form (docs/derivations.md).
+algebra over the emitter register, written once: _channel forms C1, q,
+the angles g and p(state) from nu and the Delta rows, _energy forms
+4 lambda lambda^T and T00(state) from the kernel rows of the fired
+emitters (_fired, t - t_i > 0).  _receiver_channel and _energy_at are the
+kernels followed by these two; every entry point here and in the mapper
+calls one of them, and the truncated-Fock oracle runs the same two on
+its mode-sum kernels.  _receiver_kernels integrates nu once, first, and
+then the distinct commutator arguments of all its receivers as one
+batch.  nu and Delta come from the kernel quadrature, the radiation
+kernels from their closed form (docs/derivations.md).
 
 A receiver that no emitter is in causal contact with (time-ordered and
 inside the commutator's support, kernels._in_causal_contact) gets every
 Delta_i = 0 exactly without any quadrature, and then p = q bit for bit:
 the register algebra is skipped (E = 1) and the capacity is exactly 0.
+A receiver that has not coupled by the evaluation time is a null
+channel, nu = 0 and every Delta_i = 0, so q = 0 and no cell signals.
 """
 
 from __future__ import annotations
@@ -66,7 +69,6 @@ __all__ = [
     "ReceiverNotCoupledWarning",
     "excitation_probability",
     "energy_density",
-    "energy_quadratic_form",
     "channel_capacity",
     "channel_point",
     "binary_entropy",
@@ -111,19 +113,21 @@ def _receiver_kernels(scenario: Scenario, positions=None):
     at a receiver in contact with at least one emitter, for every emitter
     that fired before t_B (an off-support one's as rounding noise); every
     other Delta is exactly 0.  The distinct (d, dt, R_i), by exact
-    equality, go to the quadrature as one batch.  None, with a
-    ReceiverNotCoupledWarning, when the evaluation time does not exceed
-    the receiver's coupling instant: the probability is then 0.
+    equality, go to the quadrature as one batch.  When the evaluation time
+    does not exceed the receiver's coupling instant, a
+    ReceiverNotCoupledWarning and the null channel's nu = 0, every
+    Delta = 0 and no contact, without any quadrature.
     """
     rec = scenario.receiver
+    where = np.reshape(rec.position if positions is None else positions, (-1, 3))
     if scenario.evaluation_time <= rec.coupling_time:
         warnings.warn(f"evaluation_time {scenario.evaluation_time!r} does not exceed the "
                       f"receiver's time {rec.coupling_time!r}: the receiver has not coupled, "
                       "so its excitation probability and capacity are 0",
                       ReceiverNotCoupledWarning, stacklevel=_outside_package())
-        return None
+        silent = np.zeros((len(where), scenario.n_emitters))
+        return 0.0, silent, silent != 0.0
     emitters = scenario.emitters
-    where = np.reshape(rec.position if positions is None else positions, (-1, 3))
     offsets = where[:, None, :] - np.array([e.position for e in emitters]).reshape(-1, 3)
     # |offset| as stacked (1x3)(3x1) matmuls: each uses the dot of np.linalg.norm
     # of one 3-vector, so the bits match; norm(..., axis=-1) and einsum round the
@@ -156,24 +160,34 @@ class _ReceiverChannel(NamedTuple):
     q: np.ndarray                   # (couplings,): the noise (1 - C1)/2
     p: Callable[..., np.ndarray]    # state -> (signalling receivers, couplings)
     signal: np.ndarray              # (receivers,): whether some Delta_i != 0
-    contact: np.ndarray             # (receivers, n): _receiver_kernels' mask
+    contact: np.ndarray | None = None  # (receivers, n): _receiver_kernels' mask
+
+    def point(self, state) -> ChannelPoint:
+        """(p, q) of the first receiver at the first coupling."""
+        q = self.q[0]
+        return ChannelPoint(self.p(state)[0, 0] if self.signal[0] else q, q)
 
 
 def _receiver_channel(scenario: Scenario, positions=None, couplings=None):
-    """The receiver channel at positions (receivers, 3) and couplings, kernels evaluated once.
+    """The receiver channel at positions (receivers, 3): _receiver_kernels, then _channel.
 
     Positions default to the scenario's receiver, couplings to its
-    coupling.  C1 = exp(-2 lambda_B^2 nu), q = (1 - C1)/2 and the angles
-    g_i = 2 lambda_B lambda_i Delta_i (multiplied left to right) are formed
-    here; p(state) = (1 - C1 E)/2 with E = product_expectation(state, g)
-    for the receivers that get a signal (channel.signal), and every other
-    receiver keeps p = q exactly without any algebra.  Not clamped to
-    [0, 1].  None when the receiver has not coupled (see _receiver_kernels).
+    coupling; the channel carries the kernels' contact mask.
     """
-    kernels = _receiver_kernels(scenario, positions)
-    if kernels is None:
-        return None
-    nu, deltas, contact = kernels
+    nu, deltas, contact = _receiver_kernels(scenario, positions)
+    return _channel(scenario, nu, deltas, couplings)._replace(contact=contact)
+
+
+def _channel(scenario: Scenario, nu: float, deltas, couplings=None) -> _ReceiverChannel:
+    """The channel of receivers with vacuum variance nu and Delta rows deltas (receivers, n).
+
+    Couplings default to the scenario receiver's.  C1 = exp(-2 lambda_B^2 nu),
+    q = (1 - C1)/2 and the angles g_i = 2 lambda_B lambda_i Delta_i
+    (multiplied left to right) are formed here; p(state) = (1 - C1 E)/2
+    with E = product_expectation(state, g) for the receivers with some
+    Delta_i != 0 (channel.signal), and every other receiver keeps p = q
+    exactly without any algebra.  Not clamped to [0, 1].
+    """
     lam_b = np.asarray([scenario.receiver.coupling_strength] if couplings is None
                        else couplings, dtype=float)
     c1 = np.array([_vacuum_factor(lb, nu) for lb in lam_b])
@@ -185,16 +199,15 @@ def _receiver_channel(scenario: Scenario, positions=None, couplings=None):
          * np.array([e.coupling_strength for e in scenario.emitters]) * deltas[signal, None, :])
     angles, phases = _angles(g), MonopolePhase.from_scenario(scenario)
     return _ReceiverChannel(
-        q, lambda state: 0.5 * (1.0 - c1 * product_expectation(state, angles, phases)),
-        signal, contact)
+        q, lambda state: 0.5 * (1.0 - c1 * product_expectation(state, angles, phases)), signal)
 
 
 def _vacuum_factor(lam_b: float, nu: float) -> float:
-    """C1 = exp(-2 lambda_B^2 nu), and 0 where lambda_B^2 overflows."""
+    """C1 = exp(-2 lambda_B^2 nu): 0 where lambda_B^2 overflows, 1 at nu = 0."""
     try:
         return math.exp(-2.0 * float(lam_b)**2 * nu)
     except OverflowError:
-        return 0.0
+        return 0.0 if nu else 1.0
 
 
 def excitation_probability(scenario: Scenario, couple: bool) -> float:
@@ -207,23 +220,27 @@ def excitation_probability(scenario: Scenario, couple: bool) -> float:
     """
     if couple:
         return channel_point(scenario).p
-    channel = _receiver_channel(scenario, np.empty((0, 3)))
-    return 0.0 if channel is None else _clamp_probability(channel.q[0],
-                                                          "excitation probability")
+    return _clamp_probability(_receiver_channel(scenario, np.empty((0, 3))).q[0],
+                              "excitation probability")
 
 
 # -- energy density: geometry (closed-form kernels), then algebra ---------
 
+def _fired(scenario: Scenario, t: float) -> list[int]:
+    """Indices of the emitters that source the field at t: t - t_i > 0 and lambda_i != 0."""
+    return [i for i, e in enumerate(scenario.emitters)
+            if float(t) - e.coupling_time > 0 and e.coupling_strength != 0.0]
+
+
 def _emission_kernels(scenario: Scenario, x, t: float) -> tuple[list[int], np.ndarray]:
-    """Indices of the emitters fired by t (nonzero coupling), their kernels K (..., m, 4).
+    """The emitters _fired by t and their kernels K (..., m, 4).
 
     Each row of K is a time kernel and a radial kernel times r-hat at x (..., 3).
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-1:] != (3,):
         raise ValueError("observation points must have shape (..., 3)")
-    active = [i for i, e in enumerate(scenario.emitters)
-              if float(t) - e.coupling_time > 0 and e.coupling_strength != 0.0]
+    active = _fired(scenario, t)
     fired = [scenario.emitters[i] for i in active]
     offset = x[..., None, :] - np.array([e.position for e in fired]).reshape(-1, 3)
     r = np.linalg.norm(offset, axis=-1)
@@ -236,15 +253,20 @@ def _emission_kernels(scenario: Scenario, x, t: float) -> tuple[list[int], np.nd
 
 
 def _energy_at(scenario: Scenario, x, t: float):
-    """T00 at points x (..., 3) and time t as a function of the emitter state.
+    """T00 at points x (..., 3) and time t: _emission_kernels, then _energy."""
+    return _energy(scenario, *_emission_kernels(scenario, x, t))
 
-    The kernels of the fired emitters are evaluated once; each call applies
-    their strengths to their block of pair_correlation(state).  A (B, 2^n)
-    stack of pure states gives one T00 per row, each from its own
-    quadratic form.  Where 4 lambda lambda^T or T00 is not finite, the
-    ValidationError names the lambda of the strongest fired emitter.
+
+def _energy(scenario: Scenario, active: list[int], kernels):
+    """T00 as a function of the emitter state, from the kernel rows (..., m, 4) of `active`.
+
+    Each call applies the strengths of the fired emitters `active` to their
+    block of pair_correlation(state): T00 = sum_j K_aj M_ab K_bj with
+    M = 4 lambda lambda^T (.) C.  A (B, 2^n) stack of pure states gives one
+    T00 per row, each from its own quadratic form.  Where 4 lambda lambda^T
+    or T00 is not finite, the ValidationError names the lambda of the
+    strongest fired emitter.
     """
-    active, kernels = _emission_kernels(scenario, x, t)
     lam = np.array([scenario.emitters[i].coupling_strength for i in active])
     with np.errstate(over="ignore"):
         weights = 4.0 * np.outer(lam, lam)
@@ -281,16 +303,6 @@ def energy_density(scenario: Scenario, x, t: float):
     """
     total = _energy_at(scenario, x, t)(scenario.emitter_state)
     return float(total) if total.ndim == 0 else total
-
-
-def energy_quadratic_form(kernels, strengths, correlation):
-    """T00 = sum_j K_aj M_ab K_bj, M = 4 lambda lambda^T (.) C (derivations section 5).
-
-    kernels (..., m, 4) holds each fired emitter's time kernel and radial
-    kernel times r-hat; C is their block of the pair-correlation matrix.
-    """
-    lam = np.asarray(strengths, dtype=float)
-    return _t00(kernels, 4.0 * np.outer(lam, lam) * correlation)
 
 
 def _t00(kernels, weights):
@@ -349,8 +361,4 @@ def channel_capacity(point: ChannelPoint | None = None, *,
 
 def channel_point(scenario: Scenario) -> ChannelPoint:
     """Evaluate (p, q) for the scenario's receiver in place, from one set of kernels."""
-    channel = _receiver_channel(scenario)
-    if channel is None:
-        return ChannelPoint(0.0, 0.0)
-    q = channel.q[0]
-    return ChannelPoint(channel.p(scenario.emitter_state)[0, 0] if channel.signal[0] else q, q)
+    return _receiver_channel(scenario).point(scenario.emitter_state)

@@ -8,14 +8,17 @@ that mode set two entirely different routes compute the same numbers:
     exp(-i lam mu (x) Phi), in coupling-time order, and read the
     observable off the evolved state;
 
-  * discrete_*: the closed-form pipeline expressions with every momentum
-    integral replaced by the same discrete mode sums.
+  * discrete_*: the pipeline's own algebra, observables._channel and
+    observables._energy, on nu, Delta_i and the radiation-kernel rows
+    formed as the same discrete mode sums in place of the momentum
+    integrals.
 
-Agreement validates the operator algebra (the conditional-displacement
-reduction, the C1 vacuum factor, the gating of the signal angles, the
-energy-density cross terms, through the pipeline's own quadratic form)
-in complete isolation from kernel accuracy, which the tests check
-against the kernels' closed forms.  The oracle never integrates.
+Agreement validates the operator algebra the maps run (the
+conditional-displacement reduction, the C1 vacuum factor, the signal
+angles, the energy-density cross terms) in complete isolation from
+kernel accuracy, which the tests check against the kernels' closed
+forms.  The oracle never integrates.  Both energy routes source the
+field from the emitters the pipeline fires (observables._fired).
 
 The evolution is factorised; no operator of the full Hilbert dimension
 is built.  The state is a stack: one leading axis over the components of
@@ -46,9 +49,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .emitters import MonopolePhase, pair_correlation, product_expectation
+# perfbench/spans.py wraps both names here
+from .emitters import pair_correlation, product_expectation  # noqa: F401
 from .kernels import sphere_form_factor
-from .observables import energy_quadratic_form
+from .observables import _channel, _energy, _fired
 from .scenario import Detector, Scenario
 
 __all__ = [
@@ -259,8 +263,7 @@ def exact_energy(modes: ModeSet, scenario: Scenario, x, t: float) -> float:
     """Normal-ordered discrete energy density at (x, t) from exact evolution."""
     n = scenario.n_emitters
     _check_budget(n, modes)
-    fired = [i for i, e in enumerate(scenario.emitters)
-             if e.coupling_time <= t and e.coupling_strength != 0.0]
+    fired = _fired(scenario, t)
     a = _annihilator(modes.cutoff)
     weights, vectors = zip(*scenario.emitter_state.vectors())
     fin = _evolve([scenario.emitters[i] for i in fired], fired, n, modes,
@@ -279,44 +282,35 @@ def exact_energy(modes: ModeSet, scenario: Scenario, x, t: float) -> float:
 # ----------------------------------------------------------------------
 
 def discrete_probability(modes: ModeSet, scenario: Scenario, couple: bool) -> float:
-    """Closed-form pipeline probability with integrals replaced by mode sums."""
+    """observables._channel on the mode-sum nu and Delta_i of the receiver.
+
+    Delta_i counts every emitter coupled by the receiver's instant, as the
+    exact evolution orders them; couple=False leaves every Delta_i = 0.
+    """
     rec = scenario.receiver
     if scenario.evaluation_time <= rec.coupling_time:
         return 0.0
     beta_rec = mode_amplitudes(modes, rec.position, rec.coupling_time,
                                rec.smearing_radius)
-    c1 = math.exp(-2.0 * rec.coupling_strength**2
-                  * float(np.sum(np.abs(beta_rec) ** 2)))
-    if couple and scenario.n_emitters:
-        g = np.zeros(scenario.n_emitters)
-        for i, e in enumerate(scenario.emitters):
-            if e.coupling_time > rec.coupling_time:
-                continue
-            beta_i = mode_amplitudes(modes, e.position, e.coupling_time,
-                                     e.smearing_radius)
-            delta = 2.0 * float(np.imag(np.sum(beta_i * np.conj(beta_rec))))
-            g[i] = 2.0 * rec.coupling_strength * e.coupling_strength * delta
-        phases = MonopolePhase.from_scenario(scenario)
-        e_factor = product_expectation(scenario.emitter_state, g, phases)
-    else:
-        e_factor = 1.0
-    return 0.5 * (1.0 - c1 * e_factor)
+    deltas = np.zeros((1, scenario.n_emitters))
+    for i, e in enumerate(scenario.emitters):
+        if couple and e.coupling_time <= rec.coupling_time:
+            beta_i = mode_amplitudes(modes, e.position, e.coupling_time, e.smearing_radius)
+            deltas[0, i] = 2.0 * float(np.imag(np.sum(beta_i * np.conj(beta_rec))))
+    nu = float(np.sum(np.abs(beta_rec) ** 2))
+    return _channel(scenario, nu, deltas).point(scenario.emitter_state).p
 
 
 def discrete_energy(modes: ModeSet, scenario: Scenario, x, t: float) -> float:
-    """Pipeline energy density (its quadratic form) on mode-sum kernels."""
-    active = [i for i, e in enumerate(scenario.emitters)
-              if e.coupling_time <= t and e.coupling_strength != 0.0]
+    """observables._energy on the mode-sum kernel rows of the fired emitters."""
+    active = _fired(scenario, t)
     deltas = np.array([derivative_amplitudes(modes, x, t, j) for j in range(4)])
     kernels = np.empty((len(active), 4))
     for a, i in enumerate(active):
         e = scenario.emitters[i]
         beta_i = mode_amplitudes(modes, e.position, e.coupling_time, e.smearing_radius)
         kernels[a] = np.imag(deltas @ np.conj(beta_i))
-    corr = pair_correlation(scenario.emitter_state, MonopolePhase.from_scenario(scenario))
-    return float(energy_quadratic_form(
-        kernels, [scenario.emitters[i].coupling_strength for i in active],
-        corr[np.ix_(active, active)]))
+    return float(_energy(scenario, active, kernels)(scenario.emitter_state))
 
 
 # ----------------------------------------------------------------------

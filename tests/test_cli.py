@@ -305,7 +305,8 @@ class TestSweepAndOptimize:
         # the CSV is the library's: a sweep of zeros
         with pytest.warns(ReceiverNotCoupledWarning):
             curve = coupling_sweep(load_scenario_file(path), np.linspace(0.0, 8.0, 5))
-        write_sweep_csv(curve, tmp_path / "library.csv", sidecar=False)
+        write_sweep_csv(curve, tmp_path / "library.csv")
+        (tmp_path / "library.json").unlink()
         assert out.read_bytes() == (tmp_path / "library.csv").read_bytes()
         assert not curve.capacities.any()
 

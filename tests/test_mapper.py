@@ -166,11 +166,14 @@ class TestCapacityMap:
         assert grid.meta["cells_in_contact"] == 0
 
     def test_receiver_not_yet_coupled_has_no_contact_cells(self):
+        # a null channel: nu = 0, so q = 0 even where lambda_B^2 overflows
         scn = load_scenario(three_emitter_config(evaluation_time=8.0))  # t_B = 8
-        with pytest.warns(ReceiverNotCoupledWarning):
-            grid = capacity_map(scn, CAPACITY_WINDOW, 3)
-        assert np.all(grid.values == 0.0)
-        assert grid.meta["cells_in_contact"] == 0
+        for lam_b in (2.0, 1e160):
+            loud = scn.with_receiver(replace(scn.receiver, coupling_strength=lam_b))
+            with pytest.warns(ReceiverNotCoupledWarning):
+                grid = capacity_map(loud, CAPACITY_WINDOW, 3)
+            assert np.all(grid.values == 0.0)
+            assert grid.meta["cells_in_contact"] == 0 and grid.meta["noise_probability"] == 0.0
 
     def test_quadrature_only_in_contact_cells(self, commutator_calls):
         # the 24x24 fig2b map: a cell needs the commutator for all four
@@ -687,12 +690,12 @@ class TestSerialization:
                        np.array([[1.234567895, 1.000000005, 0.1234567885],
                                  [9.9999999951, -1e-300, -0.0]]), "energy", "fp")
         path = tmp_path / "grid.csv"
-        write_grid_csv(grid, path, sidecar=False)
+        write_grid_csv(grid, path)
+        (tmp_path / "grid.json").unlink()
         assert path.read_bytes() == (
             b",-0.00000000e+00,4.94065646e-324,1.00000000e+300\n"
             b"1.00000000e-300,1.23456790e+00,1.00000000e+00,1.23456788e-01\n"
             b"2.50000000e-08,1.00000000e+01,-1.00000000e-300,-0.00000000e+00\n")
-        assert not (tmp_path / "grid.json").exists()
 
     def test_sweep_csv(self, tmp_path):
         curve = SweepCurve(np.array([0.0, 1.0, 2.0, 3.0]),

@@ -194,6 +194,27 @@ class TestStandardBattery:
             assert row.passed, f"{row.case}: |diff| {row.difference:.2e}"
 
 
+@pytest.mark.parametrize("name, failing", [("_vacuum_factor", {"p"}), ("_t00", {"T00"})])
+def test_battery_runs_the_pipeline_algebra(monkeypatch, name, failing):
+    # a one-percent fault in the pipeline's C1 or T00 contraction fails exactly
+    # the battery's cases of that observable
+    import qshock.observables as observables
+    original = getattr(observables, name)
+    monkeypatch.setattr(observables, name, lambda *args: 0.99 * original(*args))
+    rows = run_standard_comparisons()
+    assert {row.case.split("[")[0] for row in rows if not row.passed} == failing
+
+
+def test_emitter_firing_at_the_observation_time_is_not_a_source():
+    # the pipeline's rule t - t_i > 0 (Theta(0) = 0) holds on both routes
+    scn, modes = _case_scenario(2, "w"), _case_modes(2, 6)
+    first, second = scn.emitters
+    silent = replace(scn, emitters=(first, replace(second, coupling_strength=0.0)))
+    x, t = second.position, second.coupling_time
+    for route in (exact_energy, discrete_energy):
+        assert route(modes, scn, x, t) == route(modes, silent, x, t)
+
+
 class TestDenseAnchor:
     """Factorised evolution against one full-dimension expm per detector."""
 
