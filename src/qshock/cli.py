@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 import time
@@ -23,7 +22,7 @@ from .kernels import (KernelSet, QuadratureError, closed_form_commutator,
                       closed_form_radiation, closed_form_variance)
 from .mapper import (DEFAULT_RESOLUTION, DEFAULT_WINDOW, capacity_map, coupling_sweep,
                      diff_map, energy_map, optimize_phases, read_grid_csv,
-                     write_grid_csv, write_sweep_csv)
+                     write_grid_csv, write_sweep_csv, _beside, _write_json, _write_lines)
 from .observables import ReceiverNotCoupledWarning
 from .oracle import OracleBudgetError, run_standard_comparisons
 from .scenario import ValidationError, load_scenario_file, scenario_fingerprint
@@ -48,14 +47,7 @@ class RunManifest:
     wall_time_s: float = 0.0
 
     def write(self, anchor_path: str) -> None:
-        path = anchor_path
-        if path.endswith(".csv"):
-            path = path[:-4]
-        path += ".manifest.json"
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        self.outputs.append(path)
+        _write_json(_beside(anchor_path, ".manifest.json"), asdict(self))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -137,9 +129,6 @@ def build_parser() -> _Parser:
     p.add_argument("--r", default="0.5,8,32", help="min,max,count for r (or d)")
     p.add_argument("--dt", default="5", help="time difference (single value)")
     p.add_argument("--out", required=True)
-    p.add_argument("--cross-check", action="store_true",
-                   help="add a closed_form column: the exact position-space "
-                        "kernel, an independent check of the quadrature")
 
     sub.add_parser("oracle", help="pipeline vs exact Fock comparison table")
 
@@ -230,8 +219,7 @@ def _cmd_optimize(args) -> int:
                                             for i in range(len(result.phases)))]
     for i, (thetas, value) in enumerate(result.trace):
         lines.append(f"{i},{value:.8e}," + ",".join(f"{t:.8e}" for t in thetas))
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(args.out, lines)
     manifest = RunManifest("optimize", args.config, [args.out],
                            {"objective": args.objective, "point": list(point),
                             "budget": args.budget, "restarts": args.restarts,
@@ -263,12 +251,10 @@ def _cmd_kernels(args) -> int:
         exact = (closed_form_commutator(rs, dt, args.radius, args.radius)
                  if args.kind == "commutator" else closed_form_radiation(
                      rs, dt, args.radius)[0 if args.kind == "radiation-time" else 1])
-    lines = ["r,dt,value,err_estimate" + (",closed_form" if args.cross_check else "")]
-    for r, value, error, check in zip(rs, values, errors, exact):
-        lines.append(f"{r:.8e},{dt:.8e},{value:.8e},{error:.8e}"
-                     + (f",{check:.8e}" if args.cross_check else ""))
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    lines = ["r,dt,value,err_estimate,closed_form"]
+    lines += [f"{r:.8e},{dt:.8e},{value:.8e},{error:.8e},{check:.8e}"
+              for r, value, error, check in zip(rs, values, errors, exact)]
+    _write_lines(args.out, lines)
     manifest = RunManifest("kernels", None, [args.out],
                            {"kind": args.kind, "radius": args.radius,
                             "dt": dt}, {})

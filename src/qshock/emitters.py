@@ -22,13 +22,14 @@ once per (n, phases) and serve both functions here.
 
 Both functions run one core over a stack of pure amplitude vectors
 (S, 2^n): each monopole factor is applied to every vector of the stack,
-and to a whole batch of angle vectors (..., n), at once.  For an
+and to a whole batch of angle vectors (..., n), at once; a factor with
+g_i = 0 (cos 0 = 1, i sin 0 = 0) leaves its rows as they were.  For an
 EmitterState the stack is its components, and their weights fold the
 per-vector results in component order; a (B, 2^n) array is taken as B
 pure states, and the results keep that leading axis with the bits of B
 separate calls.  The per-vector reductions (vdot, the Gram product) run
 one vector at a time.  Cost is O(n 2^n) per vector and angle vector.
-n is capped at 24 by the state-vector representation.
+n is capped at scenario.MAX_EMITTERS (24), checked before any state exists.
 """
 
 from __future__ import annotations
@@ -38,11 +39,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .scenario import EmitterState, Scenario
+from .scenario import MAX_EMITTERS, EmitterState, Scenario, _check_register
 
 __all__ = ["MonopolePhase", "pair_correlation", "product_expectation", "MAX_EMITTERS"]
-
-MAX_EMITTERS = 24
 
 
 @dataclass(frozen=True)
@@ -60,11 +59,6 @@ class MonopolePhase:
 
     def __len__(self) -> int:
         return len(self.phases)
-
-
-def _check_register(n: int) -> None:
-    if n > MAX_EMITTERS:
-        raise ValueError(f"state-vector register capped at {MAX_EMITTERS} emitters")
 
 
 @lru_cache(maxsize=8)
@@ -131,46 +125,28 @@ def pair_correlation(state, phases: MonopolePhase) -> np.ndarray:
     return total
 
 
-class _Angles(tuple):
-    """(g, g != 0, which emitters turn in some / in every angle vector, cos g, i sin g)."""
-
-
-def _angles(g) -> _Angles:
-    g = np.asarray(g, dtype=float)
-    turning, axes = g != 0.0, tuple(range(g.ndim - 1))
-    return _Angles((g, turning, turning.any(axis=axes).tolist(), turning.all(axis=axes).tolist(),
-                    np.cos(g)[..., None], 1j * np.sin(g)[..., None]))
-
-
 def product_expectation(state, g, phases: MonopolePhase):
     """Re < prod_i (cos g_i + i mu_i sin g_i) > over the emitter state.
 
-    g holds one angle per emitter, or a batch of them (..., n), or is
-    _angles of either, formed once for repeated calls: a float for one
-    angle vector, else an array of shape g.shape[:-1].  state is an
+    g holds one angle per emitter, or a batch of them (..., n): a float
+    for one angle vector, else an array of shape g.shape[:-1].  state is an
     EmitterState, or a (B, 2^n) stack of pure states, which adds a leading
     axis B.  Bounded by 1 in magnitude for any normalized state (each
     factor is unitary), invariant under a global phase of the state.
     """
     stack, weights, n = _register(state)
-    g, turning, touched, everywhere, cos, isin = g if isinstance(g, _Angles) else _angles(g)
+    g = np.asarray(g, dtype=float)
     if g.shape[-1:] != (n,):
         raise ValueError(f"expected {n} angles, got shape {g.shape}")
     if len(phases) != n:
         raise ValueError(f"expected {n} monopole phases, got {len(phases)}")
     perm, factor = _flip_tables(phases.phases)
-    batch = g.shape[:-1]
+    batch, cos, isin = g.shape[:-1], np.cos(g)[..., None], 1j * np.sin(g)[..., None]
     work = stack.reshape(stack.shape[:1] + (1,) * len(batch) + stack.shape[1:])
     for i in range(n):
-        if not touched[i]:
-            continue
-        flipped = factor[i] * work[..., perm[i]]
-        turned = cos[..., i, :] * work + isin[..., i, :] * flipped
-        # rows with g_i = 0 skip the factor, as a single-vector call does
-        work = turned if everywhere[i] else np.where(turning[..., i, None], turned, work)
+        work = cos[..., i, :] * work + isin[..., i, :] * (factor[i] * work[..., perm[i]])
     rows = np.empty(stack.shape[:1] + batch)
-    if work.shape[:-1] != rows.shape:  # no angle turned
-        work = np.broadcast_to(work, rows.shape + stack.shape[1:])
+    work = np.broadcast_to(work, rows.shape + stack.shape[1:])  # n = 0 turns nothing
     for k in np.ndindex(rows.shape):
         rows[k] = np.vdot(stack[k[0]], work[k]).real
     total = _fold(rows, weights)

@@ -25,7 +25,7 @@ Each kernel also has an exact closed form in position space (the ball's
 retarded field, the two-ball overlap volume, nu = R^4), kept alongside
 as array functions.  The energy density evaluates the radiation kernels
 through theirs; the quadrature serves the commutator and nu, and the
-tests and `qshock kernels --cross-check` compare the two.
+tests and the closed_form column of `qshock kernels` compare the two.
 
 The commutator of balls with radii R_B and R_i vanishes exactly unless
 |d - |dt|| < R_B + R_i (the strong Huygens principle); _in_causal_contact

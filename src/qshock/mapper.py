@@ -12,8 +12,9 @@ one position otherwise), and the channel algebra observables._channel
 returns q and p as a function of the emitter state for every coupling,
 all signalling receivers and couplings in one product_expectation batch,
 so every cell is a pure function of its own position.  _capacities runs
-channel_capacity on the signalling receivers, for one emitter state or a
-stack of them.  A receiver that no emitter is in causal contact with
+channel_capacity(p=..., q=...) on the signalling receivers through one
+module-level ufunc, for one emitter state or a stack of them.  A
+receiver that no emitter is in causal contact with
 (kernels._in_causal_contact) runs no quadrature and no algebra, and its
 capacity is exactly 0; the map's sidecar counts the others as
 cells_in_contact.  A receiver that has not coupled is a null channel
@@ -26,6 +27,8 @@ row starts with its y value; numbers are printed with 9 significant
 digits in scientific notation so identical runs are byte-identical.  A
 JSON sidecar carries the scenario fingerprint, quantity tag, wall time
 and, for capacity maps, the noise probability and cells_in_contact.
+_write_lines writes every CSV, sidecar and run manifest (_write_json
+for the JSON ones), and _beside names a sidecar or manifest after its CSV.
 
 A phase search runs _nelder_mead, scipy's Nelder-Mead step for step,
 without importing scipy.  _nelder_mead is a generator that yields each
@@ -33,10 +36,10 @@ point and is sent its value, so optimize_phases advances its restarts in
 lockstep: each round stacks the next point of every live restart into
 one batch of W states, and the objective runs the emitter algebra once
 over that stack (emitters' stack core).  The objective forms what an
-evaluation does not change (kernels, strengths, angle factors) once per
-search.  Each restart keeps its own trace and budget share, so trace,
-result and evaluation count are those of running the restarts one after
-another.
+evaluation does not change (kernels, strengths, angles) once per search.
+Each restart keeps its own trace and a budget share fixed before the
+first round, so trace, result and evaluation count are those of running
+the restarts one after another with those shares.
 """
 
 from __future__ import annotations
@@ -48,8 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .observables import (ChannelPoint, channel_capacity, energy_density, _energy_at,
-                          _receiver_channel)
+from .observables import channel_capacity, energy_density, _energy_at, _receiver_channel
 from .observables import excitation_probability  # noqa: F401 (perfbench/spans.py wraps it)
 from .scenario import EmitterState, Scenario, _check_norm, _w_amplitudes, scenario_fingerprint
 from .scenario import w_state  # noqa: F401 (perfbench/spans.py wraps it)
@@ -194,6 +196,10 @@ def diff_map(a: GridMap, b: GridMap) -> GridMap:
                                    "base_quantity": a.quantity})
 
 
+# looks channel_capacity up on each call, so a wrapper put in its place sees every cell
+_capacity = np.frompyfunc(lambda p, q: channel_capacity(p=p, q=q), 2, 1)
+
+
 def _capacities(channel, state) -> np.ndarray:
     """Capacity per receiver and coupling of an observables._channel.
 
@@ -204,8 +210,7 @@ def _capacities(channel, state) -> np.ndarray:
     lead = () if isinstance(state, EmitterState) else (len(state),)
     caps = np.zeros(lead + channel.signal.shape + channel.q.shape)
     if channel.signal.any():
-        capacity = np.frompyfunc(lambda p, q: channel_capacity(ChannelPoint(p, q)), 2, 1)
-        caps[..., channel.signal, :] = capacity(channel.p(state), channel.q)
+        caps[..., channel.signal, :] = _capacity(channel.p(state), channel.q)
     return caps
 
 
@@ -268,16 +273,15 @@ def optimize_phases(scenario: Scenario, objective: str, point,
     starting points, and the result is the best evaluation found together
     with the full trace.
 
-    Restart k gets min(per_restart, budget - evaluations of the restarts
-    before it), with per_restart = max(16, budget // restarts), and is
-    skipped once that is 0.  The restarts advance in lockstep: each round
-    takes the next point of every live restart and evaluates them as one
-    stack.  A restart whose share is fixed from the start
-    ((k + 1) per_restart <= budget, always so when budget >= 16 restarts)
-    starts in round 1; any other waits until the restarts before it are
-    done.  Each restart keeps its own trace, and the reported trace is
-    their concatenation in restart order, so the result is that of
-    running the restarts one after another.
+    Restart k gets the share min(per_restart, budget - k per_restart),
+    with per_restart = max(16, budget // restarts), fixed up front; a
+    restart whose share is not positive is skipped, and the search then
+    counts as not converged.  Every other restart starts in round 1 and
+    the restarts advance in lockstep: each round takes the next point of
+    every live restart and evaluates them as one stack.  Each restart
+    keeps its own trace, and the reported trace is their concatenation in
+    restart order, so the result is that of running the restarts one
+    after another, each with its share.
     """
     n = scenario.n_emitters
     if n < 1:
@@ -299,27 +303,19 @@ def optimize_phases(scenario: Scenario, objective: str, point,
         return PhaseOptimum((0.0,), val, objective, 1, True, 1, (((0.0,), val),))
 
     rng = np.random.default_rng(seed)
-    starts = [np.zeros(n - 1)]
-    while len(starts) < restarts:
-        starts.append(rng.uniform(0.0, 2.0 * math.pi, n - 1))
+    starts = [np.zeros(n - 1)] + [rng.uniform(0.0, 2.0 * math.pi, n - 1)
+                                  for _ in range(restarts - 1)]
 
     per_restart = max(16, budget // restarts)
     traces: list[list[tuple[tuple[float, ...], float]]] = [[] for _ in starts]
     results: list[tuple | None] = [None] * restarts  # _nelder_mead's (x, f(x), converged)
     live: dict[int, tuple] = {}  # restart -> (its search, the point it waits on)
-    begun = 0
-    while True:
-        while begun < restarts and ((begun + 1) * per_restart <= budget or not live):
-            # final: either the share is fixed, or every restart before `begun` is done
-            share = min(per_restart, budget - sum(map(len, traces[:begun])))
-            if share <= 0:  # the runs before used the whole budget: not converged
-                begun = restarts
-                break
-            search = _nelder_mead(starts[begun], share, 1e-6, 1e-12)
-            live[begun] = (search, next(search))
-            begun += 1
-        if not live:
-            break
+    for k, start in enumerate(starts):
+        share = min(per_restart, budget - k * per_restart)
+        if share > 0:  # else the shares before took the whole budget: not converged
+            search = _nelder_mead(start, share, 1e-6, 1e-12)
+            live[k] = (search, next(search))
+    while live:
         reduced = np.array([x for _, x in live.values()])
         full = np.concatenate((np.zeros((len(live), 1)), np.mod(reduced, 2.0 * math.pi)),
                               axis=1)
@@ -332,7 +328,7 @@ def optimize_phases(scenario: Scenario, objective: str, point,
                 results[k] = done.value
                 del live[k]
 
-    best_val, best_full, converged = -math.inf, np.zeros(n), True
+    best_val, best_full, converged = -math.inf, np.zeros(n), None not in results
     for x, value, done in filter(None, results):
         converged = converged and done
         if -value > best_val:
@@ -411,13 +407,11 @@ def write_grid_csv(grid: GridMap, path) -> None:
     lines = ["," + ",".join(map(_FMT.format, grid.x.tolist()))]
     lines += [",".join(map(_FMT.format, [yv, *row.tolist()]))
               for yv, row in zip(grid.y.tolist(), grid.values)]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    side = {"quantity": grid.quantity, "fingerprint": grid.fingerprint,
-            "x_range": [float(grid.x[0]), float(grid.x[-1]), int(grid.x.size)],
-            "y_range": [float(grid.y[0]), float(grid.y[-1]), int(grid.y.size)],
-            **grid.meta}
-    _write_sidecar(side, path)
+    _write_lines(path, lines)
+    _write_json(_beside(path, ".json"), {
+        "quantity": grid.quantity, "fingerprint": grid.fingerprint,
+        "x_range": [float(grid.x[0]), float(grid.x[-1]), int(grid.x.size)],
+        "y_range": [float(grid.y[0]), float(grid.y[-1]), int(grid.y.size)], **grid.meta})
 
 
 def read_grid_csv(path) -> GridMap:
@@ -428,7 +422,7 @@ def read_grid_csv(path) -> GridMap:
     table = [[float(v) for v in line.split(",")] for line in rows[1:]]
     quantity, fingerprint, meta = "unknown", "", {}
     try:
-        with open(_sidecar_path(path), "r", encoding="utf-8") as fh:
+        with open(_beside(path, ".json"), "r", encoding="utf-8") as fh:
             side = json.load(fh)
         quantity = side.pop("quantity", "unknown")
         fingerprint = side.pop("fingerprint", "")
@@ -445,20 +439,23 @@ def write_sweep_csv(curve: SweepCurve, path) -> None:
     lines = ["lambda_B,capacity"]
     lines += [",".join(map(_FMT.format, pair))
               for pair in zip(curve.couplings.tolist(), curve.capacities.tolist())]
+    _write_lines(path, lines)
+    _write_json(_beside(path, ".json"), {
+        "fingerprint": curve.fingerprint, "argmax_index": curve.argmax_index,
+        "argmax_coupling": curve.argmax_coupling,
+        "argmax_capacity": curve.argmax_capacity, **curve.meta})
+
+
+def _write_lines(path, lines) -> None:
+    """Write the lines, each ending in a newline: every CSV, sidecar and manifest."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-    side = {"fingerprint": curve.fingerprint, "argmax_index": curve.argmax_index,
-            "argmax_coupling": curve.argmax_coupling,
-            "argmax_capacity": curve.argmax_capacity, **curve.meta}
-    _write_sidecar(side, path)
 
 
-def _write_sidecar(side: dict, path) -> None:
-    with open(_sidecar_path(path), "w", encoding="utf-8") as fh:
-        json.dump(side, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _write_json(path, obj: dict) -> None:
+    _write_lines(path, [json.dumps(obj, indent=2, sort_keys=True)])
 
 
-def _sidecar_path(path) -> str:
-    path = str(path)
-    return (path[:-4] if path.endswith(".csv") else path) + ".json"
+def _beside(path, suffix: str) -> str:
+    """The file next to path: its .csv ending, if any, replaced by suffix."""
+    return str(path).removesuffix(".csv") + suffix

@@ -60,7 +60,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .emitters import MonopolePhase, _angles, pair_correlation, product_expectation
+from .emitters import MonopolePhase, pair_correlation, product_expectation
 from .kernels import KernelSet, _in_causal_contact, closed_form_radiation
 from .scenario import Scenario, ValidationError
 
@@ -197,9 +197,9 @@ def _channel(scenario: Scenario, nu: float, deltas, couplings=None) -> _Receiver
     # so no algebra runs at angles that may be infinite
     g = (2.0 * np.where(c1 > 0.0, lam_b, 0.0)[:, None]
          * np.array([e.coupling_strength for e in scenario.emitters]) * deltas[signal, None, :])
-    angles, phases = _angles(g), MonopolePhase.from_scenario(scenario)
+    phases = MonopolePhase.from_scenario(scenario)
     return _ReceiverChannel(
-        q, lambda state: 0.5 * (1.0 - c1 * product_expectation(state, angles, phases)), signal)
+        q, lambda state: 0.5 * (1.0 - c1 * product_expectation(state, g, phases)), signal)
 
 
 def _vacuum_factor(lam_b: float, nu: float) -> float:

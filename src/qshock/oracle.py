@@ -393,26 +393,18 @@ def run_standard_comparisons() -> list[ComparisonRow]:
     """Run the battery; each case first demonstrates Fock-cutoff convergence."""
     rows = []
     for case in standard_comparison_cases():
-        n, kind = case["n"], case["state"]
-        scenario = _case_scenario(n, kind)
-        base_cut = case["cutoff"]
-        modes = _case_modes(case["n_modes"], base_cut)
+        scenario = _case_scenario(case["n"], case["state"])
+        modes = _case_modes(case["n_modes"], case["cutoff"])
         if case["kind"] == "probability":
-            coarse = exact_probability(modes, scenario, case["couple"])
-            fine = exact_probability(modes.with_cutoff(base_cut + 2), scenario,
-                                     case["couple"])
-            if abs(fine - coarse) > _CUTOFF_TOL:
-                raise FloatingPointError(
-                    f"{case['name']}: cutoff not converged ({abs(fine - coarse):.2e})")
-            pipeline = discrete_probability(modes, scenario, case["couple"])
+            exact, discrete, args = exact_probability, discrete_probability, (case["couple"],)
         else:
-            point, t_obs = (0.8, -0.4, 0.3), 2.6
-            coarse = exact_energy(modes, scenario, point, t_obs)
-            fine = exact_energy(modes.with_cutoff(base_cut + 2), scenario, point, t_obs)
-            if abs(fine - coarse) > _CUTOFF_TOL:
-                raise FloatingPointError(
-                    f"{case['name']}: cutoff not converged ({abs(fine - coarse):.2e})")
-            pipeline = discrete_energy(modes, scenario, point, t_obs)
+            exact, discrete, args = exact_energy, discrete_energy, ((0.8, -0.4, 0.3), 2.6)
+        coarse = exact(modes, scenario, *args)
+        fine = exact(modes.with_cutoff(case["cutoff"] + 2), scenario, *args)
+        if abs(fine - coarse) > _CUTOFF_TOL:
+            raise FloatingPointError(
+                f"{case['name']}: cutoff not converged ({abs(fine - coarse):.2e})")
+        pipeline = discrete(modes, scenario, *args)
         rows.append(ComparisonRow(case["name"], pipeline, fine,
                                   abs(pipeline - fine), _AGREEMENT_TOL))
     return rows

@@ -31,10 +31,12 @@ __all__ = [
     "load_scenario",
     "load_scenario_file",
     "scenario_fingerprint",
+    "MAX_EMITTERS",
 ]
 
 DEFAULT_RADIUS = 0.5
 DEFAULT_GAP = 2.0
+MAX_EMITTERS = 24  # amplitude vectors hold 2^n complex numbers
 
 _NORM_TOL = 1e-12
 
@@ -142,6 +144,13 @@ def _check_norm(vec: np.ndarray) -> None:
         raise ValidationError("state", f"component norm {norm!r} != 1")
 
 
+def _check_register(n: int) -> None:
+    """Refuse more than MAX_EMITTERS emitters before any 2^n-amplitude array exists."""
+    if n > MAX_EMITTERS:
+        raise ValidationError("emitters", f"{n} emitters exceed the state-vector "
+                                          f"register's cap of {MAX_EMITTERS}")
+
+
 def _single_excitation_index(n: int, m: int) -> int:
     # emitter m (1-based) excited, all others ground; emitter 1 is the MSB
     return 1 << (n - m)
@@ -155,6 +164,7 @@ def w_state(n: int, phases) -> EmitterState:
     """
     if n < 1:
         raise ValueError("w_state needs n >= 1")
+    _check_register(n)
     thetas = np.asarray(phases, dtype=float)
     if thetas.shape != (n,):
         raise ValueError(f"expected {n} phases, got {thetas.size}")
@@ -173,6 +183,7 @@ def classical_mixture(n: int) -> EmitterState:
     """Incoherent counterpart of the single-excitation superposition: weight 1/n each."""
     if n < 1:
         raise ValueError("classical_mixture needs n >= 1")
+    _check_register(n)
     pairs = []
     for m in range(1, n + 1):
         vec = np.zeros(2**n, dtype=complex)
@@ -270,6 +281,7 @@ def _detector_from(cfg, where: str) -> Detector:
 
 
 def _state_from(cfg, n: int) -> EmitterState:
+    _check_register(n)
     if cfg is None:
         if n == 0:
             return EmitterState.pure([1.0])

@@ -192,6 +192,14 @@ class TestMapsAndDiff:
                      "--out", str(delta)]) == EXIT_OK
         side = json.loads((tmp_path / "d.json").read_text())
         assert side["quantity"] == "delta"
+        # without their sidecars the maps read back as quantity "unknown", still comparable
+        for path in (out_w, out_c):
+            path.with_suffix(".json").unlink()
+        assert main(["diff", "--a", str(out_w), "--b", str(out_c),
+                     "--out", str(delta)]) == EXIT_OK
+        side = json.loads((tmp_path / "d.json").read_text())
+        assert (side["quantity"], side["base_quantity"], side["minuend"]) == (
+            "delta", "unknown", "")
 
     def test_quadrature_failure_exits_two(self, config_file, tmp_path, capsys,
                                           one_argument_diverges):
@@ -395,7 +403,7 @@ class TestKernelsDump:
                      "--dt", "5", "--out", str(out)])
         assert code == EXIT_OK
         lines = out.read_text().splitlines()
-        assert lines[0] == "r,dt,value,err_estimate"
+        assert lines[0] == "r,dt,value,err_estimate,closed_form"
         assert len(lines) == 10
 
     def test_manifest_records_no_tolerance(self, tmp_path):
@@ -418,13 +426,14 @@ class TestKernelsDump:
         assert main(["kernels", "--kind", "radiation-time", "--dt", "nan",
                      "--out", str(tmp_path / "k.csv")]) == EXIT_VALIDATION
 
-    def test_commutator_cross_check_columns(self, tmp_path):
-        # every kind gets the closed-form column, not only the commutator
+    def test_every_kind_has_closed_form_column(self, tmp_path):
+        # the closed form is always written, so the switch that asked for it is gone
         for kind in ("commutator", "radiation-time", "radiation-radial", "variance"):
             out = tmp_path / f"{kind}.csv"
-            code = main(["kernels", "--kind", kind, "--r", "2,4,5",
-                         "--dt", "3", "--out", str(out), "--cross-check"])
-            assert code == EXIT_OK
+            argv = ["kernels", "--kind", kind, "--r", "2,4,5", "--dt", "3", "--out", str(out)]
+            assert main([*argv, "--cross-check"]) == EXIT_USAGE
+            assert not out.exists()
+            assert main(argv) == EXIT_OK
             lines = out.read_text().splitlines()
             assert lines[0] == "r,dt,value,err_estimate,closed_form"
             for line in lines[1:]:

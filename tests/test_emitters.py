@@ -172,6 +172,8 @@ class TestProductExpectation:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="angles"):
             product_expectation(w_state(2, [0, 0]), [0.1], phases_for(2))
+        with pytest.raises(ValueError, match="phases"):
+            product_expectation(w_state(2, [0, 0]), [0.1, 0.2], phases_for(3))
 
     def test_mixture_averaging(self):
         # half excited-1, half excited-2 equals the hand-built average

@@ -236,8 +236,12 @@ class TestRadiationKernels:
 
     def test_invalid_arguments(self):
         for kernel in (KS.radiation_time, KS.radiation_radial):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="dt > 0"):
                 kernel(1.0, -0.5)
+            with pytest.raises(ValueError, match="distance from emitter centre"):
+                kernel([1.0, -1e-9], 0.5)
+        with pytest.raises(ValueError, match="separation distance"):
+            KS.commutator([0.5, -0.5], 1.0)
 
     def test_cross_strategies_on_shell(self):
         r, dt = 5.3, 5.0

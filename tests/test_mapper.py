@@ -267,10 +267,12 @@ class TestCouplingSweep:
         with pytest.raises(ValueError, match="samples"):
             coupling_sweep(scn, [1.0, 2.0])
 
-    def test_non_finite_coupling_rejected(self):
+    @pytest.mark.parametrize("couplings, message", [([0.0, 1.0, np.nan], "finite"),
+                                                    ([0.0, -1e-300, 1.0], ">= 0")])
+    def test_invalid_coupling_rejected(self, couplings, message):
         scn = load_scenario(four_emitter_config())
-        with pytest.raises(ValueError, match="finite"):
-            coupling_sweep(scn, [0.0, 1.0, np.nan])
+        with pytest.raises(ValueError, match=message):
+            coupling_sweep(scn, couplings)
 
     @pytest.mark.parametrize("state_type, receiver_pos, receiver_time", [
         ("w", (11.0, 4.5, 0.0), 8.0),
@@ -380,6 +382,17 @@ class TestOptimizePhases:
         scn = load_scenario(four_emitter_config())
         with pytest.raises(ValueError, match="objective"):
             optimize_phases(scn, "entropy", (0, 0, 0))
+        with pytest.raises(ValueError, match="restart"):
+            optimize_phases(scn, "capacity", (0, 0, 0), restarts=0)
+
+    @pytest.mark.parametrize("n, message", [(0, "at least one emitter"),
+                                            (9, "capped at 8 emitters")])
+    def test_emitter_count_validation(self, n, message):
+        emitters = tuple(Detector((1.5 * i, 0.0, 0.0), 0.5, 0.5) for i in range(n))
+        state = EmitterState.pure([1.0]) if n == 0 else w_state(n, [0.0] * n)
+        scn = Scenario(emitters, Detector((11.0, 4.5, 0.0), 8.0, 0.8), state, 9.0)
+        with pytest.raises(ValueError, match=message):
+            optimize_phases(scn, "energy", (11.0, 4.5, 0.0))
 
     @pytest.mark.parametrize("budget", [0, -5])
     def test_budget_below_one_rejected(self, budget):
@@ -401,7 +414,11 @@ def minimize_nelder_mead(f, x0, maxfev, xatol=1e-6, fatol=1e-12):
 
 
 def sequential_search(scn, objective, point, budget, restarts, seed):
-    """optimize_phases with its restarts run one after another, one state per objective call."""
+    """optimize_phases with its restarts run one after another, one state per objective call.
+
+    Restart k runs with the share min(per_restart, budget - k per_restart);
+    the first restart with no share left ends the search, not converged.
+    """
     n = scn.n_emitters
     value_of = _phase_objective(scn, objective, point)
     trace = []
@@ -417,11 +434,12 @@ def sequential_search(scn, objective, point, budget, restarts, seed):
                                   for _ in range(restarts - 1)]
     per_restart = max(16, budget // restarts)
     best_value, best, converged = -math.inf, np.zeros(n), True
-    for start in starts:
-        if len(trace) >= budget:
+    for k, start in enumerate(starts):
+        share = min(per_restart, budget - k * per_restart)
+        if share <= 0:
+            converged = False
             break
-        x, value, done = minimize_nelder_mead(negative, start,
-                                              min(per_restart, budget - len(trace)))
+        x, value, done = minimize_nelder_mead(negative, start, share)
         converged = converged and done
         if -value > best_value:
             best_value, best = -value, np.concatenate(([0.0], np.mod(x, 2 * math.pi)))
@@ -450,9 +468,9 @@ class TestLockstep:
         assert got.value > 0.0
 
     @pytest.mark.parametrize("budget, restarts, first_round", [
-        (120, 3, 3),  # every share fixed: all restarts start in round 1
-        (40, 4, 2),   # shares of 16: restarts 0 and 1 fixed, 2 and 3 wait their turn
-        (20, 4, 1)])  # only restart 0 fixed
+        (120, 3, 3),  # shares of 40: all restarts start in round 1
+        (40, 4, 3),   # shares 16, 16 and 8 start in round 1; restart 3 has none
+        (20, 4, 2)])  # shares 16 and 4
     def test_rounds_stack_the_restarts_with_a_fixed_share(self, monkeypatch, budget,
                                                          restarts, first_round):
         import qshock.mapper
@@ -463,6 +481,24 @@ class TestLockstep:
                               (11.0, 4.5, 0.0), budget, restarts)
         assert sizes[0] == max(sizes) == first_round
         assert sum(sizes) == res.evaluations <= budget
+
+    def test_shares_stay_fixed_when_an_earlier_restart_stops_early(self, monkeypatch):
+        # restart 0 converges on its first simplex (4 points) at any tolerance; the
+        # restarts after it keep the shares they were given up front
+        import qshock.mapper
+        shares, original = [], qshock.mapper._nelder_mead
+
+        def first_stops_early(x0, maxfev, xatol, fatol):
+            shares.append(maxfev)
+            return original(x0, maxfev, *((math.inf, math.inf) if len(shares) == 1
+                                          else (xatol, fatol)))
+
+        monkeypatch.setattr(qshock.mapper, "_nelder_mead", first_stops_early)
+        res = optimize_phases(load_scenario(four_emitter_config()), "capacity",
+                              (11.0, 4.5, 0.0), budget=40, restarts=4)
+        assert shares == [16, 16, 8]
+        assert res.evaluations == 4 + 16 + 8
+        assert not res.converged  # restart 3 had no share
 
 
 class TestNelderMead:

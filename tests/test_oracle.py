@@ -93,6 +93,7 @@ class TestExactProbability:
         scn = one_alice_scenario()
         early = Scenario(scn.emitters, scn.receiver, scn.emitter_state, 2.0)
         assert exact_probability(modes, early, True) == 0.0
+        assert discrete_probability(modes, early, True) == 0.0
 
 
 class TestUnitarityAndCommutation:
@@ -186,6 +187,15 @@ class TestStandardBattery:
         assert {c["state"] for c in cases} == {"w", "classical", "product"}
         assert {c["couple"] for c in cases} == {True, False}
         assert {c["n_modes"] for c in cases} == {1, 2, 3, 4}
+
+    @pytest.mark.parametrize("kind", ["probability", "energy"])
+    def test_cutoff_not_converged_is_a_numerical_failure(self, monkeypatch, kind):
+        import qshock.oracle as oracle
+        [case] = [c for c in standard_comparison_cases() if c["kind"] == kind][:1]
+        monkeypatch.setattr(oracle, "standard_comparison_cases", lambda: [case])
+        monkeypatch.setattr(oracle, "_CUTOFF_TOL", -1.0)  # no two runs agree that well
+        with pytest.raises(FloatingPointError, match="cutoff not converged"):
+            run_standard_comparisons()
 
     def test_full_battery_passes(self):
         rows = run_standard_comparisons()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from qshock.scenario import (Detector, EmitterState, Scenario, SchemaError,
+from qshock.scenario import (MAX_EMITTERS, Detector, EmitterState, Scenario, SchemaError,
                              ValidationError, classical_mixture, load_scenario,
                              scenario_fingerprint, w_state)
 
@@ -176,6 +176,31 @@ class TestLoadScenario:
         scn = load_scenario(cfg)
         assert scn.n_emitters == 0
         assert len(scn.emitter_state.components[0][1]) == 1
+
+    @pytest.mark.parametrize("state_type", ["w", "classical"])
+    def test_register_cap_checked_before_any_state_is_built(self, monkeypatch, state_type):
+        import time
+        import qshock.emitters
+        import qshock.scenario
+
+        def built(*_):  # a regression fails here, before the 2^25 amplitudes are written
+            raise AssertionError("an amplitude vector was built")
+
+        monkeypatch.setattr(qshock.scenario, "_single_excitation_index", built)
+        cfg = json.loads(three_emitter_config(state_type))
+        cfg["emitters"] = [{"position": [0.5 * i, 0.0, 0.0], "time": 1.0, "lambda": 1.0}
+                           for i in range(MAX_EMITTERS + 1)]
+        if state_type == "w":
+            cfg["state"]["phases"] = [0.0] * (MAX_EMITTERS + 1)
+        t0 = time.perf_counter()
+        with pytest.raises(ValidationError, match="cap of 24") as refused:
+            load_scenario(json.dumps(cfg))
+        assert refused.value.field == "emitters"
+        assert qshock.emitters.MAX_EMITTERS == MAX_EMITTERS == 24  # still importable there
+        for build in (lambda: w_state(25, [0.0] * 25), lambda: classical_mixture(25)):
+            with pytest.raises(ValidationError, match="cap of 24"):
+                build()
+        assert time.perf_counter() - t0 < 1.0
 
     def test_negative_radius_names_field(self):
         cfg = json.dumps({
