@@ -1,9 +1,12 @@
 """Command-line surface: validate, map, sweep, optimize, kernel dumps, oracle.
 
 Exit codes: 0 success, 1 validation error, 2 numerical failure, 64 usage
-error.  Every run that writes outputs also writes a `<out>.manifest.json`
-run manifest listing the inputs, settings, outputs, and fingerprints, so
-artifacts are reproducible byte for byte.
+error.  Each subparser names its command function with set_defaults.  The
+six commands that write a CSV (energy-map, capacity-map, diff, sweep,
+optimize, kernels) return their settings, fingerprints and summary line,
+and one step, _recorded, times the command, writes the run record
+`<out>.manifest.json` beside the CSV (subcommand, config, outputs,
+settings, fingerprints, wall_time_s) and prints the summary.
 """
 
 from __future__ import annotations
@@ -14,40 +17,24 @@ import math
 import sys
 import time
 import warnings
-from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .kernels import (KernelSet, QuadratureError, closed_form_commutator,
                       closed_form_radiation, closed_form_variance)
 from .mapper import (DEFAULT_RESOLUTION, DEFAULT_WINDOW, capacity_map, coupling_sweep,
-                     diff_map, energy_map, optimize_phases, read_grid_csv,
-                     write_grid_csv, write_sweep_csv, _beside, _write_json, _write_lines)
+                     diff_map, energy_map, optimize_phases, read_grid_csv, write_grid_csv,
+                     write_sweep_csv, _FMT, _beside, _write_json, _write_lines)
 from .observables import ReceiverNotCoupledWarning
 from .oracle import OracleBudgetError, run_standard_comparisons
 from .scenario import ValidationError, load_scenario_file, scenario_fingerprint
 
-__all__ = ["main", "RunManifest"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 EXIT_USAGE = 64
-
-
-@dataclass
-class RunManifest:
-    """What a run read, what it wrote, and under which settings."""
-
-    subcommand: str
-    config: str | None
-    outputs: list[str] = field(default_factory=list)
-    settings: dict = field(default_factory=dict)
-    fingerprints: dict = field(default_factory=dict)
-    wall_time_s: float = 0.0
-
-    def write(self, anchor_path: str) -> None:
-        _write_json(_beside(anchor_path, ".manifest.json"), asdict(self))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,6 +80,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("validate", help="check a scenario configuration")
     p.add_argument("--config", required=True)
+    p.set_defaults(command=_cmd_validate)
 
     for name, help_text in (("energy-map", "energy density over an (x, y) window"),
                             ("capacity-map", "channel capacity vs receiver location")):
@@ -101,17 +89,20 @@ def build_parser() -> _Parser:
         p.add_argument("--window", default=None, help="xmin,xmax,ymin,ymax "
                                                       "(default 0,16,0,16)")
         p.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION)
+        p.set_defaults(command=_cmd_map)
 
     p = sub.add_parser("diff", help="cellwise difference of two maps")
     p.add_argument("--a", required=True, help="minuend CSV")
     p.add_argument("--b", required=True, help="subtrahend CSV")
     p.add_argument("--out", required=True)
+    p.set_defaults(command=_cmd_diff)
 
     p = sub.add_parser("sweep", help="capacity vs receiver coupling strength")
     add_common(p)
     p.add_argument("--lambda-min", type=float, default=0.0)
     p.add_argument("--lambda-max", type=float, default=8.0)
     p.add_argument("--samples", type=int, default=100)
+    p.set_defaults(command=_cmd_sweep)
 
     p = sub.add_parser("optimize", help="search emitter phases for a target")
     add_common(p)
@@ -120,6 +111,7 @@ def build_parser() -> _Parser:
     p.add_argument("--budget", type=int, default=800)
     p.add_argument("--restarts", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(command=_cmd_optimize)
 
     p = sub.add_parser("kernels", help="dump kernel profiles as CSV")
     p.add_argument("--kind", choices=("commutator", "radiation-time",
@@ -129,8 +121,10 @@ def build_parser() -> _Parser:
     p.add_argument("--r", default="0.5,8,32", help="min,max,count for r (or d)")
     p.add_argument("--dt", default="5", help="time difference (single value)")
     p.add_argument("--out", required=True)
+    p.set_defaults(command=_cmd_kernels)
 
-    sub.add_parser("oracle", help="pipeline vs exact Fock comparison table")
+    p = sub.add_parser("oracle", help="pipeline vs exact Fock comparison table")
+    p.set_defaults(command=_cmd_oracle)
 
     return parser
 
@@ -149,6 +143,28 @@ def _shared_parser() -> _Parser:
 # subcommand bodies
 # ----------------------------------------------------------------------
 
+def _recorded(command):
+    """The output-writing command as one step that keeps its run record.
+
+    command(args) writes args.out and returns (settings, fingerprints,
+    summary), summary taking the wall time in seconds to the stdout line.
+    The step times the command, writes <out>.manifest.json beside the CSV
+    and prints the summary.
+    """
+    def run(args) -> int:
+        t0 = time.perf_counter()
+        settings, fingerprints, summary = command(args)
+        wall_time_s = time.perf_counter() - t0
+        _write_json(_beside(args.out, ".manifest.json"), {
+            "subcommand": args.subcommand, "config": getattr(args, "config", None),
+            "outputs": [args.out], "settings": settings, "fingerprints": fingerprints,
+            "wall_time_s": wall_time_s})
+        print(summary(wall_time_s))
+        return EXIT_OK
+
+    return run
+
+
 def _cmd_validate(args) -> int:
     scenario = load_scenario_file(args.config)
     print(f"ok: {scenario.n_emitters} emitters, receiver couples at "
@@ -158,83 +174,65 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_map(args, quantity: str) -> int:
-    t0 = time.perf_counter()
+@_recorded
+def _cmd_map(args):
     scenario = load_scenario_file(args.config)
     window = _window_from(args)
-    run_settings = {"window": list(window), "resolution": args.resolution}
-    grid = (energy_map if quantity == "energy" else capacity_map)(scenario, window,
-                                                                  args.resolution)
+    grid = {"energy-map": energy_map, "capacity-map": capacity_map}[args.subcommand](
+        scenario, window, args.resolution)
     write_grid_csv(grid, args.out)
-    manifest = RunManifest(quantity + "-map", args.config, [args.out], run_settings,
-                           {"scenario": scenario_fingerprint(scenario),
-                            "grid": grid.fingerprint},
-                           time.perf_counter() - t0)
-    manifest.write(args.out)
-    print(f"wrote {args.out} ({grid.values.shape[0]}x{grid.values.shape[1]} cells, "
-          f"{manifest.wall_time_s:.1f}s)")
-    return EXIT_OK
+    ny, nx = grid.values.shape
+    return ({"window": list(window), "resolution": args.resolution},
+            {"scenario": scenario_fingerprint(scenario), "grid": grid.fingerprint},
+            lambda wall_time_s: f"wrote {args.out} ({ny}x{nx} cells, {wall_time_s:.1f}s)")
 
 
-def _cmd_diff(args) -> int:
-    t0 = time.perf_counter()
+@_recorded
+def _cmd_diff(args):
     grid = diff_map(read_grid_csv(args.a), read_grid_csv(args.b))
     write_grid_csv(grid, args.out)
-    manifest = RunManifest("diff", None, [args.out],
-                           {"a": args.a, "b": args.b},
-                           {"grid": grid.fingerprint}, time.perf_counter() - t0)
-    manifest.write(args.out)
-    print(f"wrote {args.out}")
-    return EXIT_OK
+    return ({"a": args.a, "b": args.b}, {"grid": grid.fingerprint},
+            lambda _: f"wrote {args.out}")
 
 
-def _cmd_sweep(args) -> int:
-    t0 = time.perf_counter()
+@_recorded
+def _cmd_sweep(args):
     for flag, value in (("--lambda-min", args.lambda_min), ("--lambda-max", args.lambda_max)):
         if not math.isfinite(value):
             raise ValidationError(flag, f"must be finite, got {value!r}")
     scenario = load_scenario_file(args.config)
-    lams = np.linspace(args.lambda_min, args.lambda_max, args.samples)
-    curve = coupling_sweep(scenario, lams)
+    curve = coupling_sweep(scenario, np.linspace(args.lambda_min, args.lambda_max,
+                                                 args.samples))
     write_sweep_csv(curve, args.out)
-    manifest = RunManifest("sweep", args.config, [args.out],
-                           {"lambda_min": args.lambda_min,
-                            "lambda_max": args.lambda_max,
-                            "samples": args.samples},
-                           {"scenario": scenario_fingerprint(scenario),
-                            "curve": curve.fingerprint}, time.perf_counter() - t0)
-    manifest.write(args.out)
-    print(f"wrote {args.out}; argmax capacity {curve.argmax_capacity:.6e} at "
-          f"lambda_B = {curve.argmax_coupling:.4f}")
-    return EXIT_OK
+    return ({"lambda_min": args.lambda_min, "lambda_max": args.lambda_max,
+             "samples": args.samples},
+            {"scenario": scenario_fingerprint(scenario), "curve": curve.fingerprint},
+            lambda _: f"wrote {args.out}; argmax capacity {curve.argmax_capacity:.6e} "
+                      f"at lambda_B = {curve.argmax_coupling:.4f}")
 
 
-def _cmd_optimize(args) -> int:
-    t0 = time.perf_counter()
+@_recorded
+def _cmd_optimize(args):
     scenario = load_scenario_file(args.config)
     point = _point_from(args.point)
     result = optimize_phases(scenario, args.objective, point, budget=args.budget,
                              restarts=args.restarts, seed=args.seed)
     lines = ["evaluation,value," + ",".join(f"theta_{i+1}"
                                             for i in range(len(result.phases)))]
-    for i, (thetas, value) in enumerate(result.trace):
-        lines.append(f"{i},{value:.8e}," + ",".join(f"{t:.8e}" for t in thetas))
+    lines += [",".join([str(i), *map(_FMT.format, [value, *thetas])])
+              for i, (thetas, value) in enumerate(result.trace)]
     _write_lines(args.out, lines)
-    manifest = RunManifest("optimize", args.config, [args.out],
-                           {"objective": args.objective, "point": list(point),
-                            "budget": args.budget, "restarts": args.restarts,
-                            "seed": args.seed, "converged": result.converged},
-                           {"scenario": scenario_fingerprint(scenario)},
-                           time.perf_counter() - t0)
-    manifest.write(args.out)
     status = "converged" if result.converged else "budget exhausted (best-so-far)"
-    print(f"{status}: value {result.value:.8e} at phases "
-          + ", ".join(f"{t:.4f}" for t in result.phases)
-          + f" ({result.evaluations} evaluations)")
-    return EXIT_OK
+    return ({"objective": args.objective, "point": list(point), "budget": args.budget,
+             "restarts": args.restarts, "seed": args.seed, "converged": result.converged},
+            {"scenario": scenario_fingerprint(scenario)},
+            lambda _: f"{status}: value {result.value:.8e} at phases "
+                      + ", ".join(f"{t:.4f}" for t in result.phases)
+                      + f" ({result.evaluations} evaluations)")
 
 
-def _cmd_kernels(args) -> int:
+@_recorded
+def _cmd_kernels(args):
     ks = KernelSet(args.radius)
     lo, hi, count = _numbers(args.r, "--r", "min,max,count", (3,))
     if count != int(count) or count < 1:
@@ -252,15 +250,11 @@ def _cmd_kernels(args) -> int:
                  if args.kind == "commutator" else closed_form_radiation(
                      rs, dt, args.radius)[0 if args.kind == "radiation-time" else 1])
     lines = ["r,dt,value,err_estimate,closed_form"]
-    lines += [f"{r:.8e},{dt:.8e},{value:.8e},{error:.8e},{check:.8e}"
+    lines += [",".join(map(_FMT.format, (r, dt, value, error, check)))
               for r, value, error, check in zip(rs, values, errors, exact)]
     _write_lines(args.out, lines)
-    manifest = RunManifest("kernels", None, [args.out],
-                           {"kind": args.kind, "radius": args.radius,
-                            "dt": dt}, {})
-    manifest.write(args.out)
-    print(f"wrote {args.out} ({len(rs)} samples)")
-    return EXIT_OK
+    return ({"kind": args.kind, "radius": args.radius, "dt": dt}, {},
+            lambda _: f"wrote {args.out} ({len(rs)} samples)")
 
 
 def _cmd_oracle(args) -> int:
@@ -298,19 +292,7 @@ def main(argv=None) -> int:
 
 def _run(args) -> int:
     try:
-        if args.subcommand == "validate":
-            return _cmd_validate(args)
-        if args.subcommand in ("energy-map", "capacity-map"):
-            return _cmd_map(args, args.subcommand.removesuffix("-map"))
-        if args.subcommand == "diff":
-            return _cmd_diff(args)
-        if args.subcommand == "sweep":
-            return _cmd_sweep(args)
-        if args.subcommand == "optimize":
-            return _cmd_optimize(args)
-        if args.subcommand == "kernels":
-            return _cmd_kernels(args)
-        return _cmd_oracle(args)  # the parser admits no other subcommand
+        return args.command(args)
     except (ValidationError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

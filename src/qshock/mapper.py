@@ -113,9 +113,6 @@ class SweepCurve:
 
     couplings: np.ndarray
     capacities: np.ndarray
-    argmax_index: int
-    argmax_coupling: float
-    argmax_capacity: float
     fingerprint: str
     meta: dict = field(default_factory=dict)
 
@@ -124,12 +121,22 @@ class SweepCurve:
         cap = np.asarray(self.capacities, dtype=float)
         if lam.shape != cap.shape or lam.ndim != 1:
             raise ValueError("couplings and capacities must be equal-length vectors")
-        if int(np.argmax(cap)) != self.argmax_index:
-            raise ValueError("argmax index inconsistent with the data")
         lam.setflags(write=False)
         cap.setflags(write=False)
         object.__setattr__(self, "couplings", lam)
         object.__setattr__(self, "capacities", cap)
+
+    @property
+    def argmax_index(self) -> int:
+        return int(np.argmax(self.capacities))
+
+    @property
+    def argmax_coupling(self) -> float:
+        return float(self.couplings[self.argmax_index])
+
+    @property
+    def argmax_capacity(self) -> float:
+        return float(self.capacities[self.argmax_index])
 
 
 @dataclass(frozen=True)
@@ -139,10 +146,13 @@ class PhaseOptimum:
     phases: tuple[float, ...]
     value: float
     objective: str
-    evaluations: int
     converged: bool
     restarts: int
     trace: tuple[tuple[tuple[float, ...], float], ...]
+
+    @property
+    def evaluations(self) -> int:
+        return len(self.trace)
 
 
 def _grid(window: Window, resolution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -229,10 +239,8 @@ def coupling_sweep(scenario: Scenario, couplings) -> SweepCurve:
         raise ValueError("coupling strengths must be >= 0")
     t0 = time.perf_counter()
     caps = _capacities(_receiver_channel(scenario, couplings=lam), scenario.emitter_state)[0]
-    idx = int(np.argmax(caps))
     meta = {"wall_time_s": time.perf_counter() - t0}
-    return SweepCurve(lam, caps, idx, float(lam[idx]), float(caps[idx]),
-                      scenario_fingerprint(scenario, {"sweep": "lambda_B"}), meta)
+    return SweepCurve(lam, caps, scenario_fingerprint(scenario, {"sweep": "lambda_B"}), meta)
 
 
 # ----------------------------------------------------------------------
@@ -300,7 +308,7 @@ def optimize_phases(scenario: Scenario, objective: str, point,
     if n == 1:
         # the objective is constant along the global-phase direction
         [val] = value_of(np.zeros((1, 1)))
-        return PhaseOptimum((0.0,), val, objective, 1, True, 1, (((0.0,), val),))
+        return PhaseOptimum((0.0,), val, objective, True, 1, (((0.0,), val),))
 
     rng = np.random.default_rng(seed)
     starts = [np.zeros(n - 1)] + [rng.uniform(0.0, 2.0 * math.pi, n - 1)
@@ -334,9 +342,8 @@ def optimize_phases(scenario: Scenario, objective: str, point,
         if -value > best_val:
             best_val = -value
             best_full = np.concatenate(([0.0], np.mod(x, 2.0 * math.pi)))
-    trace = tuple(entry for run in traces for entry in run)
-    return PhaseOptimum(tuple(float(t) for t in best_full), float(best_val),
-                        objective, len(trace), converged, len(starts), trace)
+    return PhaseOptimum(tuple(float(t) for t in best_full), float(best_val), objective,
+                        converged, len(starts), tuple(entry for run in traces for entry in run))
 
 
 def _nelder_mead(x0, maxfev: int, xatol: float, fatol: float):

@@ -311,9 +311,15 @@ def _t00(kernels, weights):
 
 
 def binary_entropy(x: float) -> float:
-    """h(x) = -x log2 x - (1-x) log2(1-x), with the endpoint limits 0."""
+    """h(x) = -x log2 x - (1-x) log2(1-x), with the endpoint limits 0.
+
+    Once 1 - x rounds to 1 (x below about 2^-54) the second term is
+    (1-x) log1p(-x) / ln 2, about x / ln 2, which log2(1 - x) would drop.
+    """
     if x <= 0.0 or x >= 1.0:
         return 0.0
+    if 1.0 - x == 1.0:
+        return -x * math.log2(x) - math.log1p(-x) / math.log(2.0)
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 

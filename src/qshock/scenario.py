@@ -47,6 +47,7 @@ class ValidationError(ValueError):
     def __init__(self, field_name: str, message: str):
         super().__init__(f"{field_name}: {message}")
         self.field = field_name
+        self.message = message
 
 
 class SchemaError(ValidationError):
@@ -277,7 +278,7 @@ def _detector_from(cfg, where: str) -> Detector:
     try:
         return Detector(position, time, lam, gap, radius)
     except ValidationError as exc:
-        raise ValidationError(f"{where}.{exc.field}", str(exc).split(": ", 1)[1]) from None
+        raise ValidationError(f"{where}.{exc.field}", exc.message) from None
 
 
 def _state_from(cfg, n: int) -> EmitterState:
@@ -324,7 +325,7 @@ def _state_from(cfg, n: int) -> EmitterState:
     try:
         return EmitterState.mixture(pairs)
     except ValidationError as exc:
-        raise ValidationError(where, str(exc).split(": ", 1)[1]) from None
+        raise ValidationError(where, exc.message) from None
 
 
 def _amplitudes_from(amps, where: str, n: int) -> list[complex]:

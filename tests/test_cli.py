@@ -388,6 +388,34 @@ class TestSweepAndOptimize:
         assert not out.exists()
 
 
+class TestRunRecord:
+    @pytest.mark.parametrize("argv", [
+        ["energy-map", "--config", "CONFIG", "--resolution", "3"],
+        ["capacity-map", "--config", "CONFIG", "--resolution", "3"],
+        ["diff", "--a", "A", "--b", "B"],
+        ["sweep", "--config", "CONFIG", "--samples", "5"],
+        ["optimize", "--config", "CONFIG", "--objective", "energy", "--point", "1,2",
+         "--budget", "8"],
+        ["kernels", "--kind", "variance", "--r", "0.5,8,3"],
+    ], ids=lambda argv: argv[0])
+    def test_every_output_writing_command_writes_one_manifest(self, argv, config_file,
+                                                              tmp_path):
+        given = {"CONFIG": str(config_file)}
+        if argv[0] == "diff":
+            for name in ("A", "B"):
+                given[name] = str(tmp_path / f"{name}.csv")
+                assert main(["energy-map", "--config", given["CONFIG"], "--resolution", "3",
+                             "--out", given[name]]) == EXIT_OK
+        out = str(tmp_path / "out.csv")
+        assert main([given.get(word, word) for word in argv] + ["--out", out]) == EXIT_OK
+        manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+        assert set(manifest) == {"subcommand", "config", "outputs", "settings",
+                                 "fingerprints", "wall_time_s"}
+        assert manifest["outputs"] == [out]
+        assert manifest["subcommand"] == argv[0]
+        assert manifest["config"] == (given["CONFIG"] if "--config" in argv else None)
+
+
 class TestKernelsDump:
     @pytest.mark.parametrize("kind", ["commutator", "radiation-time", "radiation-radial",
                                       "variance"])
@@ -455,16 +483,21 @@ class TestSharedParser:
 
     @pytest.fixture()
     def recorded(self, monkeypatch):
+        """Each command function replaced by one that records its namespace and name."""
         calls = []
 
-        def record(args, *_):
-            calls.append(vars(args).copy())
-            return EXIT_OK
+        def recorder(name):
+            def record(args):
+                calls.append({**vars(args), "command": name})
+                return EXIT_OK
+            return record
 
         for name in ("_cmd_validate", "_cmd_map", "_cmd_diff", "_cmd_sweep",
                      "_cmd_optimize", "_cmd_kernels", "_cmd_oracle"):
-            monkeypatch.setattr(cli, name, record)
-        return calls
+            monkeypatch.setattr(cli, name, recorder(name))
+        cli._shared_parser.cache_clear()  # set_defaults binds the functions at build time
+        yield calls
+        cli._shared_parser.cache_clear()
 
     def test_built_once_and_build_parser_stays_fresh(self, monkeypatch, recorded):
         builds = []
@@ -499,7 +532,10 @@ class TestSharedParser:
         assert (second["seed"], second["budget"], second["restarts"]) == (0, 800, 4)
         assert second["objective"] == "capacity"
         assert sweep == {"subcommand": "sweep", "config": "c", "out": "s",
-                         "lambda_min": 0.0, "lambda_max": 8.0, "samples": 9}
+                         "lambda_min": 0.0, "lambda_max": 8.0, "samples": 9,
+                         "command": "_cmd_sweep"}
+        assert {first["command"], second["command"]} == {"_cmd_optimize"}
+        assert {sized["command"], default["command"]} == {"_cmd_map"}
         assert sized["resolution"] == 5
         assert "threads" not in sized
         assert default["resolution"] == cli.DEFAULT_RESOLUTION
@@ -512,8 +548,8 @@ class TestSharedParser:
         for argv in bad:
             assert main(argv) == EXIT_USAGE
             assert main(["validate", "--config", "c"]) == EXIT_OK
-        assert all(call == {"subcommand": "validate", "config": "c"}
-                   for call in recorded)
+        assert all(call == {"subcommand": "validate", "config": "c",
+                            "command": "_cmd_validate"} for call in recorded)
         assert main(["--help"]) == 0
         assert "energy-map" in capsys.readouterr().out
 

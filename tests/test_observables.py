@@ -373,6 +373,14 @@ class TestChannelCapacity:
                                  * (1 - base - delta / 2))
             assert full == pytest.approx(series, rel=2e-4)
 
+    @pytest.mark.parametrize("p, q, exact", [
+        (5e-20, 0.0, 2.6536892271152149e-20),     # p / (e ln 2)
+        (3e-17, 1e-17, 3.8035099023530844e-18),   # 400-digit mpmath
+    ])
+    def test_tiny_probabilities_keep_the_one_minus_x_entropy_term(self, p, q, exact):
+        # 1 - p and 1 - q round to 1, where log2(1 - x) drops the term
+        assert channel_capacity(p=p, q=q) == pytest.approx(exact, rel=1e-12)
+
     def test_invalid_probability_is_hard_error(self):
         with pytest.raises(ValueError, match="probability"):
             channel_capacity(p=1.2, q=0.1)
