@@ -13,7 +13,7 @@ from .kernels import KernelSet, KernelValue, QuadratureError, sphere_form_factor
 from .scenario import (Detector, EmitterState, Scenario, SchemaError,
                        ValidationError, classical_mixture, load_scenario,
                        load_scenario_file, scenario_fingerprint, w_state)
-from .emitters import MonopolePhase, pair_correlation, product_expectation
+from .emitters import pair_correlation, product_expectation
 from .observables import (ChannelPoint, binary_entropy, channel_capacity, channel_point,
                           energy_density, excitation_probability)
 from .mapper import (GridMap, PhaseOptimum, SweepCurve, capacity_map,

@@ -3,10 +3,12 @@
 Exit codes: 0 success, 1 validation error, 2 numerical failure, 64 usage
 error.  Each subparser names its command function with set_defaults.  The
 six commands that write a CSV (energy-map, capacity-map, diff, sweep,
-optimize, kernels) return their settings, fingerprints and summary line,
-and one step, _recorded, times the command, writes the run record
-`<out>.manifest.json` beside the CSV (subcommand, config, outputs,
-settings, fingerprints, wall_time_s) and prints the summary.
+optimize, kernels) return the paths they wrote, their settings,
+fingerprints and summary line, and one step, _recorded, times the
+command, writes the run record `<out>.manifest.json` beside the CSV
+(subcommand, config, outputs, settings, fingerprints, wall_time_s) and
+prints the summary.  outputs lists every file the command wrote: the CSV,
+and its `<out>.json` sidecar for the maps, diff and sweep.
 """
 
 from __future__ import annotations
@@ -146,18 +148,19 @@ def _shared_parser() -> _Parser:
 def _recorded(command):
     """The output-writing command as one step that keeps its run record.
 
-    command(args) writes args.out and returns (settings, fingerprints,
-    summary), summary taking the wall time in seconds to the stdout line.
+    command(args) writes args.out and returns (outputs, settings,
+    fingerprints, summary): outputs the paths it wrote, summary taking the
+    wall time in seconds to the stdout line.
     The step times the command, writes <out>.manifest.json beside the CSV
     and prints the summary.
     """
     def run(args) -> int:
         t0 = time.perf_counter()
-        settings, fingerprints, summary = command(args)
+        outputs, settings, fingerprints, summary = command(args)
         wall_time_s = time.perf_counter() - t0
         _write_json(_beside(args.out, ".manifest.json"), {
             "subcommand": args.subcommand, "config": getattr(args, "config", None),
-            "outputs": [args.out], "settings": settings, "fingerprints": fingerprints,
+            "outputs": outputs, "settings": settings, "fingerprints": fingerprints,
             "wall_time_s": wall_time_s})
         print(summary(wall_time_s))
         return EXIT_OK
@@ -180,9 +183,9 @@ def _cmd_map(args):
     window = _window_from(args)
     grid = {"energy-map": energy_map, "capacity-map": capacity_map}[args.subcommand](
         scenario, window, args.resolution)
-    write_grid_csv(grid, args.out)
+    outputs = write_grid_csv(grid, args.out)
     ny, nx = grid.values.shape
-    return ({"window": list(window), "resolution": args.resolution},
+    return (outputs, {"window": list(window), "resolution": args.resolution},
             {"scenario": scenario_fingerprint(scenario), "grid": grid.fingerprint},
             lambda wall_time_s: f"wrote {args.out} ({ny}x{nx} cells, {wall_time_s:.1f}s)")
 
@@ -190,8 +193,8 @@ def _cmd_map(args):
 @_recorded
 def _cmd_diff(args):
     grid = diff_map(read_grid_csv(args.a), read_grid_csv(args.b))
-    write_grid_csv(grid, args.out)
-    return ({"a": args.a, "b": args.b}, {"grid": grid.fingerprint},
+    outputs = write_grid_csv(grid, args.out)
+    return (outputs, {"a": args.a, "b": args.b}, {"grid": grid.fingerprint},
             lambda _: f"wrote {args.out}")
 
 
@@ -203,9 +206,9 @@ def _cmd_sweep(args):
     scenario = load_scenario_file(args.config)
     curve = coupling_sweep(scenario, np.linspace(args.lambda_min, args.lambda_max,
                                                  args.samples))
-    write_sweep_csv(curve, args.out)
-    return ({"lambda_min": args.lambda_min, "lambda_max": args.lambda_max,
-             "samples": args.samples},
+    outputs = write_sweep_csv(curve, args.out)
+    return (outputs, {"lambda_min": args.lambda_min, "lambda_max": args.lambda_max,
+                      "samples": args.samples},
             {"scenario": scenario_fingerprint(scenario), "curve": curve.fingerprint},
             lambda _: f"wrote {args.out}; argmax capacity {curve.argmax_capacity:.6e} "
                       f"at lambda_B = {curve.argmax_coupling:.4f}")
@@ -221,10 +224,11 @@ def _cmd_optimize(args):
                                             for i in range(len(result.phases)))]
     lines += [",".join([str(i), *map(_FMT.format, [value, *thetas])])
               for i, (thetas, value) in enumerate(result.trace)]
-    _write_lines(args.out, lines)
+    outputs = [_write_lines(args.out, lines)]
     status = "converged" if result.converged else "budget exhausted (best-so-far)"
-    return ({"objective": args.objective, "point": list(point), "budget": args.budget,
-             "restarts": args.restarts, "seed": args.seed, "converged": result.converged},
+    return (outputs, {"objective": args.objective, "point": list(point), "budget": args.budget,
+                      "restarts": args.restarts, "seed": args.seed,
+                      "converged": result.converged},
             {"scenario": scenario_fingerprint(scenario)},
             lambda _: f"{status}: value {result.value:.8e} at phases "
                       + ", ".join(f"{t:.4f}" for t in result.phases)
@@ -252,8 +256,8 @@ def _cmd_kernels(args):
     lines = ["r,dt,value,err_estimate,closed_form"]
     lines += [",".join(map(_FMT.format, (r, dt, value, error, check)))
               for r, value, error, check in zip(rs, values, errors, exact)]
-    _write_lines(args.out, lines)
-    return ({"kind": args.kind, "radius": args.radius, "dt": dt}, {},
+    outputs = [_write_lines(args.out, lines)]
+    return (outputs, {"kind": args.kind, "radius": args.radius, "dt": dt}, {},
             lambda _: f"wrote {args.out} ({len(rs)} samples)")
 
 

@@ -15,10 +15,12 @@ here are evaluated without any perturbative truncation:
     2 lambda_B lambda_i times the gated commutator kernel; see
     observables for the correspondence).
 
-mu_i is index-permuted: (mu_i psi)[k] = f_i[k] psi[k XOR b_i], with b_i
-emitter i's bit and f_i[k] = e^{+i Omega_i t_i} where k has it set,
-e^{-i Omega_i t_i} where not.  These tables (24 n 2^n bytes) are built
-once per (n, phases) and serve both functions here.
+Both take the monopole phases Omega_i t_i as any sequence of n floats
+(a tuple, a list or an array; Scenario.monopole_phases gives a
+scenario's).  mu_i is index-permuted: (mu_i psi)[k] = f_i[k] psi[k XOR
+b_i], with b_i emitter i's bit and f_i[k] = e^{+i Omega_i t_i} where k has
+it set, e^{-i Omega_i t_i} where not.  These tables (24 n 2^n bytes) are
+built once per tuple of phases, as floats, and serve both functions here.
 
 Both functions run one core over a stack of pure amplitude vectors
 (S, 2^n): each monopole factor is applied to every vector of the stack,
@@ -34,31 +36,13 @@ n is capped at scenario.MAX_EMITTERS (24), checked before any state exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .scenario import MAX_EMITTERS, EmitterState, Scenario, _check_register
+from .scenario import MAX_EMITTERS, EmitterState, _check_register
 
-__all__ = ["MonopolePhase", "pair_correlation", "product_expectation", "MAX_EMITTERS"]
-
-
-@dataclass(frozen=True)
-class MonopolePhase:
-    """Per-emitter phases Omega_i * t_i entering the monopole operators."""
-
-    phases: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "phases", tuple(float(p) for p in self.phases))
-
-    @staticmethod
-    def from_scenario(scenario: Scenario) -> "MonopolePhase":
-        return MonopolePhase(tuple(e.gap * e.coupling_time for e in scenario.emitters))
-
-    def __len__(self) -> int:
-        return len(self.phases)
+__all__ = ["pair_correlation", "product_expectation", "MAX_EMITTERS"]
 
 
 @lru_cache(maxsize=8)
@@ -105,7 +89,7 @@ def _fold(rows: np.ndarray, weights) -> np.ndarray:
     return total
 
 
-def pair_correlation(state, phases: MonopolePhase) -> np.ndarray:
+def pair_correlation(state, phases) -> np.ndarray:
     """The n x n matrix C_il = <mu_i mu_l> over the emitter state.
 
     state is an EmitterState, or a (B, 2^n) stack of pure states, which
@@ -117,7 +101,7 @@ def pair_correlation(state, phases: MonopolePhase) -> np.ndarray:
     stack, weights, n = _register(state)
     if len(phases) != n:
         raise ValueError(f"expected {n} monopole phases, got {len(phases)}")
-    perm, factor = _flip_tables(phases.phases)
+    perm, factor = _flip_tables(tuple(map(float, phases)))
     flipped = factor * stack[:, perm]
     total = _fold(np.array([(f.conj() @ f.T).real for f in flipped]), weights)
     total = 0.5 * (total + np.swapaxes(total, -1, -2))
@@ -125,7 +109,7 @@ def pair_correlation(state, phases: MonopolePhase) -> np.ndarray:
     return total
 
 
-def product_expectation(state, g, phases: MonopolePhase):
+def product_expectation(state, g, phases):
     """Re < prod_i (cos g_i + i mu_i sin g_i) > over the emitter state.
 
     g holds one angle per emitter, or a batch of them (..., n): a float
@@ -140,7 +124,7 @@ def product_expectation(state, g, phases: MonopolePhase):
         raise ValueError(f"expected {n} angles, got shape {g.shape}")
     if len(phases) != n:
         raise ValueError(f"expected {n} monopole phases, got {len(phases)}")
-    perm, factor = _flip_tables(phases.phases)
+    perm, factor = _flip_tables(tuple(map(float, phases)))
     batch, cos, isin = g.shape[:-1], np.cos(g)[..., None], 1j * np.sin(g)[..., None]
     work = stack.reshape(stack.shape[:1] + (1,) * len(batch) + stack.shape[1:])
     for i in range(n):

@@ -408,17 +408,16 @@ def _nelder_mead(x0, maxfev: int, xatol: float, fatol: float):
 # serialization
 # ----------------------------------------------------------------------
 
-def write_grid_csv(grid: GridMap, path) -> None:
-    """First row x axis, first column y axis, fixed 9-significant-digit cells."""
+def write_grid_csv(grid: GridMap, path) -> list[str]:
+    """Cells to 9 significant digits, x in row 0 and y in column 0; returns [csv, sidecar]."""
     # Python floats format faster than numpy scalars (same bytes); row by row bounds memory
     lines = ["," + ",".join(map(_FMT.format, grid.x.tolist()))]
     lines += [",".join(map(_FMT.format, [yv, *row.tolist()]))
               for yv, row in zip(grid.y.tolist(), grid.values)]
-    _write_lines(path, lines)
-    _write_json(_beside(path, ".json"), {
+    return [_write_lines(path, lines), _write_json(_beside(path, ".json"), {
         "quantity": grid.quantity, "fingerprint": grid.fingerprint,
         "x_range": [float(grid.x[0]), float(grid.x[-1]), int(grid.x.size)],
-        "y_range": [float(grid.y[0]), float(grid.y[-1]), int(grid.y.size)], **grid.meta})
+        "y_range": [float(grid.y[0]), float(grid.y[-1]), int(grid.y.size)], **grid.meta})]
 
 
 def read_grid_csv(path) -> GridMap:
@@ -442,25 +441,26 @@ def read_grid_csv(path) -> GridMap:
                    [row[1:] for row in table], quantity, fingerprint, meta)
 
 
-def write_sweep_csv(curve: SweepCurve, path) -> None:
+def write_sweep_csv(curve: SweepCurve, path) -> list[str]:
+    """One (lambda_B, capacity) row per sample; returns the CSV and sidecar paths."""
     lines = ["lambda_B,capacity"]
     lines += [",".join(map(_FMT.format, pair))
               for pair in zip(curve.couplings.tolist(), curve.capacities.tolist())]
-    _write_lines(path, lines)
-    _write_json(_beside(path, ".json"), {
+    return [_write_lines(path, lines), _write_json(_beside(path, ".json"), {
         "fingerprint": curve.fingerprint, "argmax_index": curve.argmax_index,
         "argmax_coupling": curve.argmax_coupling,
-        "argmax_capacity": curve.argmax_capacity, **curve.meta})
+        "argmax_capacity": curve.argmax_capacity, **curve.meta})]
 
 
-def _write_lines(path, lines) -> None:
-    """Write the lines, each ending in a newline: every CSV, sidecar and manifest."""
+def _write_lines(path, lines) -> str:
+    """Write every CSV, sidecar and manifest, one newline per line; returns str(path)."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+    return str(path)
 
 
-def _write_json(path, obj: dict) -> None:
-    _write_lines(path, [json.dumps(obj, indent=2, sort_keys=True)])
+def _write_json(path, obj: dict) -> str:
+    return _write_lines(path, [json.dumps(obj, indent=2, sort_keys=True)])
 
 
 def _beside(path, suffix: str) -> str:

@@ -60,7 +60,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .emitters import MonopolePhase, pair_correlation, product_expectation
+from .emitters import pair_correlation, product_expectation
 from .kernels import KernelSet, _in_causal_contact, closed_form_radiation
 from .scenario import Scenario, ValidationError
 
@@ -197,7 +197,7 @@ def _channel(scenario: Scenario, nu: float, deltas, couplings=None) -> _Receiver
     # so no algebra runs at angles that may be infinite
     g = (2.0 * np.where(c1 > 0.0, lam_b, 0.0)[:, None]
          * np.array([e.coupling_strength for e in scenario.emitters]) * deltas[signal, None, :])
-    phases = MonopolePhase.from_scenario(scenario)
+    phases = scenario.monopole_phases
     return _ReceiverChannel(
         q, lambda state: 0.5 * (1.0 - c1 * product_expectation(state, g, phases)), signal)
 
@@ -273,7 +273,7 @@ def _energy(scenario: Scenario, active: list[int], kernels):
     if not np.isfinite(weights).all():
         raise _energy_overflow(active, lam)
     rows, cols = np.ix_(active, active)
-    phases = MonopolePhase.from_scenario(scenario)
+    phases = scenario.monopole_phases
 
     def t00(state):
         corr = pair_correlation(state, phases)[..., rows, cols]

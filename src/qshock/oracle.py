@@ -33,7 +33,9 @@ Each detector's exponentials are formed once per call and applied to the
 whole stack, as one matmul per axis; the observables are read off the
 stack, each component with its weight.
 The split uses only mu^2 = 1 and the mode structure, never the kernels
-or the reduction to the signal angles g_i.
+or the reduction to the signal angles g_i.  A silent receiver
+(couple=False) is the same evolution on the scenario without its
+emitters: the zero-emitter register, one qubit and the modes.
 
 Every exponential goes through the module-level expm, a Hermitian
 eigendecomposition in numpy; the oracle loads no scipy module.
@@ -44,8 +46,10 @@ _check_budget holds every exact evolution to _DIMENSION_BUDGET.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -53,7 +57,7 @@ import numpy as np
 from .emitters import pair_correlation, product_expectation  # noqa: F401
 from .kernels import sphere_form_factor
 from .observables import _channel, _energy, _fired
-from .scenario import Detector, Scenario
+from .scenario import Detector, EmitterState, Scenario, classical_mixture, w_state
 
 __all__ = [
     "ModeSet",
@@ -234,25 +238,26 @@ def exact_probability(modes: ModeSet, scenario: Scenario, couple: bool) -> float
     """Receiver excitation probability from exact evolution on the mode set.
 
     With couple=False no operator touches the emitter register, which
-    factors out of the expectation exactly; only the receiver qubit and
-    the modes are evolved in that case.
+    factors out of the expectation exactly; the receiver then couples
+    alone, so the evolution runs on the same scenario with no emitters
+    (the receiver qubit and the modes only).
     """
+    if not couple:
+        scenario = Scenario((), scenario.receiver, EmitterState.pure([1.0]),
+                            scenario.evaluation_time)
     rec = scenario.receiver
     if scenario.evaluation_time <= rec.coupling_time:
         return 0.0
-    n = scenario.n_emitters if couple else 0
+    n = scenario.n_emitters
     n_qubits = n + 1
     _check_budget(n_qubits, modes)
     fired = [i for i, e in enumerate(scenario.emitters)
-             if couple and e.coupling_time <= scenario.evaluation_time]
+             if e.coupling_time <= scenario.evaluation_time]
     detectors = [scenario.emitters[i] for i in fired] + [rec]
     qubit_indices = fired + [n]  # receiver is the last qubit
     ground = np.array([1.0, 0.0], dtype=complex)
-    if couple:
-        weights, registers = zip(*((w, np.kron(vec, ground))
-                                   for w, vec in scenario.emitter_state.vectors()))
-    else:
-        weights, registers = (1.0,), (ground,)
+    weights, registers = zip(*((w, np.kron(vec, ground))
+                               for w, vec in scenario.emitter_state.vectors()))
     fin = _evolve(detectors, qubit_indices, n_qubits, modes,
                   _vacuum_state(np.array(registers), n_qubits, modes))
     excited = fin[(slice(None),) * (1 + n) + (1,)]  # receiver projector |e><e|
@@ -319,11 +324,16 @@ def discrete_energy(modes: ModeSet, scenario: Scenario, x, t: float) -> float:
 
 @dataclass(frozen=True)
 class ComparisonRow:
+    """One battery case; difference and passed follow from the values and _AGREEMENT_TOL."""
+
     case: str
     pipeline: float
     exact: float
-    difference: float
-    tolerance: float
+    tolerance: ClassVar[float] = _AGREEMENT_TOL
+
+    @property
+    def difference(self) -> float:
+        return abs(self.pipeline - self.exact)
 
     @property
     def passed(self) -> bool:
@@ -342,7 +352,6 @@ def _case_modes(n_modes: int, cutoff: int) -> ModeSet:
 
 
 def _case_scenario(n: int, state_kind: str) -> Scenario:
-    from .scenario import classical_mixture, w_state, EmitterState
     emitters = tuple(Detector((1.4 * i, 0.15 * i, 0.0), 0.4 + 0.45 * i, 0.9 + 0.1 * i,
                               2.0, 0.5) for i in range(n))
     receiver = Detector((0.7, 0.9, 0.2), 3.0, 0.8, 2.0, 0.5)
@@ -354,10 +363,7 @@ def _case_scenario(n: int, state_kind: str) -> Scenario:
     else:  # product: every emitter in (|g> + e^{i phi}|e>)/sqrt(2)
         single = [np.array([1.0, np.exp(0.4j * (i + 1))]) / math.sqrt(2.0)
                   for i in range(n)]
-        vec = single[0]
-        for s in single[1:]:
-            vec = np.kron(vec, s)
-        state = EmitterState.pure(vec)
+        state = EmitterState.pure(functools.reduce(np.kron, single))
     return Scenario(emitters, receiver, state, 5.0)
 
 
@@ -405,6 +411,5 @@ def run_standard_comparisons() -> list[ComparisonRow]:
             raise FloatingPointError(
                 f"{case['name']}: cutoff not converged ({abs(fine - coarse):.2e})")
         pipeline = discrete(modes, scenario, *args)
-        rows.append(ComparisonRow(case["name"], pipeline, fine,
-                                  abs(pipeline - fine), _AGREEMENT_TOL))
+        rows.append(ComparisonRow(case["name"], pipeline, fine))
     return rows

@@ -120,10 +120,6 @@ class EmitterState:
     def n_emitters(self) -> int:
         return int(math.log2(len(self.components[0][1])))
 
-    @property
-    def is_pure(self) -> bool:
-        return len(self.components) == 1
-
     def vectors(self):
         """Iterate over (weight, complex ndarray) pairs; the arrays are read-only."""
         return iter(self._vectors)
@@ -217,6 +213,11 @@ class Scenario:
     def n_emitters(self) -> int:
         return len(self.emitters)
 
+    @property
+    def monopole_phases(self) -> tuple[float, ...]:
+        """Omega_i t_i per emitter: the phases of the monopole operators (emitters)."""
+        return tuple(e.gap * e.coupling_time for e in self.emitters)
+
     def with_receiver(self, receiver: Detector) -> "Scenario":
         return Scenario(self.emitters, receiver, self.emitter_state, self.evaluation_time)
 
@@ -229,7 +230,7 @@ class Scenario:
                     "lambda": d.coupling_strength, "gap": d.gap,
                     "radius": d.smearing_radius}
 
-        state = {"type": "pure" if self.emitter_state.is_pure else "mixture",
+        state = {"type": "pure" if len(self.emitter_state.components) == 1 else "mixture",
                  "components": [{"weight": w, "amplitudes": [[a.real, a.imag] for a in vec]}
                                 for w, vec in self.emitter_state.components]}
         return {"emitters": [det(e) for e in self.emitters],

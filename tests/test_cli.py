@@ -411,7 +411,10 @@ class TestRunRecord:
         manifest = json.loads((tmp_path / "out.manifest.json").read_text())
         assert set(manifest) == {"subcommand", "config", "outputs", "settings",
                                  "fingerprints", "wall_time_s"}
-        assert manifest["outputs"] == [out]
+        sidecar = str(tmp_path / "out.json")
+        writes_sidecar = argv[0] in ("energy-map", "capacity-map", "diff", "sweep")
+        assert manifest["outputs"] == ([out, sidecar] if writes_sidecar else [out])
+        assert all(os.path.exists(path) for path in manifest["outputs"])
         assert manifest["subcommand"] == argv[0]
         assert manifest["config"] == (given["CONFIG"] if "--config" in argv else None)
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qshock.emitters import MonopolePhase, product_expectation
+from qshock.emitters import product_expectation
 from qshock.kernels import KernelSet, QuadratureError
 from qshock.mapper import (DEFAULT_WINDOW, GridMap, PhaseOptimum, SweepCurve, _BLOCK_CELLS,
                            _nelder_mead, _phase_objective, capacity_map, coupling_sweep, diff_map, energy_map,
@@ -645,7 +645,7 @@ class TestChannelAlgebra:
             delta = ks.commutator(d, dt, e.smearing_radius) if dt > 0.0 else 0.0
             g.append(2.0 * lambda_b * e.coupling_strength * delta)
         c1 = math.exp(-2.0 * lambda_b**2 * ks.vacuum_variance())
-        e_factor = product_expectation(scn.emitter_state, g, MonopolePhase.from_scenario(scn))
+        e_factor = product_expectation(scn.emitter_state, g, scn.monopole_phases)
         p, q = 0.5 * (1.0 - c1 * e_factor), 0.5 * (1.0 - c1)
         return channel_capacity(p=p, q=q)
 

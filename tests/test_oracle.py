@@ -78,6 +78,14 @@ class TestExactProbability:
         got = exact_probability(modes, scn, couple=False)
         assert got == pytest.approx(by_hand, abs=1e-12)
 
+    @pytest.mark.parametrize("n, kind", [(1, "w"), (2, "classical"), (3, "product")])
+    def test_silent_is_the_coupled_value_with_no_emitters(self, n, kind):
+        modes, scn = _case_modes(2, 5), _case_scenario(n, kind)
+        alone = Scenario((), scn.receiver, EmitterState.pure([1.0]), scn.evaluation_time)
+        silent = exact_probability(modes, scn, couple=False)
+        assert silent > 0.0
+        assert float.hex(silent) == float.hex(exact_probability(modes, alone, couple=True))
+
     def test_receiver_gap_drops_out(self):
         modes = small_modes()
         scn = one_alice_scenario()

@@ -158,6 +158,15 @@ class TestEmitterState:
             assert all(type(a) is complex for a in stored)
 
 
+def test_monopole_phases_are_gap_times_coupling_time():
+    emitters = (Detector((0.0, 0.0, 0.0), 1.5, 1.0, gap=2.0),
+                Detector((1.0, 0.0, 0.0), 0.25, 1.0, gap=3.0),
+                Detector((2.0, 0.0, 0.0), -0.5, 1.0))
+    scn = Scenario(emitters, emitters[0], w_state(3, [0.0, 0.0, 0.0]), 4.0)
+    assert scn.monopole_phases == (3.0, 0.75, -1.0)
+    assert Scenario((), emitters[0], EmitterState.pure([1.0]), 4.0).monopole_phases == ()
+
+
 class TestLoadScenario:
     def test_three_emitter_example(self):
         scn = load_scenario(three_emitter_config())
