@@ -26,7 +26,7 @@ from .kernels import (KernelSet, QuadratureError, closed_form_commutator,
                       closed_form_radiation, closed_form_variance)
 from .mapper import (DEFAULT_RESOLUTION, DEFAULT_WINDOW, capacity_map, coupling_sweep,
                      diff_map, energy_map, optimize_phases, read_grid_csv, write_grid_csv,
-                     write_sweep_csv, _FMT, _beside, _write_json, _write_lines)
+                     write_sweep_csv, _beside, _row_format, _write_json, _write_lines)
 from .observables import ReceiverNotCoupledWarning
 from .oracle import OracleBudgetError, run_standard_comparisons
 from .scenario import ValidationError, load_scenario_file, scenario_fingerprint
@@ -222,8 +222,8 @@ def _cmd_optimize(args):
                              restarts=args.restarts, seed=args.seed)
     lines = ["evaluation,value," + ",".join(f"theta_{i+1}"
                                             for i in range(len(result.phases)))]
-    lines += [",".join([str(i), *map(_FMT.format, [value, *thetas])])
-              for i, (thetas, value) in enumerate(result.trace)]
+    row = "{}," + _row_format(1 + len(result.phases))
+    lines += [row.format(i, value, *thetas) for i, (thetas, value) in enumerate(result.trace)]
     outputs = [_write_lines(args.out, lines)]
     status = "converged" if result.converged else "budget exhausted (best-so-far)"
     return (outputs, {"objective": args.objective, "point": list(point), "budget": args.budget,
@@ -254,8 +254,7 @@ def _cmd_kernels(args):
                  if args.kind == "commutator" else closed_form_radiation(
                      rs, dt, args.radius)[0 if args.kind == "radiation-time" else 1])
     lines = ["r,dt,value,err_estimate,closed_form"]
-    lines += [",".join(map(_FMT.format, (r, dt, value, error, check)))
-              for r, value, error, check in zip(rs, values, errors, exact)]
+    lines += map(_row_format(5).format, rs, [dt] * len(rs), values, errors, exact)
     outputs = [_write_lines(args.out, lines)]
     return (outputs, {"kind": args.kind, "radius": args.radius, "dt": dt}, {},
             lambda _: f"wrote {args.out} ({len(rs)} samples)")

@@ -24,14 +24,15 @@ built once per tuple of phases, as floats, and serve both functions here.
 
 Both functions run one core over a stack of pure amplitude vectors
 (S, 2^n): each monopole factor is applied to every vector of the stack,
-and to a whole batch of angle vectors (..., n), at once; a factor with
-g_i = 0 (cos 0 = 1, i sin 0 = 0) leaves its rows as they were.  For an
-EmitterState the stack is its components, and their weights fold the
-per-vector results in component order; a (B, 2^n) array is taken as B
-pure states, and the results keep that leading axis with the bits of B
-separate calls.  The per-vector reductions (vdot, the Gram product) run
-one vector at a time.  Cost is O(n 2^n) per vector and angle vector.
-n is capped at scenario.MAX_EMITTERS (24), checked before any state exists.
+and to a whole batch of angle vectors (..., n), at once, and each
+reduction (the Gram matrices, the overlaps <psi|work>) is one stacked
+np.matmul, which on OpenBLAS rounds as f.conj() @ f.T and np.vdot per
+vector do (an einsum sums in another order).  For an EmitterState the
+stack is its components, whose weights fold the per-vector results in
+component order; a (B, 2^n) array is B pure states, and the results keep
+that leading axis with the bits of B separate calls.  Cost is O(n 2^n)
+per vector and angle vector; n is capped at scenario.MAX_EMITTERS (24),
+checked before any state exists.
 """
 
 from __future__ import annotations
@@ -60,8 +61,8 @@ def _flip_tables(phases: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
     return perm, factor
 
 
-def _register(state) -> tuple[np.ndarray, tuple | None, int]:
-    """The amplitude stack (S, 2^n), the weights that fold it (None: B pure states), n."""
+def _register(state, phases) -> tuple[np.ndarray, tuple | None, np.ndarray, np.ndarray]:
+    """The amplitude stack (S, 2^n), the weights folding it (None: B pure states), perm, factor."""
     if isinstance(state, EmitterState):
         weights, vectors = zip(*state.vectors())
         stack, n = np.array(vectors), state.n_emitters
@@ -72,17 +73,15 @@ def _register(state) -> tuple[np.ndarray, tuple | None, int]:
             raise ValueError(f"expected a (B, 2^n) stack of amplitude vectors, "
                              f"got shape {stack.shape}")
     _check_register(n)
-    return stack, weights, n
+    if len(phases) != n:
+        raise ValueError(f"expected {n} monopole phases, got {len(phases)}")
+    return (stack, weights, *_flip_tables(tuple(map(float, phases))))
 
 
 def _fold(rows: np.ndarray, weights) -> np.ndarray:
-    """sum_c w_c rows[c] in component order; weights None keeps one result per row.
-
-    A row of a stack of pure states gets 0 + 1.0 * row, the same
-    operations as a one-component state.
-    """
-    if weights is None:
-        weights, rows = (1.0,), rows[None]
+    """sum_c w_c rows[c] in component order; weights None keeps one result per row."""
+    if weights is None:  # the bits of 0 + 1.0 * row, as for a one-component state
+        return 0.0 + rows
     total = np.zeros(rows.shape[1:])
     for w, row in zip(weights, rows):
         total += w * row
@@ -98,12 +97,10 @@ def pair_correlation(state, phases) -> np.ndarray:
     monopole applications per vector.  Real and symmetric by
     construction; the diagonal is mu^2 = 1 exactly.
     """
-    stack, weights, n = _register(state)
-    if len(phases) != n:
-        raise ValueError(f"expected {n} monopole phases, got {len(phases)}")
-    perm, factor = _flip_tables(tuple(map(float, phases)))
-    flipped = factor * stack[:, perm]
-    total = _fold(np.array([(f.conj() @ f.T).real for f in flipped]), weights)
+    stack, weights, perm, factor = _register(state, phases)
+    n = len(perm)
+    flipped = factor * stack.take(perm, axis=-1)
+    total = _fold((flipped.conj() @ np.swapaxes(flipped, -1, -2)).real, weights)
     total = 0.5 * (total + np.swapaxes(total, -1, -2))
     total[..., range(n), range(n)] = 1.0
     return total
@@ -118,25 +115,22 @@ def product_expectation(state, g, phases):
     axis B.  Bounded by 1 in magnitude for any normalized state (each
     factor is unitary), invariant under a global phase of the state.
     """
-    stack, weights, n = _register(state)
-    g = np.asarray(g, dtype=float)
+    stack, weights, perm, factor = _register(state, phases)
+    n, g = len(perm), np.asarray(g, dtype=float)
     if g.shape[-1:] != (n,):
         raise ValueError(f"expected {n} angles, got shape {g.shape}")
-    if len(phases) != n:
-        raise ValueError(f"expected {n} monopole phases, got {len(phases)}")
-    perm, factor = _flip_tables(tuple(map(float, phases)))
     batch, cos, isin = g.shape[:-1], np.cos(g)[..., None], 1j * np.sin(g)[..., None]
-    work = stack.reshape(stack.shape[:1] + (1,) * len(batch) + stack.shape[1:])
+    lead = stack.shape[:1] + (1,) * len(batch)
+    work = stack.reshape(lead + stack.shape[1:])
     for i in range(n):
-        work = cos[..., i, :] * work + isin[..., i, :] * (factor[i] * work[..., perm[i]])
-    rows = np.empty(stack.shape[:1] + batch)
-    work = np.broadcast_to(work, rows.shape + stack.shape[1:])  # n = 0 turns nothing
-    for k in np.ndindex(rows.shape):
-        rows[k] = np.vdot(stack[k[0]], work[k]).real
-    total = _fold(rows, weights)
+        work = cos[..., i, :] * work + isin[..., i, :] * (factor[i] * work.take(perm[i], axis=-1))
+    # <psi|work>; out is (S, *batch, 1, 1) even where n = 0 turned nothing
+    overlaps = np.matmul(stack.conj().reshape(lead + (1,) + stack.shape[1:]), work[..., None],
+                         out=np.empty(stack.shape[:1] + batch + (1, 1), dtype=complex))
+    total = _fold(overlaps[..., 0, 0].real, weights)
     # each factor is unitary, so |E| <= 1 up to rounding dust
-    if np.any(np.abs(total) > 1.0):
-        if np.any(np.abs(total) > 1.0 + 1e-12):
+    if (np.abs(total) > 1.0).any():
+        if (np.abs(total) > 1.0 + 1e-12).any():
             raise FloatingPointError(f"product expectation {total!r} left [-1, 1]")
         total = np.clip(total, -1.0, 1.0)
     return float(total) if total.ndim == 0 else total

@@ -24,22 +24,22 @@ observables._energy_at, the factory behind energy_density.
 
 CSV layout: first row is the x axis (blank corner cell), each following
 row starts with its y value; numbers are printed with 9 significant
-digits in scientific notation so identical runs are byte-identical.  A
+digits in scientific notation so identical runs are byte-identical, each
+row by one str.format template of _FMT fields (_row_format).  A
 JSON sidecar carries the scenario fingerprint, quantity tag, wall time
 and, for capacity maps, the noise probability and cells_in_contact.
 _write_lines writes every CSV, sidecar and run manifest (_write_json
 for the JSON ones), and _beside names a sidecar or manifest after its CSV.
 
-A phase search runs _nelder_mead, scipy's Nelder-Mead step for step,
-without importing scipy.  _nelder_mead is a generator that yields each
-point and is sent its value, so optimize_phases advances its restarts in
-lockstep: each round stacks the next point of every live restart into
-one batch of W states, and the objective runs the emitter algebra once
-over that stack (emitters' stack core).  The objective forms what an
-evaluation does not change (kernels, strengths, angles) once per search.
-Each restart keeps its own trace and a budget share fixed before the
-first round, so trace, result and evaluation count are those of running
-the restarts one after another with those shares.
+A phase search runs _nelder_mead, scipy's Nelder-Mead step for step on
+Python floats, without importing scipy.  _nelder_mead is a generator that
+yields each point and is sent its value, so optimize_phases advances its
+restarts in lockstep: each round stacks the next point of every live
+restart into one batch of W states, checked and evaluated as one stack;
+what an evaluation does not change (kernels, strengths, angles) is formed
+once per search.  Each restart keeps its own trace and a budget share
+fixed before the first round, so trace, result and evaluation count are
+those of running the restarts one after another with those shares.
 """
 
 from __future__ import annotations
@@ -261,8 +261,7 @@ def _phase_objective(scenario: Scenario, objective: str, point):
 
     def value_of(thetas: np.ndarray) -> list[float]:
         stack = _w_amplitudes(n, thetas)
-        for vec in stack:
-            _check_norm(vec)
+        _check_norm(stack)
         if objective == "energy":
             return energy(stack).tolist()
         return _capacities(channel, stack)[:, 0, 0].tolist()
@@ -283,13 +282,13 @@ def optimize_phases(scenario: Scenario, objective: str, point,
 
     Restart k gets the share min(per_restart, budget - k per_restart),
     with per_restart = max(16, budget // restarts), fixed up front; a
-    restart whose share is not positive is skipped, and the search then
-    counts as not converged.  Every other restart starts in round 1 and
-    the restarts advance in lockstep: each round takes the next point of
-    every live restart and evaluates them as one stack.  Each restart
-    keeps its own trace, and the reported trace is their concatenation in
-    restart order, so the result is that of running the restarts one
-    after another, each with its share.
+    restart whose share is not positive is never built (no start drawn),
+    and the search then counts as not converged.  Every other restart
+    starts in round 1 and the restarts advance in lockstep: each round
+    takes the next point of every live restart and evaluates them as one
+    stack.  Each restart keeps its own trace, and the reported trace is
+    their concatenation in restart order, so the result is that of running
+    the restarts one after another, each with its share.
     """
     n = scenario.n_emitters
     if n < 1:
@@ -310,40 +309,37 @@ def optimize_phases(scenario: Scenario, objective: str, point,
         [val] = value_of(np.zeros((1, 1)))
         return PhaseOptimum((0.0,), val, objective, True, 1, (((0.0,), val),))
 
-    rng = np.random.default_rng(seed)
-    starts = [np.zeros(n - 1)] + [rng.uniform(0.0, 2.0 * math.pi, n - 1)
-                                  for _ in range(restarts - 1)]
-
     per_restart = max(16, budget // restarts)
-    traces: list[list[tuple[tuple[float, ...], float]]] = [[] for _ in starts]
-    results: list[tuple | None] = [None] * restarts  # _nelder_mead's (x, f(x), converged)
+    shares = [min(per_restart, budget - k * per_restart)
+              for k in range(min(restarts, -(-budget // per_restart)))]  # the positive ones
+    traces: list[list[tuple[tuple[float, ...], float]]] = [[] for _ in shares]
+    results: list[tuple] = [()] * len(shares)  # _nelder_mead's (x, f(x), converged)
     live: dict[int, tuple] = {}  # restart -> (its search, the point it waits on)
-    for k, start in enumerate(starts):
-        share = min(per_restart, budget - k * per_restart)
-        if share > 0:  # else the shares before took the whole budget: not converged
-            search = _nelder_mead(start, share, 1e-6, 1e-12)
-            live[k] = (search, next(search))
+    rng = np.random.default_rng(seed)
+    for k, share in enumerate(shares):
+        search = _nelder_mead(rng.uniform(0.0, math.tau, n - 1) if k else [0.0] * (n - 1),
+                              share, 1e-6, 1e-12)
+        live[k] = (search, next(search))
     while live:
-        reduced = np.array([x for _, x in live.values()])
-        full = np.concatenate((np.zeros((len(live), 1)), np.mod(reduced, 2.0 * math.pi)),
-                              axis=1)
-        for (k, (search, _)), theta, val in zip(list(live.items()), full.tolist(),
-                                                value_of(full)):
-            traces[k].append((tuple(theta), val))
+        # Python's % rounds as np.mod does; the first phase is pinned to 0
+        thetas = [(0.0, *[v % math.tau for v in x]) for _, x in live.values()]
+        for (k, (search, _)), theta, val in zip(list(live.items()), thetas,
+                                                value_of(np.array(thetas))):
+            traces[k].append((theta, val))
             try:
                 live[k] = (search, search.send(-val))
             except StopIteration as done:
                 results[k] = done.value
                 del live[k]
 
-    best_val, best_full, converged = -math.inf, np.zeros(n), None not in results
-    for x, value, done in filter(None, results):
+    best_val, best_full, converged = -math.inf, (0.0,) * n, len(shares) == restarts
+    for x, value, done in results:
         converged = converged and done
         if -value > best_val:
             best_val = -value
-            best_full = np.concatenate(([0.0], np.mod(x, 2.0 * math.pi)))
-    return PhaseOptimum(tuple(float(t) for t in best_full), float(best_val), objective,
-                        converged, len(starts), tuple(entry for run in traces for entry in run))
+            best_full = (0.0, *[v % math.tau for v in x])
+    return PhaseOptimum(best_full, float(best_val), objective, converged, restarts,
+                        tuple(entry for run in traces for entry in run))
 
 
 def _nelder_mead(x0, maxfev: int, xatol: float, fatol: float):
@@ -353,34 +349,41 @@ def _nelder_mead(x0, maxfev: int, xatol: float, fatol: float):
     before maxfev calls).  The points and result are those of scipy 1.17's
     minimize(f, x0, method="Nelder-Mead") with options maxfev, xatol and
     fatol: default simplex, coefficients 1, 2, 1/2, 1/2, and the step that
-    would call f once too often dropped.  Each yielded point is a fresh
-    array.
+    would call f once too often dropped.  Points are lists of floats with
+    scipy's arithmetic done per coordinate, which rounds as numpy does (the
+    centroid sums from 0.0 in vertex order, as np.add.reduce); only the
+    n + 1 values are ordered by numpy's argsort, so ties break as scipy's.
     """
-    x0 = np.asarray(x0, dtype=float)
-    n = x0.size
+    x0 = [float(v) for v in x0]
+    n = len(x0)
 
     def ordered(sim, fsim):
-        ind = np.argsort(fsim)
-        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+        ind = np.array(fsim).argsort().tolist()
+        return [sim[i] for i in ind], [fsim[i] for i in ind]
 
-    sim = np.tile(x0, (n + 1, 1))
-    sim[np.arange(1, n + 1), np.arange(n)] = np.where(x0 != 0, 1.05 * x0, 0.00025)
-    fsim = np.full(n + 1, np.inf)
+    sim = [x0] + [x0[:k] + [1.05 * v if v != 0 else 0.00025] + x0[k + 1:]
+                  for k, v in enumerate(x0)]
+    fsim = [math.inf] * (n + 1)
     calls = min(n + 1, maxfev)
     for k in range(calls):
-        fsim[k] = yield sim[k].copy()
+        fsim[k] = yield sim[k]
     sim, fsim = ordered(*ordered(sim, fsim))  # twice, as scipy does: argsort is not stable
     while calls < maxfev:
-        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+        best, worst = sim[0], sim[-1]
+        # all(<=) is False on a NaN, as np.max(...) <= tol is
+        if (all(abs(v - b) <= xatol for x in sim[1:] for v, b in zip(x, best))
+                and all(abs(fsim[0] - f) <= fatol for f in fsim[1:])):
             break
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = 2 * xbar - sim[-1]
+        xbar = [0.0] * n
+        for x in sim[:-1]:
+            xbar = [c + v for c, v in zip(xbar, x)]
+        xbar = [c / n for c in xbar]
+        xr = [2 * c - w for c, w in zip(xbar, worst)]
         fxr = yield xr
         calls += 1
         if fxr < fsim[0]:
             if calls < maxfev:
-                xe = 3 * xbar - 2 * sim[-1]
+                xe = [3 * c - 2 * w for c, w in zip(xbar, worst)]
                 fxe = yield xe
                 calls += 1
                 sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
@@ -388,17 +391,18 @@ def _nelder_mead(x0, maxfev: int, xatol: float, fatol: float):
             sim[-1], fsim[-1] = xr, fxr
         elif calls < maxfev:
             outside = fxr < fsim[-1]
-            xc = 1.5 * xbar - 0.5 * sim[-1] if outside else 0.5 * xbar + 0.5 * sim[-1]
+            xc = ([1.5 * c - 0.5 * w for c, w in zip(xbar, worst)] if outside
+                  else [0.5 * c + 0.5 * w for c, w in zip(xbar, worst)])
             fxc = yield xc
             calls += 1
             if (fxc <= fxr) if outside else (fxc < fsim[-1]):
                 sim[-1], fsim[-1] = xc, fxc
             else:  # shrink towards the best vertex
                 for j in range(1, n + 1):
-                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    sim[j] = [b + 0.5 * (v - b) for v, b in zip(sim[j], best)]
                     if calls >= maxfev:
                         break
-                    fsim[j] = yield sim[j].copy()
+                    fsim[j] = yield sim[j]
                     calls += 1
         sim, fsim = ordered(sim, fsim)
     return sim[0], np.min(fsim), calls < maxfev
@@ -411,9 +415,9 @@ def _nelder_mead(x0, maxfev: int, xatol: float, fatol: float):
 def write_grid_csv(grid: GridMap, path) -> list[str]:
     """Cells to 9 significant digits, x in row 0 and y in column 0; returns [csv, sidecar]."""
     # Python floats format faster than numpy scalars (same bytes); row by row bounds memory
-    lines = ["," + ",".join(map(_FMT.format, grid.x.tolist()))]
-    lines += [",".join(map(_FMT.format, [yv, *row.tolist()]))
-              for yv, row in zip(grid.y.tolist(), grid.values)]
+    row = _row_format(grid.x.size + 1)
+    lines = ["," + _row_format(grid.x.size).format(*grid.x.tolist())]
+    lines += [row.format(yv, *values.tolist()) for yv, values in zip(grid.y.tolist(), grid.values)]
     return [_write_lines(path, lines), _write_json(_beside(path, ".json"), {
         "quantity": grid.quantity, "fingerprint": grid.fingerprint,
         "x_range": [float(grid.x[0]), float(grid.x[-1]), int(grid.x.size)],
@@ -426,17 +430,14 @@ def read_grid_csv(path) -> GridMap:
     if not rows:
         raise ValueError(f"{path}: empty grid CSV")
     table = [[float(v) for v in line.split(",")] for line in rows[1:]]
-    quantity, fingerprint, meta = "unknown", "", {}
     try:
         with open(_beside(path, ".json"), "r", encoding="utf-8") as fh:
-            side = json.load(fh)
-        quantity = side.pop("quantity", "unknown")
-        fingerprint = side.pop("fingerprint", "")
-        side.pop("x_range", None)
-        side.pop("y_range", None)
-        meta = side
+            meta = json.load(fh)
     except FileNotFoundError:
-        pass
+        meta = {}
+    meta.pop("x_range", None)
+    meta.pop("y_range", None)
+    quantity, fingerprint = meta.pop("quantity", "unknown"), meta.pop("fingerprint", "")
     return GridMap([float(v) for v in rows[0].split(",")[1:]], [row[0] for row in table],
                    [row[1:] for row in table], quantity, fingerprint, meta)
 
@@ -444,12 +445,16 @@ def read_grid_csv(path) -> GridMap:
 def write_sweep_csv(curve: SweepCurve, path) -> list[str]:
     """One (lambda_B, capacity) row per sample; returns the CSV and sidecar paths."""
     lines = ["lambda_B,capacity"]
-    lines += [",".join(map(_FMT.format, pair))
-              for pair in zip(curve.couplings.tolist(), curve.capacities.tolist())]
+    lines += map(_row_format(2).format, curve.couplings.tolist(), curve.capacities.tolist())
     return [_write_lines(path, lines), _write_json(_beside(path, ".json"), {
         "fingerprint": curve.fingerprint, "argmax_index": curve.argmax_index,
         "argmax_coupling": curve.argmax_coupling,
         "argmax_capacity": curve.argmax_capacity, **curve.meta})]
+
+
+def _row_format(columns: int) -> str:
+    """One CSV row of `columns` numbers as a single str.format template of _FMT fields."""
+    return ",".join([_FMT] * columns)
 
 
 def _write_lines(path, lines) -> str:

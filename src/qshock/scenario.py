@@ -106,7 +106,8 @@ class EmitterState:
             if len(vec) != dim:
                 raise ValidationError("state", "mixture components differ in length")
             array = np.array(vec, dtype=complex)
-            _check_norm(array)
+            with np.errstate(invalid="ignore"):  # an infinite amplitude: its norm is NaN
+                _check_norm(array)
             total += w
             array.setflags(write=False)
             frozen.append((w, tuple(array.tolist())))
@@ -134,11 +135,12 @@ class EmitterState:
         return EmitterState(tuple((float(w), tuple(vec)) for w, vec in pairs))
 
 
-def _check_norm(vec: np.ndarray) -> None:
-    """Raise unless the amplitude vector has norm 1 within _NORM_TOL."""
-    norm = math.sqrt(np.vdot(vec, vec).real)
-    if not abs(norm - 1.0) <= _NORM_TOL:
-        raise ValidationError("state", f"component norm {norm!r} != 1")
+def _check_norm(vecs: np.ndarray) -> None:
+    """Raise unless each vector of vecs (..., 2^n) has norm 1 within _NORM_TOL (np.vdot's bits)."""
+    for square in (vecs.conj()[..., None, :] @ vecs[..., None]).real.ravel().tolist():
+        norm = math.sqrt(square)
+        if not abs(norm - 1.0) <= _NORM_TOL:  # NaN-safe
+            raise ValidationError("state", f"component norm {norm!r} != 1")
 
 
 def _check_register(n: int) -> None:

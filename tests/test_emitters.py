@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
 from qshock.emitters import _flip_tables, pair_correlation, product_expectation
-from qshock.scenario import EmitterState, _w_amplitudes, classical_mixture, w_state
+from qshock.scenario import (EmitterState, ValidationError, _check_norm, _w_amplitudes,
+                             classical_mixture, w_state)
 
 from conftest import dense_pair_correlation, dense_product_expectation
 
@@ -278,6 +279,97 @@ class TestStackedStates:
             pair_correlation(np.ones((2, 3)), phases_for(2))
         with pytest.raises(ValueError, match="stack"):
             product_expectation(np.ones(4), [0.1, 0.2], phases_for(2))
+
+
+def looped_fold(rows, weights):
+    if weights is None:
+        return rows
+    total = np.zeros(rows.shape[1:])
+    for w, row in zip(weights, rows):
+        total += w * row
+    return total
+
+
+def looped_pair_correlation(stack, weights, ph):
+    """pair_correlation with its Gram matrices formed one vector at a time."""
+    n = len(ph)
+    perm, factor = _flip_tables(tuple(ph))
+    flipped = factor * stack[:, perm]
+    total = looped_fold(np.array([(f.conj() @ f.T).real for f in flipped]), weights)
+    total = 0.5 * (total + np.swapaxes(total, -1, -2))
+    total[..., range(n), range(n)] = 1.0
+    return total
+
+
+def looped_product_expectation(stack, weights, g, ph):
+    """product_expectation with one np.vdot per vector and angle vector."""
+    perm, factor = _flip_tables(tuple(ph))
+    batch, cos, isin = g.shape[:-1], np.cos(g)[..., None], 1j * np.sin(g)[..., None]
+    work = stack.reshape(stack.shape[:1] + (1,) * len(batch) + stack.shape[1:])
+    for i in range(len(ph)):
+        work = cos[..., i, :] * work + isin[..., i, :] * (factor[i] * work[..., perm[i]])
+    rows = np.empty(stack.shape[:1] + batch)
+    work = np.broadcast_to(work, rows.shape + stack.shape[1:])
+    for k in np.ndindex(rows.shape):
+        rows[k] = np.vdot(stack[k[0]], work[k]).real
+    return np.clip(looped_fold(rows, weights), -1.0, 1.0)  # as the library clips |E| <= 1
+
+
+def hexes(values):
+    return [float.hex(v) for v in np.ravel(values).tolist()]
+
+
+class TestStackedReductions:
+    """One stacked matmul per reduction has the bits of the per-vector np.vdot and Gram forms."""
+
+    @staticmethod
+    def unit_vectors(rng, count, n):
+        vecs = rng.normal(size=(count, 2**n)) + 1j * rng.normal(size=(count, 2**n))
+        return vecs / np.linalg.norm(vecs, axis=1)[:, None]
+
+    @staticmethod
+    def angles(rng, n):
+        g = rng.uniform(-2, 2, (3, 2, n))
+        g[0] = 0.0         # no emitter turns
+        g[1, 0, :1] = 0.0  # one emitter off in one angle vector
+        return g
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])  # n = 0: the one-amplitude register
+    def test_stack_of_pure_states(self, n):
+        rng = np.random.default_rng(90 + n)
+        ph, stack = phases_for(n), self.unit_vectors(rng, 5, n)
+        assert hexes(pair_correlation(stack, ph)) == hexes(
+            looped_pair_correlation(stack, None, ph))
+        for g in (self.angles(rng, n), rng.uniform(-2, 2, n)):
+            assert hexes(product_expectation(stack, g, ph)) == hexes(
+                looped_product_expectation(stack, None, g, ph))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+    def test_mixture(self, n):
+        rng = np.random.default_rng(100 + n)
+        ph, weights = phases_for(n), (0.2, 0.5, 0.3)
+        mix = EmitterState.mixture(zip(weights, self.unit_vectors(rng, 3, n)))
+        stack = np.array([vec for _, vec in mix.vectors()])
+        assert hexes(pair_correlation(mix, ph)) == hexes(
+            looped_pair_correlation(stack, weights, ph))
+        for g in (self.angles(rng, n), rng.uniform(-2, 2, n)):
+            assert hexes(product_expectation(mix, g, ph)) == hexes(
+                looped_product_expectation(stack, weights, g, ph))
+
+    def test_check_norm_names_the_first_offending_row(self):
+        rng = np.random.default_rng(110)
+        stack = self.unit_vectors(rng, 6, 3)
+        _check_norm(stack)
+        _check_norm(stack[None])  # any leading shape
+        stack[3] *= 1.1
+        stack[5] *= 0.5
+        norm = math.sqrt(np.vdot(stack[3], stack[3]).real)
+        with pytest.raises(ValidationError) as err:
+            _check_norm(stack)
+        assert err.value.message == f"component norm {norm!r} != 1"
+        stack[3, 0] = math.nan
+        with pytest.raises(ValidationError, match="component norm nan != 1"):
+            _check_norm(stack)
 
 
 @pytest.mark.parametrize("n", [1, 3])

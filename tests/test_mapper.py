@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -399,14 +400,15 @@ class TestOptimizePhases:
 
 
 def minimize_nelder_mead(f, x0, maxfev, xatol=1e-6, fatol=1e-12):
-    """Drive the _nelder_mead generator with f, one point at a time."""
+    """Drive the _nelder_mead generator with f, one point at a time, on arrays as scipy does."""
     search = _nelder_mead(x0, maxfev, xatol, fatol)
     try:
         x = next(search)
         while True:
-            x = search.send(f(x))
+            x = search.send(f(np.array(x)))
     except StopIteration as done:
-        return done.value
+        x, value, converged = done.value
+        return np.array(x), value, converged
 
 
 def sequential_search(scn, objective, point, budget, restarts, seed):
@@ -496,6 +498,19 @@ class TestLockstep:
         assert res.evaluations == 4 + 16 + 8
         assert not res.converged  # restart 3 had no share
 
+    @pytest.mark.parametrize("objective", ["energy", "capacity"])
+    def test_restarts_without_a_share_cost_nothing(self, objective):
+        # budget 60 gives shares 16, 16, 16 and 12 whatever the count: the other
+        # 999 996 restarts draw no start and hold no trace
+        scn = load_scenario_file(SCENARIOS / "fig2a.cfg")
+        t0 = time.perf_counter()
+        many = optimize_phases(scn, objective, (11.0, 4.5, 0.0), budget=60, restarts=10**6)
+        elapsed = time.perf_counter() - t0
+        few = optimize_phases(scn, objective, (11.0, 4.5, 0.0), budget=60, restarts=4)
+        assert optimum_bits(replace(many, restarts=4)) == optimum_bits(few)
+        assert (many.restarts, many.converged) == (10**6, False)
+        assert elapsed < 1.0
+
 
 class TestNelderMead:
     """_nelder_mead reproduces scipy.optimize.minimize(method="Nelder-Mead") bit for bit."""
@@ -533,6 +548,16 @@ class TestNelderMead:
         for maxfev in range(1, 41):
             self.compare(lambda x: float(np.floor(4.0 * np.sum(x * x))),
                          np.linspace(-1.2, 0.8, dim), maxfev)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("f", [
+        lambda x: -0.0,  # a capacity search where no emitter is in contact: every value ties
+        lambda x: float(np.sum(x) > -0.3)],  # two levels
+        ids=["constant", "plateau"])
+    def test_ties_break_as_scipy_breaks_them(self, dim, f):
+        for x0 in (np.zeros(dim), np.linspace(-1.2, 0.8, dim)):
+            for maxfev in range(1, 41):
+                self.compare(f, x0, maxfev)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("objective, point", [("energy", (10.75, 5.56, 0.0)),
