@@ -29,8 +29,10 @@ tests and the closed_form column of `qshock kernels` compare the two.
 
 The commutator of balls with radii R_B and R_i vanishes exactly unless
 |d - |dt|| < R_B + R_i (the strong Huygens principle); _in_causal_contact
-states that support and the time ordering dt > 0, and capacity
-observables run the commutator quadrature only inside it.  Off the
+states that support and the time ordering dt > 0.  Capacity observables
+gate by receiver: a receiver in contact with no emitter gets no
+quadrature, and one in contact with any emitter gets the quadrature of
+every emitter that fired before it, off-support pairs included.  Off the
 support the quadrature returns rounding noise instead of 0, and its
 reported error then covers that noise.
 
@@ -193,11 +195,6 @@ def sphere_form_factor(k, radius: float):
 # atoms and T_m.  Every atom coefficient is purely real or imaginary, so
 # numpy's fused complex products round as Python's do.
 
-def _pow(x: np.ndarray, n: int) -> np.ndarray:
-    """x**n elementwise by Python's float power; numpy's power differs in the last bit."""
-    return np.array([v ** n for v in x.tolist()])
-
-
 @functools.cache
 def _expansion(kinds: str) -> tuple[np.ndarray, np.ndarray]:
     """Read-only sign table (terms, factors) and exact factor of each term of a trig product.
@@ -213,19 +210,6 @@ def _expansion(kinds: str) -> tuple[np.ndarray, np.ndarray]:
     units = np.array(units)
     signs.flags.writeable = units.flags.writeable = False
     return signs, units
-
-
-def _round12(f: np.ndarray) -> np.ndarray:
-    """round(f, 12) elementwise, bit for bit.
-
-    Below 2**45, f * 1e12 is within 2**-9 of the exact product, so away from
-    a half rint picks the N that round picks, and N / 1e12 is its double.
-    """
-    scaled = f * 1e12
-    keys = np.rint(scaled) / 1e12
-    near = (np.abs(scaled - np.floor(scaled) - 0.5) < 1e-2) | (np.abs(scaled) >= 2.0**45)
-    keys[near] = [round(v, 12) for v in f[near].tolist()]
-    return keys
 
 
 def _tail_T(a: np.ndarray, cut: float, powers, exp1) -> dict:
@@ -264,7 +248,7 @@ def _tail_sum(freqs, pieces, cut: float) -> tuple[np.ndarray, np.ndarray]:
     f = 0.0
     for a, signs in zip(freqs, _expansion(pieces[0][1])[0].T):  # factor by factor
         f = f + a[:, None] * signs
-    keys = _round12(f)
+    keys = np.round(f, 12)
     offsets = f - keys
     first = np.argmax(keys[:, :, None] == keys[:, None, :], axis=1)  # of each frequency
     lead = first == np.arange(f.shape[1])
@@ -384,7 +368,7 @@ def _commutator_parts(d, dt, ra: float, rb):
     def head(k, rows):
         # k S_a S_b per distinct radius, times sinc(kd), times sin(k dt)
         pair = (k * (_FOUR_PI * ra**3) * _ball_g(k * ra)
-                * (_FOUR_PI * _pow(radii, 3))[:, None] * _ball_g(k * radii[:, None]))
+                * (_FOUR_PI * radii**3)[:, None] * _ball_g(k * radii[:, None]))
         sines = _of_distinct(np.sin, k, rows, *times)
         return lambda sub: _sinc(k * d[sub, None]) * pair[at_radius[sub]] * sines(sub)
 
@@ -406,9 +390,8 @@ def _radiation_parts(r, dt, radius: float, radial: bool):
         return lambda sub: of_r(k * r[sub, None]) * ball * trig(sub)
 
     def pieces():
-        r2 = _pow(r, 2)
-        return ([(_FOUR_PI / r, "scs", 2), (-_FOUR_PI / r2, "sss", 3),
-                 (-_FOUR_PI * radius / r, "ccs", 1), (_FOUR_PI * radius / r2, "css", 2)]
+        return ([(_FOUR_PI / r, "scs", 2), (-_FOUR_PI / r**2, "sss", 3),
+                 (-_FOUR_PI * radius / r, "ccs", 1), (_FOUR_PI * radius / r**2, "css", 2)]
                 if radial else [(_FOUR_PI / r, "ssc", 2), (-_FOUR_PI * radius / r, "csc", 1)])
     return head, (np.full(r.shape, radius), r, dt), pieces
 

@@ -129,10 +129,7 @@ def _receiver_kernels(scenario: Scenario, positions=None):
         return 0.0, silent, silent != 0.0
     emitters = scenario.emitters
     offsets = where[:, None, :] - np.array([e.position for e in emitters]).reshape(-1, 3)
-    # |offset| as stacked (1x3)(3x1) matmuls: each uses the dot of np.linalg.norm
-    # of one 3-vector, so the bits match; norm(..., axis=-1) and einsum round the
-    # last bit otherwise, which channel_capacity amplifies (ROADMAP item 1)
-    ds = np.sqrt(np.matmul(offsets[..., None, :], offsets[..., :, None]))[..., 0, 0]
+    ds = np.linalg.norm(offsets, axis=-1)
     dts = rec.coupling_time - np.array([e.coupling_time for e in emitters])
     radii = np.array([e.smearing_radius for e in emitters])
     contact = _in_causal_contact(ds, dts, rec.smearing_radius, radii)

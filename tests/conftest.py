@@ -4,10 +4,12 @@ Each helper recomputes a quantity by a different route than the code
 under test: dense matrix algebra for the emitter register and for the
 truncated-Fock evolution (one full-dimension expm per detector), closed-form
 retarded fields for the radiation kernels, interval-doubled summation
-for the variance integral, and Blahut-Arimoto iteration for capacities.
+for the variance integral, Blahut-Arimoto iteration for capacities, and
+detector distances written out coordinate by coordinate.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -129,6 +131,21 @@ def dense_exact_energy(modes, scenario, x, t: float) -> float:
             total += w * (float(np.real(np.vdot(dfin, dfin)))
                           - float(np.sum(np.abs(deltas) ** 2)))
     return total
+
+
+# ----------------------------------------------------------------------
+# detector geometry
+# ----------------------------------------------------------------------
+
+def distance(a, b) -> float:
+    """|a - b| of two 3-vectors, its squares summed left to right.
+
+    The formula the receiver and emission geometry are held to: it is the
+    value of np.linalg.norm(offsets, axis=-1), while np.linalg.norm of one
+    3-vector on its own rounds differently for about one offset in ten.
+    """
+    dx, dy, dz = (float(u) - float(v) for u, v in zip(a, b, strict=True))
+    return math.sqrt(dx * dx + dy * dy + dz * dz)
 
 
 # ----------------------------------------------------------------------

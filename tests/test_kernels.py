@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -469,6 +470,29 @@ class TestClosedForms:
             d = rng.uniform(0.5, 7.0)
             dt = rng.uniform(d - 2 * R + 0.05, d + 2 * R - 0.05)
             assert ks.commutator_value(d, dt).error < 1e-13
+
+    @pytest.mark.parametrize("ra,rb", RADIUS_PAIRS)
+    def test_commutator_at_near_half_atom_keys(self, ra, rb):
+        # atoms merge at frequencies +-ra +-rb +-d +-dt rounded to 12
+        # decimals; d half a unit of the 12th decimal off a 12-decimal value
+        # puts f * 1e12 near a rounding half, where np.round(f, 12) (rint of
+        # the rounded product) and Python's round (of the exact decimal) can
+        # pick different keys.  Each value stays within its reported error or
+        # 1e-13 of the closed form, criterion 8's rule
+        ks, s = KernelSet(ra), ra + rb
+        rng = np.random.default_rng(12)
+        points = 0
+        while points < 6:
+            d = round(rng.uniform(0.6, 6.5), 12) + rng.choice((5e-13, -5e-13))
+            dt = round(rng.uniform(d - s + 0.05, d + s - 0.05), 11)
+            f = np.array([0.0 + ra * s0 + rb * s1 + d * s2 + dt * s3
+                          for s0, s1, s2, s3 in itertools.product((1.0, -1.0), repeat=4)])
+            if dt <= 0.0 or (np.round(f, 12) == [round(v, 12) for v in f.tolist()]).all():
+                continue
+            kv = ks.commutator_value(d, dt, other_radius=rb)
+            exact = float(closed_form_commutator(d, dt, ra, rb))
+            assert abs(kv.value - exact) <= max(kv.error, 1e-13), (d, dt, kv, exact)
+            points += 1
 
     def test_radiation_matches_quadrature_sampled(self):
         rng = np.random.default_rng(7)

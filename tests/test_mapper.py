@@ -18,7 +18,7 @@ from qshock.observables import (ChannelPoint, ReceiverNotCoupledWarning, channel
 from qshock.scenario import (Detector, EmitterState, Scenario, load_scenario,
                              load_scenario_file, w_state)
 
-from conftest import four_emitter_config, three_emitter_config
+from conftest import distance, four_emitter_config, three_emitter_config
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 WINDOW = (3.0, 13.0, 0.0, 10.0)
@@ -187,11 +187,10 @@ class TestCapacityMap:
         assert np.count_nonzero(contact) == 174
         assert grid.meta["cells_in_contact"] == 174
         t_b = scn.receiver.coupling_time
-        needed = {(float(np.linalg.norm(np.array((xv, yv, 0.0)) - e.position)),
-                   t_b - e.coupling_time)
+        needed = {(distance((xv, yv, 0.0), e.position), t_b - e.coupling_time)
                   for iy, yv in enumerate(grid.y) for ix, xv in enumerate(grid.x)
                   if contact[iy, ix] for e in scn.emitters if e.coupling_time < t_b}
-        assert len(needed) == 643
+        assert len(needed) == 639
         [batch] = commutator_calls
         assert len(batch) == len(needed)
         assert set(batch) == needed
@@ -666,7 +665,7 @@ class TestChannelAlgebra:
         g = []
         for e in scn.emitters:
             dt = rec.coupling_time - e.coupling_time
-            d = float(np.linalg.norm(np.subtract(position, e.position)))
+            d = distance(position, e.position)
             delta = ks.commutator(d, dt, e.smearing_radius) if dt > 0.0 else 0.0
             g.append(2.0 * lambda_b * e.coupling_strength * delta)
         c1 = math.exp(-2.0 * lambda_b**2 * ks.vacuum_variance())

@@ -15,7 +15,7 @@ from qshock.observables import (ReceiverNotCoupledWarning,
 from qshock.scenario import (Detector, EmitterState, Scenario, ValidationError,
                              classical_mixture, load_scenario, w_state)
 
-from conftest import blahut_arimoto_capacity, three_emitter_config
+from conftest import blahut_arimoto_capacity, distance, three_emitter_config
 
 R = 0.5
 
@@ -167,22 +167,32 @@ class TestReceiverDistances:
                              min_size=1, max_size=4),
            receivers=st.lists(st.tuples(COORDINATES, COORDINATES, COORDINATES),
                               min_size=1, max_size=5))
-    def test_equal_per_pair_norm(self, emitters, receivers):
-        # the distances reaching the contact test are, bit for bit, the
-        # np.linalg.norm of each receiver-emitter offset on its own; the
-        # emitters fire after the receiver, so no commutator is integrated
+    def test_both_geometry_paths_equal_the_written_out_distance(self, emitters, receivers):
+        # the distances reaching the contact test (_receiver_kernels) and the
+        # radiation kernels (_emission_kernels) are, bit for bit, conftest's
+        # distance of each receiver-emitter pair; the emitters fire after the
+        # receiver, so no commutator is integrated
         import qshock.observables as observables
         scn = Scenario(tuple(Detector(p, 5.0, 1.0) for p in emitters),
                        Detector((0.0, 0.0, 0.0), 1.0, 2.0),
                        w_state(len(emitters), [0.0] * len(emitters)), 6.0)
-        seen, contact = [], observables._in_causal_contact
+        contact_ds, radiation_rs = [], []
+        contact = observables._in_causal_contact
+
+        def radiation(r, dt, radius):
+            radiation_rs.append(r)
+            return np.zeros(r.shape), np.zeros(r.shape)
+
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(observables, "_in_causal_contact",
-                       lambda d, *rest: seen.append(d) or contact(d, *rest))
+                       lambda d, *rest: contact_ds.append(d) or contact(d, *rest))
+            mp.setattr(observables, "closed_form_radiation", radiation)
             observables._receiver_kernels(scn, receivers)
-        [ds] = seen
-        assert ds.tolist() == [[float(np.linalg.norm(np.subtract(r, e))) for e in emitters]
-                               for r in receivers]
+            observables._emission_kernels(scn, receivers, 6.0)
+        expect = [[distance(r, e) for e in emitters] for r in receivers]
+        [ds], [rs] = contact_ds, radiation_rs
+        assert ds.tolist() == expect
+        assert rs.tolist() == expect
 
 
 class TestDisconnectedReceiver:
